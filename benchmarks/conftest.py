@@ -10,15 +10,21 @@ wall-clock seconds, simulator events fired, events/sec — to
 ``BENCH_runner.json`` at the repository root (via
 :func:`repro.experiments.harness.append_bench_run`), accumulating the
 perf trajectory that future optimization PRs are measured against.
+Each run's meta also records the machine that produced it (cores,
+interpreter, platform, git revision), so two runs that disagree can be
+told apart by where they ran.
 """
 
 import gc
+import os
 import pathlib
+import platform
 import time
 
 import pytest
 
 from repro.experiments.harness import append_bench_run
+from repro.runtime.provenance import git_revision
 from repro.sim import engine
 
 BENCH_ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_runner.json"
@@ -71,6 +77,21 @@ def _bench_record(request):
     )
 
 
+def machine_meta() -> dict:
+    """The machine context a trajectory run records beside its numbers."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_revision": git_revision(),
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Append this session's records to the perf-trajectory artifact."""
     if _RECORDS:
@@ -83,6 +104,7 @@ def pytest_sessionfinish(session, exitstatus):
                 # Which kernel lane produced these numbers — lets the
                 # regression gate compare batched vs fallback runs.
                 "kernel_batch": engine.batching_enabled(),
+                **machine_meta(),
             },
         )
         _RECORDS.clear()

@@ -119,8 +119,17 @@ def plan_flow_demands(
             raise ValueError("uniform traffic needs at least two nodes")
         duration = max(1, round(traffic.packets * mean))
         base, extra = divmod(traffic.packets, len(sources))
+        position = {name: k for k, name in enumerate(node_names)}
         for src_index, src in enumerate(sources):
-            dst = rng.choice([name for name in node_names if name != src])
+            skip = position.get(src)
+            if skip is None:
+                dst = rng.choice(node_names)
+            else:
+                # The draw a choice over the names other than src would
+                # make: it depends only on the candidate count, so pick
+                # an index among n-1 and step over src's position.
+                pick = rng.choice(range(len(node_names) - 1))
+                dst = node_names[pick + (pick >= skip)]
             packets = base + (1 if src_index < extra else 0)
             if packets == 0:
                 continue

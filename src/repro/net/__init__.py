@@ -7,8 +7,11 @@
 * :mod:`repro.net.switch` — per-hop switch latency model with optional
   finite-depth output queues (backpressure).
 * :mod:`repro.net.topology` — the Facebook-style multi-tier clos fabric
-  (on networkx) with traffic-locality path resolution used by the
-  Fig. 12(a) trace replay.
+  with traffic-locality path resolution used by the Fig. 12(a) trace
+  replay.  Its ECMP route table comes from one breadth-first search per
+  source ToR over the switch layer, spliced with the host endpoints and
+  cached per topology; networkx only holds the graph for structural
+  checks.
 * :mod:`repro.net.fabric` — event-driven fabric instantiation: packets
   live-traverse one switch instance per topology node (the scenario
   layer's transport).

@@ -32,8 +32,6 @@ from __future__ import annotations
 from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.faults.engine import OK, FaultInjector
 from repro.net.link import EthernetWire
 from repro.net.packet import Packet
@@ -137,8 +135,6 @@ class ClosFabric(Component):
         }
         # Each host's uplink to its ToR serializes that host's departures.
         self._uplinks: Dict[str, Resource] = {}
-        # (src, dst) -> all equal-cost paths, sorted for determinism.
-        self._route_cache: Dict[Tuple[str, str], List[List[str]]] = {}
         # (src, dst, path index) -> precomputed per-hop transit plan:
         # the first-link label plus (switch, next_hop, wan?, label) per
         # switch hop, so transit never re-reads graph node attributes
@@ -190,16 +186,14 @@ class ClosFabric(Component):
     def route_paths(self, src: str, dst: str) -> List[List[str]]:
         """All equal-cost shortest paths between two hosts, sorted.
 
-        Enumerated once per host pair and cached; both per-packet ECMP
-        hashing (:meth:`route`) and flow-level demand spreading
+        Read from the topology's ECMP route table
+        (:meth:`repro.net.topology.ClosTopology.ecmp_paths`), which
+        enumerates each host pair once and caches it; both per-packet
+        ECMP hashing (:meth:`route`) and flow-level demand spreading
         (:class:`repro.flow.FlowSource`) read the same list, so the two
         fidelities agree on what the fabric looks like.
         """
-        paths = self._route_cache.get((src, dst))
-        if paths is None:
-            paths = sorted(nx.all_shortest_paths(self.topology.graph, src, dst))
-            self._route_cache[(src, dst)] = paths
-        return paths
+        return self.topology.ecmp_paths(src, dst)
 
     def route(self, src: str, dst: str, flow_id: int = 0) -> List[str]:
         """The (deterministic) path for one flow: ECMP by flow id.

@@ -20,9 +20,16 @@ The traffic-pattern mix per cluster type follows the paper: database
 traffic is mostly inter-cluster and inter-datacenter, webserver mostly
 intra-datacenter, hadoop intra-cluster.
 
-The topology is held as a networkx graph so structural properties
-(path existence, hop counts, bisection) are checkable, while the
-latency math uses the per-hop switch model.
+ECMP routing never searches the host graph.  Every host is a leaf on
+exactly one ToR, so every shortest host-to-host path is the host pair
+spliced onto a shortest ToR-to-ToR path through the switch layer (75
+switches for a 1024-host fabric).  :meth:`ClosTopology.ecmp_paths` runs
+one breadth-first search per source ToR over that layer, lazily,
+enumerates the equal-cost switch paths level by level back from the
+destination ToR, splices the host endpoints on and caches the sorted
+list per host pair on the topology instance.  networkx only holds the
+graph, for structural checks (connectivity, tiers); the latency math
+uses the per-hop switch model.
 """
 
 from __future__ import annotations
@@ -81,7 +88,24 @@ class ClosTopology:
         self.config = config or ClosConfig()
         self.params = params or NetworkParams()
         self.graph = nx.Graph()
+        # host -> its ToR; the graph is fixed once built.
+        self._tor_of: Dict[str, str] = {}
         self._build()
+        # The switch layer's adjacency (host leaves left out), which is
+        # all the ECMP route table searches.
+        self._switch_adjacency: Dict[str, List[str]] = {
+            node: [
+                peer
+                for peer in self.graph.adj[node]
+                if self.graph.nodes[peer]["tier"] != "host"
+            ]
+            for node, tier in self.graph.nodes(data="tier")
+            if tier != "host"
+        }
+        # source ToR -> {switch: its BFS depth from that ToR}.
+        self._depths: Dict[str, Dict[str, int]] = {}
+        # (src, dst) host pair -> all equal-cost shortest paths, sorted.
+        self._routes: Dict[Tuple[str, str], List[List[str]]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -109,6 +133,7 @@ class ClosTopology:
                         host_name = f"dc{dc}/c{cluster}/r{rack}/h{host}"
                         self.graph.add_node(host_name, tier="host")
                         self.graph.add_edge(host_name, tor)
+                        self._tor_of[host_name] = tor
         # Inter-DC connectivity through the edge routers.
         edges = [f"dc{dc}/edge" for dc in range(config.datacenters)]
         for a, b in zip(edges, edges[1:]):
@@ -118,14 +143,68 @@ class ClosTopology:
 
     def hosts(self) -> List[str]:
         """All host node names."""
-        return sorted(
-            node for node, data in self.graph.nodes(data=True) if data["tier"] == "host"
-        )
+        return sorted(self._tor_of)
 
     def switch_count(self, src: str, dst: str) -> int:
         """Number of switch/router hops on the shortest path."""
-        path = nx.shortest_path(self.graph, src, dst)
-        return sum(1 for node in path if self.graph.nodes[node]["tier"] != "host")
+        # A host to itself crosses no switch: its one path is [src].
+        return max(len(self.ecmp_paths(src, dst)[0]) - 2, 0)
+
+    # -- ECMP route table -----------------------------------------------------
+
+    def ecmp_paths(self, src: str, dst: str) -> List[List[str]]:
+        """All equal-cost shortest paths between two hosts, sorted.
+
+        Equal, element for element, to the sorted list of every shortest
+        path between them in :attr:`graph`, but computed on the switch
+        layer and cached per host pair.  The returned lists are shared: read, never mutate.
+        """
+        paths = self._routes.get((src, dst))
+        if paths is None:
+            src_tor = self._tor(src)
+            dst_tor = self._tor(dst)
+            if src == dst:
+                paths = [[src]]
+            else:
+                adjacency = self._switch_adjacency
+                depths = self._bfs_depths(src_tor)
+                # Grow every shortest path back from the destination one
+                # BFS level per step until all reach the source ToR.
+                tails = [[dst_tor, dst]]
+                for depth in range(depths[dst_tor] - 1, -1, -1):
+                    tails = [
+                        [peer] + tail
+                        for tail in tails
+                        for peer in adjacency[tail[0]]
+                        if depths[peer] == depth
+                    ]
+                paths = sorted([src] + tail for tail in tails)
+            self._routes[(src, dst)] = paths
+        return paths
+
+    def _tor(self, host: str) -> str:
+        tor = self._tor_of.get(host)
+        if tor is None:
+            raise ValueError(f"not a host of this topology: {host!r}")
+        return tor
+
+    def _bfs_depths(self, source: str) -> Dict[str, int]:
+        """Hop depth of every switch from one ToR, over the switch layer."""
+        depths = self._depths.get(source)
+        if depths is None:
+            adjacency = self._switch_adjacency
+            depths = {source: 0}
+            frontier = [source]
+            while frontier:
+                following = []
+                for node in frontier:
+                    for peer in adjacency[node]:
+                        if peer not in depths:
+                            depths[peer] = depths[node] + 1
+                            following.append(peer)
+                frontier = following
+            self._depths[source] = depths
+        return depths
 
     def classify(self, src: str, dst: str) -> Locality:
         """Locality class of a host pair from their names."""

@@ -340,10 +340,8 @@ class Scenario:
             injector=self.injector,
         )
         placement: Dict[str, str] = {}
-        available = [
-            host for host in fabric.host_names()
-            if host not in {n.host for n in spec.nodes if n.host}
-        ]
+        bound = {n.host for n in spec.nodes if n.host}
+        available = (host for host in fabric.host_names() if host not in bound)
         for node_spec in spec.nodes:
             if node_spec.host is not None:
                 if node_spec.host not in fabric.topology.graph:
@@ -353,11 +351,12 @@ class Scenario:
                     )
                 placement[node_spec.name] = node_spec.host
             else:
-                if not available:
+                host = next(available, None)
+                if host is None:
                     raise ValueError(
                         "more nodes than topology hosts; grow the fabric spec"
                     )
-                placement[node_spec.name] = available.pop(0)
+                placement[node_spec.name] = host
         if len(set(placement.values())) != len(placement):
             raise ValueError(f"two nodes bound to one host: {placement}")
         return fabric, placement

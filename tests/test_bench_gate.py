@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from benchmarks import conftest as bench_conftest
 from repro.experiments.harness import append_bench_run, check_bench_regression
 
 SCRIPT = (
@@ -150,6 +151,40 @@ class TestTwoLaneWorkflow:
         # The fresh trajectory is valid and usable from here on.
         document = json.loads(path.read_text())
         assert len(document["runs"]) == 1
+
+
+class TestMachineMeta:
+    MACHINE_KEYS = {"cpu_count", "usable_cpus", "python", "platform", "git_revision"}
+
+    def test_session_run_records_its_machine(self, tmp_path, monkeypatch):
+        path = tmp_path / "bench.json"
+        monkeypatch.setattr(bench_conftest, "BENCH_ARTIFACT", path)
+        monkeypatch.setattr(bench_conftest, "_RECORDS", [record(INCAST, 150_000.0)])
+        bench_conftest.pytest_sessionfinish(None, 0)
+        meta = json.loads(path.read_text())["runs"][-1]["meta"]
+        assert self.MACHINE_KEYS <= set(meta)
+        assert meta["cpu_count"] >= 1 and meta["usable_cpus"] >= 1
+        assert meta["python"].count(".") == 2
+        assert meta["platform"] and meta["git_revision"]
+
+    def test_gate_ignores_machine_meta(self, tmp_path):
+        """Runs from different machines gate on their rates alone."""
+        path = tmp_path / "bench.json"
+        machine = bench_conftest.machine_meta()
+        append_bench_run(
+            str(path),
+            [record(INCAST, 150_000.0)],
+            meta={**machine, "cpu_count": 1, "usable_cpus": 1},
+        )
+        document = append_bench_run(
+            str(path),
+            [record(INCAST, 220_000.0)],
+            meta={**machine, "cpu_count": 64, "git_revision": "unknown"},
+        )
+        assert check_bench_regression(document) == []
+        assert (
+            check_bench_regression(document, expect_improvement={INCAST: 1.25}) == []
+        )
 
 
 class TestGateCLI:

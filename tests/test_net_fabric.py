@@ -1,11 +1,15 @@
 """Ethernet wire, switch, and clos topology models."""
 
+import itertools
+import random
+
 import networkx as nx
 import pytest
 
-from repro.net import ClosTopology, EthernetWire, Locality, Switch
+from repro.net import ClosFabric, ClosTopology, EthernetWire, Locality, Switch
 from repro.net.topology import ClosConfig, SWITCH_HOPS
 from repro.params import NetworkParams
+from repro.sim import Simulator
 from repro.units import ns, to_ns
 
 
@@ -160,3 +164,109 @@ class TestClosTopology:
                                         clusters=1, datacenters=1))
         assert len(small.hosts()) == 4
         assert nx.is_connected(small.graph)
+
+
+def networkx_paths(topology, src, dst):
+    """The reference: every shortest path in the full host graph, sorted."""
+    return sorted(nx.all_shortest_paths(topology.graph, src, dst))
+
+
+class TestEcmpRouteTable:
+    def assert_all_pairs_match(self, topology):
+        for src, dst in itertools.permutations(topology.hosts(), 2):
+            assert topology.ecmp_paths(src, dst) == networkx_paths(
+                topology, src, dst
+            ), (src, dst)
+
+    def test_default_config_all_pairs_match_networkx(self):
+        self.assert_all_pairs_match(ClosTopology())
+
+    def test_edge_router_chain_all_pairs_match_networkx(self):
+        # Three DCs chain dc0-dc1-dc2 through the edge routers, so dc0 to
+        # dc2 crosses a transit edge; three spines and fabrics widen ECMP.
+        self.assert_all_pairs_match(
+            ClosTopology(
+                ClosConfig(
+                    racks_per_cluster=2,
+                    hosts_per_rack=2,
+                    clusters=2,
+                    fabric_per_cluster=3,
+                    spines=3,
+                    datacenters=3,
+                )
+            )
+        )
+
+    def test_1024_host_sample_matches_networkx(self):
+        topology = ClosTopology(
+            ClosConfig(
+                racks_per_cluster=16, hosts_per_rack=16, clusters=4, datacenters=1
+            )
+        )
+        hosts = topology.hosts()
+        assert len(hosts) == 1024
+        rng = random.Random(2019)
+        for _ in range(200):
+            src, dst = rng.sample(hosts, 2)
+            assert topology.ecmp_paths(src, dst) == networkx_paths(
+                topology, src, dst
+            ), (src, dst)
+
+    def test_intra_rack_single_path(self):
+        topology = ClosTopology()
+        assert topology.ecmp_paths("dc0/c1/r2/h0", "dc0/c1/r2/h3") == [
+            ["dc0/c1/r2/h0", "dc0/c1/r2/tor", "dc0/c1/r2/h3"]
+        ]
+
+    def test_paths_cached_on_the_topology(self):
+        topology = ClosTopology()
+        fabric = ClosFabric(Simulator(), "f", topology)
+        paths = topology.ecmp_paths("dc0/c0/r0/h0", "dc1/c0/r0/h0")
+        assert fabric.route_paths("dc0/c0/r0/h0", "dc1/c0/r0/h0") is paths
+
+    def test_fabric_route_picks_pinned_paths(self):
+        fabric = ClosFabric(Simulator(), "f")
+        src, dst = "dc0/c0/r0/h0", "dc1/c1/r3/h2"
+        head = [src, "dc0/c0/r0/tor"]
+        tail = ["dc1/c1/r3/tor", dst]
+        assert len(fabric.route_paths(src, dst)) == 16
+        assert fabric.route(src, dst, 0) == head + [
+            "dc0/c0/fab0", "dc0/spine0", "dc0/edge",
+            "dc1/edge", "dc1/spine0", "dc1/c1/fab0",
+        ] + tail
+        assert fabric.route(src, dst, 1) == head + [
+            "dc0/c0/fab0", "dc0/spine0", "dc0/edge",
+            "dc1/edge", "dc1/spine0", "dc1/c1/fab1",
+        ] + tail
+        assert fabric.route(src, dst, 5) == head + [
+            "dc0/c0/fab0", "dc0/spine1", "dc0/edge",
+            "dc1/edge", "dc1/spine0", "dc1/c1/fab1",
+        ] + tail
+        assert fabric.route(src, dst, 13) == head + [
+            "dc0/c0/fab1", "dc0/spine1", "dc0/edge",
+            "dc1/edge", "dc1/spine0", "dc1/c1/fab1",
+        ] + tail
+        src, dst = "dc0/c0/r1/h3", "dc0/c1/r2/h0"
+        middles = [
+            fabric.route(src, dst, flow_id)[2:5] for flow_id in range(4)
+        ]
+        assert middles == [
+            ["dc0/c0/fab0", "dc0/spine0", "dc0/c1/fab0"],
+            ["dc0/c0/fab0", "dc0/spine0", "dc0/c1/fab1"],
+            ["dc0/c0/fab0", "dc0/spine1", "dc0/c1/fab0"],
+            ["dc0/c0/fab0", "dc0/spine1", "dc0/c1/fab1"],
+        ]
+
+    @pytest.mark.parametrize(
+        "src, dst, unknown",
+        [
+            ("dc9/c0/r0/h0", "dc0/c0/r0/h0", "dc9/c0/r0/h0"),
+            ("dc0/c0/r0/h0", "dc0/spine0", "dc0/spine0"),
+        ],
+    )
+    def test_unknown_host_raises_value_error(self, src, dst, unknown):
+        topology = ClosTopology()
+        with pytest.raises(ValueError, match=repr(unknown)):
+            topology.ecmp_paths(src, dst)
+        with pytest.raises(ValueError, match=repr(unknown)):
+            topology.switch_count(src, dst)
