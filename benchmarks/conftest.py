@@ -101,9 +101,6 @@ def pytest_sessionfinish(session, exitstatus):
             meta={
                 "exitstatus": int(exitstatus),
                 "tests": len(_RECORDS),
-                # Which kernel lane produced these numbers — lets the
-                # regression gate compare batched vs fallback runs.
-                "kernel_batch": engine.batching_enabled(),
                 **machine_meta(),
             },
         )

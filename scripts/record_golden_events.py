@@ -5,10 +5,13 @@ pin the kernel's ``(time, seq, owner)`` execution order, and rewriting
 them silently would defeat the determinism tests in
 ``tests/test_sim_determinism.py``.
 
-Two artifacts are produced:
+Three artifacts are produced:
 
 * ``golden_event_order.json`` — the traced event stream of the mixed
   kernel workload, recorded through ``Simulator(trace=...)``.
+* ``golden_cluster_streams.json`` — the sha256 of the traced event
+  stream of a seeded four-node incast cluster, plus its delivery
+  summary, per seed.
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few
   seconds; skip with ``--no-fig5`` when only the kernel golden moved).
 
@@ -18,6 +21,7 @@ Usage::
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -48,6 +52,27 @@ def record_golden_event_order() -> pathlib.Path:
     return out
 
 
+def record_golden_cluster_streams() -> pathlib.Path:
+    from tests.test_sim_determinism import CLUSTER_SEEDS, scenario_stream
+
+    seeds = {}
+    for seed in CLUSTER_SEEDS:
+        stream, summary = scenario_stream(seed)
+        seeds[str(seed)] = {
+            "sha256": hashlib.sha256(stream).hexdigest(),
+            "summary": summary,
+        }
+    document = {
+        "schema": "netdimm-repro/golden-cluster-streams",
+        "schema_version": 1,
+        "seeds": seeds,
+    }
+    out = DATA_DIR / "golden_cluster_streams.json"
+    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(seeds)} cluster stream digests -> {out}")
+    return out
+
+
 def record_fig5_baseline() -> pathlib.Path:
     from repro.experiments import harness
 
@@ -69,6 +94,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     record_golden_event_order()
+    record_golden_cluster_streams()
     if not args.no_fig5:
         record_fig5_baseline()
     return 0

@@ -97,9 +97,8 @@ class Bank:
         construction a row hit (the first access left ``row`` open), so
         it collapses to the pipelined tCCD/tCL arithmetic with no
         classification, no attribute churn, and one write-recovery
-        update at the end.  This is the DRAM half of the batched drain
-        path — the controller calls it once per same-row run instead of
-        once per cacheline.
+        update at the end.  The controller calls it once per same-row
+        run instead of once per cacheline.
         """
         times = [self.access_ready_time(now, row, is_write)]
         if count > 1:

@@ -17,7 +17,6 @@ why the access time is non-deterministic from the host's perspective
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Optional, Protocol
 
 from repro.params import DRAMTimingParams, NVDIMMPParams
@@ -62,11 +61,6 @@ class AsyncMemoryPort(Component):
         self.protocol = protocol or NVDIMMPParams()
         self.channel_bus = channel_bus or Resource(sim, name=f"{name}.bus")
         self._next_request_id = 0
-        # Batched drain mode (see repro.sim.engine): channel-bus claims
-        # are inlined into the transaction bodies instead of delegating
-        # through Resource.use — identical event sequence, one fewer
-        # generator frame per bus occupancy.
-        self._batch = bool(sim.batch)
 
     def _lines(self, size_bytes: int) -> int:
         return max(1, -(-size_bytes // CACHELINE))
@@ -90,67 +84,37 @@ class AsyncMemoryPort(Component):
         sim = self.sim
         start = sim._now
         burst = self._lines(size_bytes) * self.timing.tBURST
-        if self._batch:
-            # Inlined Resource.use on the channel bus for both the XRD
-            # command slot and the SEND/DQ data slot — the exact
-            # acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use without the delegated
-            # generator frame per bus occupancy.
-            bus = self.channel_bus
-            pool = sim._future_pool
-            # XRD command on the CA pins (command-bus occupancy).
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not bus._busy and not bus._waiters:
-                bus._busy = True
-                bus.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                bus._ticket += 1
-                insort(bus._waiters, (0, bus._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            bus.total_wait_ticks += granted_at - request_time
-            hold = self.timing.tCMD
-            if hold:
-                yield hold
-            bus.release()
-            yield protocol.xrd_cost
-            # Media access inside the DIMM; RDY is raised when it finishes.
-            yield self.device.device_read(address, size_bytes)
-            self.stats.count("rdy_signals")
-            # Host turnaround: observe RDY, issue SEND.
-            yield protocol.rdy_to_send
-            # Data appears on DQ after a fixed delay, then occupies the
-            # bus for tBURST per cacheline.
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not bus._busy and not bus._waiters:
-                bus._busy = True
-                bus.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                bus._ticket += 1
-                insort(bus._waiters, (0, bus._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            bus.total_wait_ticks += granted_at - request_time
-            hold = protocol.send_to_data + burst
-            if hold:
-                yield hold
-            bus.release()
-        else:
-            # XRD command on the CA pins (command-bus occupancy).
-            yield from self.channel_bus.use(self.timing.tCMD)
-            yield protocol.xrd_cost
-            # Media access inside the DIMM; RDY is raised when it finishes.
-            yield self.device.device_read(address, size_bytes)
-            self.stats.count("rdy_signals")
-            # Host turnaround: observe RDY, issue SEND.
-            yield protocol.rdy_to_send
-            # Data appears on DQ after a fixed delay, then occupies the bus
-            # for tBURST per cacheline.
-            yield from self.channel_bus.use(protocol.send_to_data + burst)
+        # Resource.use on the channel bus for both the XRD command slot
+        # and the SEND/DQ data slot, spelled out so each occupancy runs
+        # without a delegated generator frame.
+        bus = self.channel_bus
+        # XRD command on the CA pins (command-bus occupancy).
+        request_time = sim._now
+        future = bus.acquire()
+        granted_at = yield future
+        sim.recycle(future)
+        bus.total_wait_ticks += granted_at - request_time
+        hold = self.timing.tCMD
+        if hold:
+            yield hold
+        bus.release()
+        yield protocol.xrd_cost
+        # Media access inside the DIMM; RDY is raised when it finishes.
+        yield self.device.device_read(address, size_bytes)
+        self.stats.count("rdy_signals")
+        # Host turnaround: observe RDY, issue SEND.
+        yield protocol.rdy_to_send
+        # Data appears on DQ after a fixed delay, then occupies the bus
+        # for tBURST per cacheline.
+        request_time = sim._now
+        future = bus.acquire()
+        granted_at = yield future
+        sim.recycle(future)
+        bus.total_wait_ticks += granted_at - request_time
+        hold = protocol.send_to_data + burst
+        if hold:
+            yield hold
+        bus.release()
         self.stats.count("async_reads")
         self.stats.sample("read_latency_ns", (self.now - start) / 1000)
         done.set_result(request_id)
@@ -174,27 +138,16 @@ class AsyncMemoryPort(Component):
         start = sim._now
         burst = self._lines(size_bytes) * self.timing.tBURST
         hold = self.timing.tCMD + burst
-        if self._batch:
-            # Inlined Resource.use on the channel bus (see _read_body).
-            bus = self.channel_bus
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not bus._busy and not bus._waiters:
-                bus._busy = True
-                bus.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                bus._ticket += 1
-                insort(bus._waiters, (0, bus._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            bus.total_wait_ticks += granted_at - request_time
-            if hold:
-                yield hold
-            bus.release()
-        else:
-            yield from self.channel_bus.use(hold)
+        # Resource.use on the channel bus, spelled out (see _read_body).
+        bus = self.channel_bus
+        request_time = sim._now
+        future = bus.acquire()
+        granted_at = yield future
+        sim.recycle(future)
+        bus.total_wait_ticks += granted_at - request_time
+        if hold:
+            yield hold
+        bus.release()
         yield self.protocol.write_post_cost
         # The device's media write continues in the background.
         self.device.device_write(address, size_bytes)

@@ -29,7 +29,6 @@ MAC/PHY — i.e. ``endhost wire pieces + path_latency``.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.engine import OK, FaultInjector
@@ -38,7 +37,7 @@ from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.net.topology import INTER_DC_WAN_PROPAGATION, ClosTopology
 from repro.params import NetworkParams
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, Resource, Simulator
 from repro.units import transfer_time
 
 
@@ -141,11 +140,6 @@ class ClosFabric(Component):
         # or rebuilds link labels per packet.
         self._hop_plans: Dict[Tuple[str, str, int], tuple] = {}
         self._serialization_cache: Dict[int, int] = {}
-        # Batched drain mode (see repro.sim.engine): the uplink claim is
-        # inlined into transit instead of delegating through
-        # Resource.use — identical event sequence, one fewer generator
-        # frame per packet.
-        self._batch = bool(sim.batch)
         # Hybrid-fidelity coupling (repro.flow): set by
         # enable_flow_coupling when a scenario carries flow-level
         # traffic; None keeps the pure packet path byte-identical.
@@ -276,31 +270,18 @@ class ClosFabric(Component):
             wait = flow_load.queue_wait((src, first_hop), serialization)
             if wait:
                 yield wait
-        if self._batch:
-            # Inlined Resource.use(serialization) on the host uplink —
-            # the exact acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use without the delegated
-            # generator frame.
-            uplink = self._uplink(src)
-            sim = self.sim
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not uplink._busy and not uplink._waiters:
-                uplink._busy = True
-                uplink.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                uplink._ticket += 1
-                insort(uplink._waiters, (0, uplink._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            uplink.total_wait_ticks += granted_at - request_time
-            if serialization:
-                yield serialization
-            uplink.release()
-        else:
-            yield from self._uplink(src).use(serialization)
+        # Resource.use(serialization) on the host uplink, spelled out so
+        # the packet runs without a delegated generator frame.
+        uplink = self._uplink(src)
+        sim = self.sim
+        request_time = sim._now
+        future = uplink.acquire()
+        granted_at = yield future
+        sim.recycle(future)
+        uplink.total_wait_ticks += granted_at - request_time
+        if serialization:
+            yield serialization
+        uplink.release()
         yield self.params.propagation
         if injector is not None and (
             injector.link_verdict(first_link, self.now, packet) != OK

@@ -17,7 +17,6 @@ unbounded behavior and its exact event sequence.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Deque, Dict, Optional
 
@@ -53,12 +52,8 @@ class Switch(Component):
         self._egress_ports: Dict[str, Resource] = {}
         self._occupancy: Dict[str, int] = {}
         self._slot_waiters: Dict[str, Deque[Future]] = {}
-        # Batched drain mode (see repro.sim.engine): the egress claim is
-        # inlined into forward_transit instead of delegating through
-        # Resource.use — identical event sequence, two fewer generator
-        # frames per hop.  The serialization memo is mode-independent
-        # (transfer_time of a given size never changes).
-        self._batch = bool(sim.batch)
+        # transfer_time of a given frame size never changes, so
+        # forward_transit memoizes it per size.
         self._serialization_cache: Dict[int, int] = {}
         # Hybrid-fidelity coupling (repro.flow): the owning ClosFabric
         # points every switch at the scenario's shared FlowLoadMap and
@@ -169,31 +164,18 @@ class Switch(Component):
                 self.params.framed_bytes(size_bytes), self.params.link_bytes_per_ps
             )
             self._serialization_cache[size_bytes] = serialization
-        if self._batch:
-            # Inlined Resource.use(serialization) on the egress port:
-            # the exact acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use, minus the delegated
-            # generator frame per hop.
-            egress = self._egress(egress_port)
-            sim = self.sim
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not egress._busy and not egress._waiters:
-                egress._busy = True
-                egress.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                egress._ticket += 1
-                insort(egress._waiters, (0, egress._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            egress.total_wait_ticks += granted_at - request_time
-            if serialization:
-                yield serialization
-            egress.release()
-        else:
-            yield from self._egress(egress_port).use(serialization)
+        # Resource.use(serialization) on the egress port, spelled out
+        # so the hop runs without a delegated generator frame.
+        egress = self._egress(egress_port)
+        sim = self.sim
+        request_time = sim._now
+        future = egress.acquire()
+        granted_at = yield future
+        sim.recycle(future)
+        egress.total_wait_ticks += granted_at - request_time
+        if serialization:
+            yield serialization
+        egress.release()
         if self.queue_depth is not None:
             self._release_slot(egress_port)
         yield self.params.propagation

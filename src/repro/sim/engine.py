@@ -49,10 +49,10 @@ Performance
 Besides the ring, three kernel fast paths matter for events/sec (see
 ``benchmarks/bench_kernel.py`` for the microbenchmarks that meter them):
 
-* ``run``/``run_until`` execute a tight loop with pre-bound locals when
-  no instrumentation is active; ``Process._step`` inlines the dispatch
-  of the common yields (``int`` sleep, ``None`` floor, ``Future`` wait)
-  instead of paying a second call per step.
+* ``run``/``run_until`` drain ticks in tight loops with pre-bound
+  locals (see "Tick drain" below); ``Process._step`` inlines the
+  dispatch of the common yields (``int`` sleep, ``None`` floor,
+  ``Future`` wait) instead of paying a second call per step.
 * A future resume is a **single queued event**: completing a future
   calls :meth:`Process._resume`, which appends one ring entry that
   sends the future's (already extracted) value straight into the
@@ -63,48 +63,39 @@ Besides the ring, three kernel fast paths matter for events/sec (see
   are returned with :meth:`Simulator.recycle` (see
   ``repro.sim.resource`` for the recycle points).
 
-Instrumentation is opt-in so the fast path stays clean:
-``Simulator(profile=True)`` (or :func:`set_profile_default`) buckets
-executed events per callback owner into ``Simulator.profile_counts``
-and a process-wide total, and ``Simulator(trace=fn)`` streams
-``(time, seq, owner)`` per executed event.  A third, model-level layer
-— the per-packet span tracer of :mod:`repro.telemetry` — rides on the
+Instrumentation is opt-in: ``Simulator(profile=True)`` (or
+:func:`set_profile_default`) buckets executed events per callback
+owner into ``Simulator.profile_counts`` and a process-wide total, and
+``Simulator(trace=fn)`` streams ``(time, seq, owner)`` per executed
+event.  Each drain loop reads one local, bound once per call, to decide
+whether to report an event, so an uninstrumented run pays a single
+``is None`` test per event.  A third, model-level layer — the
+per-packet span tracer of :mod:`repro.telemetry` — rides on the
 :attr:`Simulator.tracer` attribute: the kernel never consults it (no
 branch on the ring/heap paths), models do, so with ``tracer = None``
 the event stream is bit-identical to an uninstrumented run.
 
-Batched drain
--------------
+Tick drain
+----------
 
-The run loops come in two provably order-identical flavors, selected
-per simulator (``Simulator(batch=...)``), process-wide
-(:func:`set_batch_default`), or by the ``REPRO_KERNEL_BATCH``
-environment variable (``0`` forces the fallback):
+The drain loop exploits the two queue invariants once per tick
+instead of once per event: every heap entry due at the current tick
+precedes every live ring entry (smaller ``seq`` — see above), so the
+loop first pops *all* due heap entries, and then — since an executed
+callback can only append ring entries (zero delay) or push
+strictly-future heap entries — drains the *entire* ring with no merge
+test at all.  The executed ``(time, seq)`` stream is the one a
+per-event merge of ring and heap would produce; the golden event-order
+files in ``tests/data`` pin it.
 
-* the **per-event fallback** re-runs the ring/heap merge test before
-  every single event — the original loop, kept verbatim as the
-  reference implementation;
-* the **batched drain** exploits the two queue invariants once per
-  tick instead of once per event: every heap entry due at the current
-  tick precedes every live ring entry (smaller ``seq`` — see above),
-  so the loop first pops *all* due heap entries, and then — since an
-  executed callback can only append ring entries (zero delay) or push
-  strictly-future heap entries — drains the *entire* ring as one batch
-  with no merge test at all.
-
-Both flavors execute the identical ``(time, seq)`` stream; the golden
-event-order test runs the same workload under each and compares the
-streams element-for-element.  Model components (the switch's
-aggregate-serialization path, the DRAM controller's batched issue)
-consult :func:`batching_enabled` at construction so the whole stack
-flips with one switch — ``REPRO_KERNEL_BATCH=0`` is the pure-Python
-per-packet reference lane that CI benches against the batched lane.
+There are two copies of the loop: the plain one behind ``run()``, and
+a bounded one that also checks an event budget and a stop future
+before every event, behind ``run(max_events=...)`` and ``run_until``.
+Both report each event to the profiler or trace hook when one is set.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -123,24 +114,21 @@ delta across a call) without threading every simulator instance out.
 _profile_default = False
 """Whether new simulators profile by default (see :func:`set_profile_default`)."""
 
-_batch_default = os.environ.get("REPRO_KERNEL_BATCH", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
-"""Whether new simulators use the batched drain loops by default.
-
-``REPRO_KERNEL_BATCH=0`` in the environment selects the per-event
-fallback for the whole process — the reference lane CI benches the
-batched lane against.  See :func:`set_batch_default`.
-"""
-
 _profile_totals: Dict[str, int] = {}
 """Events per callback owner, aggregated across every profiling simulator."""
 
 _FUTURE_POOL_CAP = 1024
 """Maximum recycled futures kept per simulator (bounds pool memory)."""
+
+
+class _Never:
+    """The stop condition of :meth:`Simulator.run`: a future that never completes."""
+
+    __slots__ = ()
+    _done = False
+
+
+_NEVER = _Never()
 
 
 def process_events_total() -> int:
@@ -156,23 +144,6 @@ def set_profile_default(enabled: bool) -> None:
     """
     global _profile_default
     _profile_default = bool(enabled)
-
-
-def set_batch_default(enabled: bool) -> None:
-    """Make every *subsequently created* simulator batch (or not).
-
-    Models that keep their own batch/per-packet mode (the switch's
-    aggregate serialization, the DRAM controller's grouped issue) read
-    :func:`batching_enabled` at construction, so flipping this default
-    switches the entire stack, not just the kernel loop.
-    """
-    global _batch_default
-    _batch_default = bool(enabled)
-
-
-def batching_enabled() -> bool:
-    """Whether new simulators (and model fast paths) batch by default."""
-    return _batch_default
 
 
 def profile_totals() -> Dict[str, int]:
@@ -522,8 +493,8 @@ class Simulator:
     ``profile=True`` buckets executed events per callback owner into
     :attr:`profile_counts` (and the process-wide :func:`profile_totals`);
     ``trace`` is an optional ``fn(time, seq, owner)`` called for every
-    executed event.  Both force the instrumented run loop, so leave them
-    off for production runs.  :attr:`tracer` holds the per-packet span
+    executed event.  Both cost a call per event, so leave them off for
+    production runs.  :attr:`tracer` holds the per-packet span
     tracer (:class:`repro.telemetry.SpanTracer`) when one is attached;
     the kernel itself never touches it — model code checks
     ``sim.tracer is not None`` at its instrumentation points — so the
@@ -555,7 +526,6 @@ class Simulator:
         "profile_counts",
         "_trace",
         "tracer",
-        "batch",
         "named",
         "__dict__",
     )
@@ -564,7 +534,6 @@ class Simulator:
         self,
         profile: bool = False,
         trace: Optional[Callable[[int, int, str], None]] = None,
-        batch: Optional[bool] = None,
     ):
         self._now = 0
         self._seq = 0
@@ -577,7 +546,6 @@ class Simulator:
         self.profile_counts: Dict[str, int] = {}
         self._trace = trace
         self.tracer = None
-        self.batch = _batch_default if batch is None else bool(batch)
         # Process names only feed the kernel profiler and the raw event
         # trace; when neither is active, hot spawn sites can skip
         # building per-process name strings entirely.
@@ -787,367 +755,154 @@ class Simulator:
 
         Returns the simulated time at exit.
         """
-        global _events_fired_total
         if until is not None and until < self._now:
             return self._now
-        if self.profile or self._trace is not None:
-            if self.batch:
-                return self._run_instrumented_batched(until, max_events)
-            return self._run_instrumented(until, max_events)
-        if self.batch:
-            return self._run_batched(until, max_events)
-        queue = self._queue
-        ring = self._ring
-        pop = heappop
-        popleft = ring.popleft
-        # Executed-event count is recovered in ``finally`` from the seq
-        # and pending-entry deltas (every seq allocation accompanies
-        # exactly one queue/ring push), keeping an increment out of the
-        # per-event loop.
-        seq_before = self._seq
-        pending_before = len(queue) + len(ring)
-        try:
-            if max_events is None:
-                # The common fast loop: no event budget to track.  A
-                # heap entry precedes the ring only when it is due at
-                # the current tick (its seq is then necessarily
-                # smaller — see the module docstring); ring pops never
-                # touch the clock, and ring events are always <= until.
-                while True:
-                    if ring:
-                        if queue and queue[0][0] <= self._now:
-                            _when, _s, fn, args = pop(queue)
-                        else:
-                            _s, fn, args = popleft()
-                    elif queue:
-                        if until is None:
-                            when, _s, fn, args = pop(queue)
-                            self._now = when
-                        else:
-                            head = queue[0]
-                            when = head[0]
-                            if when > until:
-                                self._now = until
-                                return until
-                            pop(queue)
-                            self._now = when
-                            fn = head[2]
-                            args = head[3]
-                    else:
-                        break
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-            else:
-                budget = max_events
-                while True:
-                    if ring:
-                        if budget == 0:
-                            return self._now
-                        budget -= 1
-                        if queue and queue[0][0] <= self._now:
-                            _when, _s, fn, args = pop(queue)
-                        else:
-                            _s, fn, args = popleft()
-                    elif queue:
-                        head = queue[0]
-                        when = head[0]
-                        if until is not None and when > until:
-                            self._now = until
-                            return until
-                        if budget == 0:
-                            return self._now
-                        budget -= 1
-                        pop(queue)
-                        self._now = when
-                        fn = head[2]
-                        args = head[3]
-                    else:
-                        break
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-            if until is not None and until > self._now:
-                self._now = until
+        if max_events is None:
+            self._drain(until)
+        elif self._drain_bounded(until, max_events, _NEVER) == "budget":
             return self._now
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
+        if until is not None and until > self._now:
+            self._now = until
+        return self._now
 
     def run_until(self, future: Future, max_events: Optional[int] = None) -> Any:
         """Run until ``future`` completes and return its value.
 
         Raises :class:`SimulationError` if the event queue drains first.
         """
-        global _events_fired_total
-        if self.profile or self._trace is not None:
-            if self.batch:
-                return self._run_until_instrumented_batched(future, max_events)
-            return self._run_until_instrumented(future, max_events)
-        if self.batch:
-            return self._run_until_batched(future, max_events)
-        queue = self._queue
-        ring = self._ring
-        pop = heappop
-        popleft = ring.popleft
-        budget = -1 if max_events is None else max_events
-        seq_before = self._seq
-        pending_before = len(queue) + len(ring)
-        try:
-            while not future._done:
-                if ring:
-                    if budget == 0:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    budget -= 1
-                    if queue and queue[0][0] <= self._now:
-                        _when, _s, fn, args = pop(queue)
-                    else:
-                        _s, fn, args = popleft()
-                elif queue:
-                    if budget == 0:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    budget -= 1
-                    when, _s, fn, args = pop(queue)
-                    self._now = when
-                else:
-                    raise SimulationError("event queue drained before future completed")
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-            return future.value
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
+        stopped = self._drain_bounded(None, max_events, future)
+        if stopped == "budget":
+            raise SimulationError(f"exceeded max_events={max_events}")
+        if stopped == "drained":
+            raise SimulationError("event queue drained before future completed")
+        return future.value
 
-    # -- batched execution (see "Batched drain" in the module docstring) ----
+    # Both drain loops recover the executed-event count in ``finally``
+    # from the seq and pending-entry deltas (every seq allocation
+    # accompanies exactly one queue/ring push), keeping a counter out of
+    # the per-event loop.
 
-    def _run_batched(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop draining whole ticks at a time.
+    def _drain(self, until: Optional[int]) -> None:
+        """Execute every event up to ``until`` (see "Tick drain" above).
 
-        Order-identical to the per-event fallback: every heap entry due
-        at the current tick precedes every live ring entry (smaller
-        ``seq``), and executed callbacks only append ring entries or
-        push strictly-future heap entries — so the due heap drains
-        first, then the entire ring drains with no merge test per
-        event.
+        Leaves the clock at the last executed tick.
         """
-        global _events_fired_total
         queue = self._queue
         ring = self._ring
         pop = heappop
         popleft = ring.popleft
+        instrument = (
+            self._instrument if self.profile or self._trace is not None else None
+        )
         seq_before = self._seq
         pending_before = len(queue) + len(ring)
-        try:
-            if max_events is None:
-                while True:
-                    now = self._now
-                    while queue and queue[0][0] <= now:
-                        _w, _s, fn, args = pop(queue)
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    # Nothing left can become due at this tick, so the
-                    # ring drains unconditionally.
-                    while ring:
-                        _s, fn, args = popleft()
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    if queue:
-                        when = queue[0][0]
-                        if until is not None and when > until:
-                            self._now = until
-                            return until
-                        self._now = when
-                    else:
-                        break
-            else:
-                budget = max_events
-                while True:
-                    now = self._now
-                    while queue and queue[0][0] <= now:
-                        if budget == 0:
-                            return now
-                        budget -= 1
-                        _w, _s, fn, args = pop(queue)
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    while ring:
-                        if budget == 0:
-                            return self._now
-                        budget -= 1
-                        _s, fn, args = popleft()
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    if queue:
-                        when = queue[0][0]
-                        if until is not None and when > until:
-                            self._now = until
-                            return until
-                        if budget == 0:
-                            return self._now
-                        self._now = when
-                    else:
-                        break
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_until_batched(self, future: Future, max_events: Optional[int]) -> Any:
-        """The :meth:`run_until` loop with the batched tick drain."""
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        pop = heappop
-        popleft = ring.popleft
-        budget = -1 if max_events is None else max_events
-        seq_before = self._seq
-        pending_before = len(queue) + len(ring)
-        try:
-            while not future._done:
-                now = self._now
-                if queue and queue[0][0] <= now:
-                    while queue and queue[0][0] <= now:
-                        if future._done:
-                            break
-                        if budget == 0:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        budget -= 1
-                        _w, _s, fn, args = pop(queue)
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                elif ring:
-                    while ring:
-                        if future._done:
-                            break
-                        if budget == 0:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        budget -= 1
-                        _s, fn, args = popleft()
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                elif queue:
-                    if budget == 0:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    self._now = queue[0][0]
-                else:
-                    raise SimulationError("event queue drained before future completed")
-            return future.value
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_instrumented_batched(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """:meth:`_run_batched` with the per-event profile/trace hook.
-
-        Exists so traced runs exercise the *batched* drain logic — the
-        golden-stream equality tests compare this loop's event stream
-        against :meth:`_run_instrumented`'s.
-        """
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        instrument = self._instrument
-        executed = 0
         try:
             while True:
                 now = self._now
                 while queue and queue[0][0] <= now:
-                    if max_events is not None and executed >= max_events:
-                        return now
-                    when, seq, fn, args = heapq.heappop(queue)
-                    executed += 1
-                    instrument(when, seq, fn)
-                    fn(*args)
+                    when, seq, fn, args = pop(queue)
+                    if instrument is not None:
+                        instrument(when, seq, fn)
+                    if args:
+                        fn(*args)
+                    else:
+                        fn()
+                # Nothing left can become due at this tick, so the ring
+                # drains with no merge test.
                 while ring:
-                    if max_events is not None and executed >= max_events:
-                        return now
-                    seq, fn, args = ring.popleft()
-                    executed += 1
-                    instrument(now, seq, fn)
-                    fn(*args)
-                if queue:
-                    when = queue[0][0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return until
-                    if max_events is not None and executed >= max_events:
-                        return self._now
-                    self._now = when
-                else:
-                    break
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+                    seq, fn, args = popleft()
+                    if instrument is not None:
+                        instrument(now, seq, fn)
+                    if args:
+                        fn(*args)
+                    else:
+                        fn()
+                if not queue:
+                    return
+                when = queue[0][0]
+                if until is not None and when > until:
+                    return
+                self._now = when
         finally:
-            self._events_fired += executed
-            _events_fired_total += executed
+            self._count_executed(seq_before, pending_before)
 
-    def _run_until_instrumented_batched(
-        self, future: Future, max_events: Optional[int]
-    ) -> Any:
-        """:meth:`_run_until_batched` with the per-event instrumentation hook."""
-        global _events_fired_total
+    def _drain_bounded(
+        self, until: Optional[int], max_events: Optional[int], stop
+    ) -> str:
+        """:meth:`_drain` that can also stop mid-tick.
+
+        Stops before the first event that would run once ``stop`` is
+        done (``"stopped"``) or once ``max_events`` events have run
+        (``"budget"``); otherwise ends like :meth:`_drain`, when the
+        next event lies past ``until`` (``"until"``) or both queues are
+        empty (``"drained"``).  The two per-event checks measurably slow
+        the kernel microbenchmarks, which is why :meth:`run` without a
+        budget takes the plain loop.
+        """
         queue = self._queue
         ring = self._ring
-        instrument = self._instrument
-        executed = 0
+        pop = heappop
+        popleft = ring.popleft
+        instrument = (
+            self._instrument if self.profile or self._trace is not None else None
+        )
+        # -1 never reaches zero: an unbounded run_until never stops on it.
+        budget = -1 if max_events is None else max_events
+        seq_before = self._seq
+        pending_before = len(queue) + len(ring)
         try:
-            while not future._done:
+            while True:
                 now = self._now
-                if queue and queue[0][0] <= now:
-                    while queue and queue[0][0] <= now:
-                        if future._done:
-                            break
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        when, seq, fn, args = heapq.heappop(queue)
-                        executed += 1
+                while queue and queue[0][0] <= now:
+                    if stop._done:
+                        return "stopped"
+                    if budget == 0:
+                        return "budget"
+                    budget -= 1
+                    when, seq, fn, args = pop(queue)
+                    if instrument is not None:
                         instrument(when, seq, fn)
+                    if args:
                         fn(*args)
-                elif ring:
-                    while ring:
-                        if future._done:
-                            break
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        seq, fn, args = ring.popleft()
-                        executed += 1
+                    else:
+                        fn()
+                while ring:
+                    if stop._done:
+                        return "stopped"
+                    if budget == 0:
+                        return "budget"
+                    budget -= 1
+                    seq, fn, args = popleft()
+                    if instrument is not None:
                         instrument(now, seq, fn)
+                    if args:
                         fn(*args)
-                elif queue:
-                    if max_events is not None and executed >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    self._now = queue[0][0]
-                else:
-                    raise SimulationError("event queue drained before future completed")
-            return future.value
+                    else:
+                        fn()
+                if stop._done:
+                    return "stopped"
+                if not queue:
+                    return "drained"
+                when = queue[0][0]
+                if until is not None and when > until:
+                    return "until"
+                if budget == 0:
+                    return "budget"
+                self._now = when
         finally:
-            self._events_fired += executed
-            _events_fired_total += executed
+            self._count_executed(seq_before, pending_before)
+
+    def _count_executed(self, seq_before: int, pending_before: int) -> None:
+        """Add the events a drain loop just executed to both totals."""
+        global _events_fired_total
+        executed = (
+            (self._seq - seq_before)
+            + pending_before
+            - len(self._queue)
+            - len(self._ring)
+        )
+        self._events_fired += executed
+        _events_fired_total += executed
 
     # -- instrumented execution (profile / trace) ---------------------------
 
@@ -1161,71 +916,3 @@ class Simulator:
         trace = self._trace
         if trace is not None:
             trace(when, seq, owner_label(fn))
-
-    def _run_instrumented(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop with per-event instrumentation.
-
-        Semantically identical to the fast path — same ``(time, seq)``
-        merge of ring and heap, same ``until``/``max_events`` handling —
-        just with the profile/trace hook before each callback.
-        """
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        executed = 0
-        try:
-            while queue or ring:
-                if ring and (not queue or queue[0][0] > self._now):
-                    from_ring = True
-                    head = ring[0]
-                    when = self._now
-                    seq, fn, args = head
-                else:
-                    from_ring = False
-                    head = queue[0]
-                    when, seq, fn, args = head
-                if until is not None and when > until:
-                    self._now = until
-                    return until
-                if max_events is not None and executed >= max_events:
-                    return self._now
-                if from_ring:
-                    ring.popleft()
-                else:
-                    heapq.heappop(queue)
-                self._now = when
-                executed += 1
-                self._instrument(when, seq, fn)
-                fn(*args)
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_until_instrumented(self, future: Future, max_events: Optional[int]) -> Any:
-        """The :meth:`run_until` loop with per-event instrumentation."""
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        executed = 0
-        try:
-            while not future._done:
-                if not ring and not queue:
-                    raise SimulationError("event queue drained before future completed")
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                if ring and (not queue or queue[0][0] > self._now):
-                    seq, fn, args = ring.popleft()
-                    when = self._now
-                else:
-                    when, seq, fn, args = heapq.heappop(queue)
-                    self._now = when
-                executed += 1
-                self._instrument(when, seq, fn)
-                fn(*args)
-            return future.value
-        finally:
-            self._events_fired += executed
-            _events_fired_total += executed

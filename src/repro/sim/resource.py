@@ -70,7 +70,7 @@ class Resource:
         if not self._busy and not self._waiters:
             self._busy = True
             self.total_acquisitions += 1
-            future.set_result(self.sim.now)
+            future.set_result(sim._now)
         else:
             self._ticket += 1
             # Binary insertion keeping (priority, ticket) order; tickets

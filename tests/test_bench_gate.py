@@ -2,11 +2,9 @@
 
 ``tests/test_harness.py`` unit-tests :func:`append_bench_run` and
 :func:`check_bench_regression` in isolation; this file pins the whole
-CI workflow those pieces compose into — the two-lane recording the
-bench job performs (fallback kernel run, then batched kernel run, each
-appended with a ``kernel_batch`` meta flag) followed by the hardened
-gate, including the required-speedup check that keeps the batched
-drain path honest.
+workflow those pieces compose into — bench runs appended to a
+trajectory file, then the hardened gate comparing the newest run with
+its predecessor, including the required-speedup checks.
 """
 
 import json
@@ -37,34 +35,31 @@ def record(test, rate, events=94886):
     }
 
 
-def two_lane_trajectory(path, fallback_rate, batched_rate):
-    """Record a fallback run then a batched run, like CI's bench job."""
+def two_run_trajectory(path, previous_rate, newest_rate):
+    """Record two consecutive bench runs of the 16-node incast."""
     append_bench_run(
         str(path),
-        [record(INCAST, fallback_rate)],
-        meta={"exitstatus": 0, "tests": 1, "kernel_batch": False},
+        [record(INCAST, previous_rate)],
+        meta={"exitstatus": 0, "tests": 1},
     )
     return append_bench_run(
         str(path),
-        [record(INCAST, batched_rate)],
-        meta={"exitstatus": 0, "tests": 1, "kernel_batch": True},
+        [record(INCAST, newest_rate)],
+        meta={"exitstatus": 0, "tests": 1},
     )
 
 
 class TestTwoLaneWorkflow:
-    def test_lanes_carry_kernel_batch_meta(self, tmp_path):
-        document = two_lane_trajectory(tmp_path / "bench.json", 150_000.0, 220_000.0)
-        lanes = [run["meta"]["kernel_batch"] for run in document["runs"]]
-        assert lanes == [False, True]
+    """The gate reading two runs: the previous one and the newest."""
 
     def test_batched_speedup_passes_the_gate(self, tmp_path):
-        document = two_lane_trajectory(tmp_path / "bench.json", 150_000.0, 220_000.0)
+        document = two_run_trajectory(tmp_path / "bench.json", 150_000.0, 220_000.0)
         assert (
             check_bench_regression(document, expect_improvement={INCAST: 1.25}) == []
         )
 
     def test_missing_speedup_fails_the_gate(self, tmp_path):
-        document = two_lane_trajectory(tmp_path / "bench.json", 150_000.0, 160_000.0)
+        document = two_run_trajectory(tmp_path / "bench.json", 150_000.0, 160_000.0)
         failures = check_bench_regression(document, expect_improvement={INCAST: 1.25})
         assert len(failures) == 1
         assert INCAST in failures[0] and "1.25x" in failures[0]
@@ -197,7 +192,7 @@ class TestGateCLI:
 
     def test_cli_two_lane_gate_passes_and_fails(self, tmp_path):
         path = tmp_path / "bench.json"
-        two_lane_trajectory(path, 150_000.0, 220_000.0)
+        two_run_trajectory(path, 150_000.0, 220_000.0)
         ok = self._run(path, "--expect-improvement", f"{INCAST}=1.25")
         assert ok.returncode == 0, ok.stdout + ok.stderr
         strict = self._run(path, "--expect-improvement", f"{INCAST}=2.0")
@@ -206,7 +201,7 @@ class TestGateCLI:
 
     def test_cli_rejects_malformed_expectation(self, tmp_path):
         path = tmp_path / "bench.json"
-        two_lane_trajectory(path, 150_000.0, 220_000.0)
+        two_run_trajectory(path, 150_000.0, 220_000.0)
         bad = self._run(path, "--expect-improvement", "no-ratio")
         assert bad.returncode == 2
         assert "TEST=RATIO" in bad.stderr
@@ -235,7 +230,7 @@ class TestGateCLI:
 
     def test_cli_rejects_malformed_cross_test_expectation(self, tmp_path):
         path = tmp_path / "bench.json"
-        two_lane_trajectory(path, 150_000.0, 220_000.0)
+        two_run_trajectory(path, 150_000.0, 220_000.0)
         bad = self._run(path, "--expect-improvement", "test=fast:other")
         assert bad.returncode == 2
         assert "TEST=RATIO[:BASELINE_TEST]" in bad.stderr

@@ -10,6 +10,9 @@ never change which event fires when.  These tests pin that promise:
   prioritized resources, pipes, queues — under a trace hook and compares
   the executed ``(time, seq, owner)`` stream against a golden recorded
   on the pre-optimization kernel (``tests/data/golden_event_order.json``).
+* ``test_event_streams_byte_identical_across_seeds`` runs a seeded
+  four-node incast cluster under trace and compares its stream digest
+  against ``tests/data/golden_cluster_streams.json``.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
   through the harness and diffs its artifact against a baseline written
   by the pre-optimization kernel — metric-for-metric equality, not just
@@ -19,16 +22,18 @@ Regenerate the goldens (only after an *intentional* event-order change)
 with ``python scripts/record_golden_events.py``.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.sim import Pipe, Queue, Resource, Simulator
-from repro.sim import engine
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN_PATH = DATA_DIR / "golden_event_order.json"
+CLUSTER_GOLDEN_PATH = DATA_DIR / "golden_cluster_streams.json"
+CLUSTER_SEEDS = (1, 11, 2019)
 FIG5_BASELINE_PATH = DATA_DIR / "fig5_baseline.json"
 
 
@@ -97,13 +102,10 @@ def drive(sim: Simulator, root) -> int:
     return sim.now
 
 
-def record_stream(batch=None):
+def record_stream():
     """Execute the workload under trace; return (events, final_now, count)."""
     events = []
-    sim = Simulator(
-        trace=lambda when, seq, owner: events.append([when, seq, owner]),
-        batch=batch,
-    )
+    sim = Simulator(trace=lambda when, seq, owner: events.append([when, seq, owner]))
     root = mixed_workload(sim)
     final_now = drive(sim, root)
     return events, final_now, sim.events_fired
@@ -124,22 +126,13 @@ class TestGoldenEventOrder:
     def test_stream_is_repeatable(self):
         assert record_stream() == record_stream()
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_both_drain_modes_match_golden(self, batch):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        events, final_now, fired = record_stream(batch=batch)
-        assert final_now == golden["final_now"]
-        assert fired == golden["events_fired"]
-        assert events == golden["events"]
 
+def scenario_stream(seed: int):
+    """Run a small seeded incast; return its traced event stream as bytes
+    plus a ``packets_delivered``/``events_fired``/``flows`` summary dict.
 
-def scenario_stream(seed: int, batched: bool):
-    """Run a small seeded incast; return its traced event stream as bytes.
-
-    The batch mode is set through the process-wide default so every
-    component (switch, fabric, DRAM controller, NVDIMM-P port, PCIe
-    link) selects its matching lane at construction, exactly as a real
-    run would.
+    The cluster exercises every hot model — switch, fabric uplink, DRAM
+    controller, NVDIMM-P port, PCIe link.
     """
     from repro.scenario import (
         FabricSpec,
@@ -150,7 +143,7 @@ def scenario_stream(seed: int, batched: bool):
     )
 
     spec = ScenarioSpec(
-        name=f"batch-parity-{seed}",
+        name=f"cluster-stream-{seed}",
         seed=seed,
         nodes=tuple(
             NodeSpec(name=f"h{index}", nic_kind="netdimm") for index in range(4)
@@ -168,31 +161,33 @@ def scenario_stream(seed: int, batched: bool):
         ),
     )
     events = []
-    previous = engine.batching_enabled()
-    engine.set_batch_default(batched)
-    try:
-        scenario = build_scenario(spec)
-        assert scenario.sim.batch is batched
-        scenario.sim._trace = lambda when, seq, owner: events.append(
-            [when, seq, owner]
-        )
-        result = scenario.run()
-    finally:
-        engine.set_batch_default(previous)
-    summary = (result.packets_delivered, result.events_fired, result.flows)
+    scenario = build_scenario(spec)
+    scenario.sim._trace = lambda when, seq, owner: events.append([when, seq, owner])
+    result = scenario.run()
+    summary = {
+        "packets_delivered": result.packets_delivered,
+        "events_fired": result.events_fired,
+        "flows": result.flows,
+    }
     return json.dumps(events).encode(), summary
 
 
 class TestBatchFallbackParity:
-    """The tentpole contract: batched drain == per-packet fallback,
-    byte for byte, on full cluster simulations."""
+    """Full cluster simulations still execute the per-packet reference
+    lane's event streams, byte for byte.
 
-    @pytest.mark.parametrize("seed", [1, 11, 2019])
+    ``tests/data/golden_cluster_streams.json`` holds the sha256 of each
+    seed's traced stream, recorded when the kernel still carried a
+    per-event fallback loop beside the tick drain and both produced
+    these exact bytes.
+    """
+
+    @pytest.mark.parametrize("seed", CLUSTER_SEEDS)
     def test_event_streams_byte_identical_across_seeds(self, seed):
-        batched_stream, batched_summary = scenario_stream(seed, batched=True)
-        fallback_stream, fallback_summary = scenario_stream(seed, batched=False)
-        assert batched_stream == fallback_stream
-        assert batched_summary == fallback_summary
+        golden = json.loads(CLUSTER_GOLDEN_PATH.read_text())["seeds"][str(seed)]
+        stream, summary = scenario_stream(seed)
+        assert hashlib.sha256(stream).hexdigest() == golden["sha256"]
+        assert summary == golden["summary"]
 
 
 class TestFig5ArtifactEquality:

@@ -292,23 +292,6 @@ class TestComponentSpawn:
 
 
 class TestBatchedDrain:
-    def test_batch_default_is_overridable(self):
-        # The process default comes from REPRO_KERNEL_BATCH (on unless
-        # explicitly disabled), so assert relative to the initial value.
-        initial = engine.batching_enabled()
-        assert Simulator().batch is initial
-        try:
-            engine.set_batch_default(False)
-            assert not engine.batching_enabled()
-            assert not Simulator().batch
-            assert Simulator(batch=True).batch
-            engine.set_batch_default(True)
-            assert engine.batching_enabled()
-            assert Simulator().batch
-            assert not Simulator(batch=False).batch
-        finally:
-            engine.set_batch_default(initial)
-
     def test_schedule_batch_same_tick_preserves_order(self, sim):
         fired = []
         count = sim.schedule_batch(0, ((fired.append, (i,)) for i in range(5)))
@@ -362,9 +345,9 @@ class TestBatchedDrain:
         with pytest.raises(SimulationError, match="past"):
             sim.schedule_batch_at(5, [(print, ())])
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_accounting_identical_across_modes(self, batch):
-        sim = Simulator(batch=batch)
+    @pytest.mark.parametrize("instrumented", [True, False])
+    def test_accounting_identical_across_modes(self, instrumented):
+        sim = Simulator(profile=instrumented)
         bus = Resource(sim, "bus")
         mailbox = Queue(sim, "mailbox")
 
@@ -381,13 +364,15 @@ class TestBatchedDrain:
         sim.spawn(producer(), name="prod")
         sim.spawn(consumer(), name="cons")
         final = sim.run()
-        # The same workload under either drain loop fires the same
-        # events and lands on the same tick (pinned in full by
+        # The same workload fires the same events and lands on the same
+        # tick whether or not the drain loop reports each event to the
+        # profiler (the order is pinned in full by
         # tests/test_sim_determinism.py).
         assert (final, sim.events_fired) == (15, 42)
+        assert sum(sim.profile_counts.values()) == (42 if instrumented else 0)
 
     def test_max_events_budget_respected_in_batch_mode(self):
-        sim = Simulator(batch=True)
+        sim = Simulator()
         fired = []
         for index in range(4):
             sim.schedule(0, fired.append, index)
