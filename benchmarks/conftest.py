@@ -8,7 +8,7 @@ deliverable; the timings tell you what each experiment costs.
 Every bench session also appends a machine-readable record per test —
 wall-clock seconds, simulator events fired, events/sec — to
 ``BENCH_runner.json`` at the repository root (via
-:func:`repro.experiments.harness.append_bench_run`), accumulating the
+:func:`benchmarks.trajectory.append_bench_run`), accumulating the
 perf trajectory that future optimization PRs are measured against.
 Each run's meta also records the machine that produced it (cores,
 interpreter, platform, git revision), so two runs that disagree can be
@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.experiments.harness import append_bench_run
+from benchmarks.trajectory import append_bench_run
 from repro.runtime.provenance import git_revision
 from repro.sim import engine
 

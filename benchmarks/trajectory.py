@@ -1,0 +1,192 @@
+"""The bench trajectory: ``BENCH_runner.json`` and the gate that reads it.
+
+:func:`append_bench_run` is what ``benchmarks/conftest.py`` calls at the
+end of every ``pytest benchmarks/`` session to append that session's
+per-test records (wall seconds, events fired, events/sec, machine
+meta) to the trajectory file.  :func:`check_bench_regression` compares
+the newest run with the one before it; ``scripts/check_bench_regression.py``
+is its command-line front end, which CI's bench job runs.
+
+This is repository tooling, not part of the simulator: nothing under
+``src/repro`` imports it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import warnings
+from datetime import datetime, timezone
+from typing import Any, Dict, List, Optional
+
+
+def append_bench_run(
+    path: str,
+    records: List[Dict[str, Any]],
+    meta: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Append one benchmark run (a list of per-test records) to ``path``.
+
+    The file accumulates a perf trajectory across sessions::
+
+        {"schema": ..., "schema_version": 1,
+         "runs": [{"timestamp": ..., "records": [...]}, ...]}
+
+    A missing file starts a fresh trajectory.  An *unreadable* file
+    (malformed JSON, wrong shape, I/O error) is preserved: it is moved
+    aside to ``<path>.corrupt`` and a warning is emitted before the
+    fresh trajectory is written, so a perf history is never silently
+    destroyed.
+
+    Timestamps are timezone-aware UTC ISO-8601
+    (``datetime.now(timezone.utc).isoformat()``).  Older trajectories
+    with local-time ``strftime`` stamps remain valid — timestamps are
+    informational and never parsed by the regression gate.
+    """
+    document: Dict[str, Any] = {
+        "schema": "netdimm-repro/bench-trajectory",
+        "schema_version": 1,
+        "runs": [],
+    }
+    corrupt_reason: Optional[str] = None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            existing = json.load(handle)
+        if isinstance(existing, dict) and isinstance(existing.get("runs"), list):
+            document = existing
+        else:
+            corrupt_reason = "not a bench-trajectory document"
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as error:
+        corrupt_reason = str(error)
+    if corrupt_reason is not None:
+        backup = f"{path}.corrupt"
+        try:
+            os.replace(path, backup)
+        except OSError:
+            backup = None
+        warnings.warn(
+            f"bench trajectory {path} is unreadable ({corrupt_reason}); "
+            + (
+                f"backed it up to {backup} and starting fresh"
+                if backup
+                else "could not back it up; starting fresh"
+            ),
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    run_entry: Dict[str, Any] = {
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "records": records,
+    }
+    if meta:
+        run_entry["meta"] = meta
+    document["runs"].append(run_entry)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    return document
+
+
+def check_bench_regression(
+    document: Dict[str, Any],
+    threshold: float = 0.25,
+    expect_improvement: Optional[Dict[str, Any]] = None,
+) -> List[str]:
+    """Compare the newest bench run against the previous one.
+
+    ``document`` is a bench-trajectory (the :func:`append_bench_run`
+    schema).  Each test present in the previous run must appear in the
+    newest run and keep ``events_per_sec`` within ``threshold``
+    (fractional drop) of the previous value; a test that *vanishes*
+    from the newest run is itself a failure — a silently-dropped
+    benchmark is how regressions hide.  Violations come back as
+    human-readable strings; an empty list means the gate passes.
+    Fewer than two runs passes (a fresh trajectory has nothing to
+    regress against), as do tests that are *new* in the latest run.
+
+    ``expect_improvement`` maps test name → required speedup.  A plain
+    float ratio compares against the same test in the *previous* run:
+    the newest ``events_per_sec`` must be at least ``ratio`` times the
+    previous one.  A ``(ratio, baseline_test)`` tuple compares against
+    a *different test in the newest run* — how a fast-path bench pins
+    its speedup over its own slow-path twin recorded in the same
+    session.  A test named in the map but missing a positive rate in
+    the newest run is a failure, as is a missing baseline test — a
+    declared speedup cannot be waved through on absent data.  The one
+    exception: a previous-run expectation for a test that is *new* in
+    the newest run passes — its first recorded rate seeds the baseline
+    the next run will be held to — so a new benchmark can land in the
+    same change as its gate.
+    """
+    runs = document.get("runs") or []
+    if len(runs) < 2:
+        return []
+
+    def by_test(run: Dict[str, Any]) -> Dict[str, float]:
+        rates: Dict[str, float] = {}
+        for record in run.get("records") or []:
+            rate = record.get("events_per_sec")
+            test = record.get("test")
+            if test and isinstance(rate, (int, float)) and rate > 0:
+                rates[test] = float(rate)
+        return rates
+
+    previous, current = by_test(runs[-2]), by_test(runs[-1])
+    failures: List[str] = []
+    for test, base_rate in sorted(previous.items()):
+        now_rate = current.get(test)
+        if now_rate is None:
+            failures.append(
+                f"{test}: present in previous run "
+                f"({base_rate:.0f} events/sec) but missing from newest run"
+            )
+            continue
+        drop = (base_rate - now_rate) / base_rate
+        if drop > threshold:
+            failures.append(
+                f"{test}: events/sec fell {drop:.0%} "
+                f"({base_rate:.0f} -> {now_rate:.0f}, "
+                f"threshold {threshold:.0%})"
+            )
+    for test, expectation in sorted((expect_improvement or {}).items()):
+        if isinstance(expectation, tuple):
+            ratio, baseline_test = expectation
+        else:
+            ratio, baseline_test = expectation, None
+        now_rate = current.get(test)
+        if now_rate is None:
+            failures.append(
+                f"{test}: expected {ratio:g}x improvement but the test has "
+                f"no rate in the newest run"
+            )
+            continue
+        if baseline_test is not None:
+            base_rate = current.get(baseline_test)
+            if base_rate is None:
+                failures.append(
+                    f"{test}: expected >= {ratio:g}x vs {baseline_test}, "
+                    f"but {baseline_test} has no rate in the newest run"
+                )
+                continue
+            if now_rate < base_rate * ratio:
+                failures.append(
+                    f"{test}: expected >= {ratio:g}x vs {baseline_test}, "
+                    f"got {now_rate / base_rate:.2f}x "
+                    f"({base_rate:.0f} -> {now_rate:.0f})"
+                )
+            continue
+        base_rate = previous.get(test)
+        if base_rate is None:
+            # A test new in the newest run: nothing to improve against
+            # yet.  The rate just recorded becomes the baseline its
+            # next run is held to, so new benches land gate-first.
+            continue
+        if now_rate < base_rate * ratio:
+            failures.append(
+                f"{test}: expected >= {ratio:g}x improvement, got "
+                f"{now_rate / base_rate:.2f}x "
+                f"({base_rate:.0f} -> {now_rate:.0f})"
+            )
+    return failures

@@ -17,7 +17,7 @@ that introduces both the fast path and its reference bench.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_bench_regression.py \
+    python scripts/check_bench_regression.py \
         [--path BENCH_runner.json] [--threshold 0.25] \
         [--expect-improvement TEST=RATIO[:BASELINE_TEST] ...]
 """
@@ -28,7 +28,7 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 
 def main(argv=None) -> int:
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
             )
         expect_improvement[test] = (ratio, baseline) if baseline else ratio
 
-    from repro.experiments.harness import check_bench_regression
+    from benchmarks.trajectory import check_bench_regression
 
     try:
         with open(args.path, "r", encoding="utf-8") as handle:

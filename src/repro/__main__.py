@@ -566,23 +566,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         else:
             output = _cmd_trace(args.cluster, args.count, args.seed, args.out)
-    elif args.command == "run-scenario":
+    elif args.command in ("run-scenario", "run-chaos"):
+        chaos = args.command == "run-chaos"
         try:
             output, exit_code = api.run_scenario_cli(
                 args.specs,
                 jobs=args.jobs,
-                json_path=args.json_path or "",
-                trace_path=args.trace_path or "",
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.command == "run-chaos":
-        try:
-            output, exit_code = api.run_chaos_cli(
-                args.specs,
-                faults=_chaos_overlay(args),
-                jobs=args.jobs,
+                chaos=chaos,
+                faults=_chaos_overlay(args) if chaos else None,
                 json_path=args.json_path or "",
                 trace_path=args.trace_path or "",
             )

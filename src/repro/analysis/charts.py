@@ -2,7 +2,7 @@
 
 The experiment reports are plain text; these helpers add horizontal bar
 charts and grouped series so the figure *shapes* (who wins, crossovers,
-stacking) are visible straight from ``python -m repro.experiments.runner``
+stacking) are visible straight from ``python -m repro experiments``
 without any plotting dependency.
 """
 

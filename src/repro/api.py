@@ -21,9 +21,11 @@ Everything a user (or the CLI) does goes through a handful of verbs::
   ``"pool"``, ``"workers"``); ``Job.status()`` / ``Job.result()`` /
   ``Job.artifact()`` drive it, :func:`collect` gathers many, and
   :func:`resume` picks a killed sweep back up from its run directory.
-* :func:`run_experiment` — the classic convenience wrapper around the
-  experiment harness; returns a :class:`HarnessRun` (its ``jobs=N``
-  form is deprecated in favour of :func:`submit`).
+  Every sweep runs through a job.
+* :func:`run_experiment` / :func:`run_scenarios` — the fail-loud
+  wrappers over that job: they raise on any shard failure and return a
+  :class:`HarnessRun` (experiments) or the scenario artifact, reports
+  and optional merged trace (scenarios).
 * :func:`diff_artifacts` — compare two experiment artifacts
   metric-by-metric against the paper-target bands.
 * :func:`format_report` — the human-readable report for either result
@@ -51,15 +53,12 @@ And the job surface in one line (an inline experiment sweep):
 ['table1']
 
 The deeper modules remain importable (this facade is a thin veneer, not
-a wall), but the old convenience entry points
-(``repro.scenario.run_scenario`` and friends) now emit
-``DeprecationWarning`` and forward here.
+a wall).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.targets import PAPER_TARGETS, aggregate_loss, registry_markdown
@@ -76,14 +75,12 @@ from repro.driver.registry import NIC_KINDS, make_node
 from repro.experiments.harness import (
     ArtifactDiff,
     HarnessRun,
-    append_bench_run,
-    check_bench_regression,
     reject_partial_artifact,
     submit_experiments,
 )
 from repro.experiments.harness import diff_artifacts as _diff_artifacts
 from repro.experiments.harness import load_artifact
-from repro.experiments.harness import run_experiments as _run_experiments
+from repro.experiments.harness import run_experiments as run_experiment
 from repro.experiments.oneway import OneWayResult, measure_one_way
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -106,7 +103,6 @@ from repro.scenario.builder import (
     ScenarioResult,
     build_scenario,
     dump_artifact,
-    scenario_artifact,
 )
 from repro.scenario.builder import format_report as _format_scenario_report
 from repro.runtime import (
@@ -126,10 +122,7 @@ from repro.runtime.worker import main as sweep_worker_main
 from repro.scenario.runner import (
     build_fault_overlay,
     parse_kill,
-    run_chaos_cli,
-    run_chaos_files,
-    run_scenario_files,
-    run_traced,
+    run_scenarios,
     submit_scenarios,
 )
 from repro.scenario.runner import run_cli as run_scenario_cli
@@ -154,6 +147,7 @@ __all__ = [
     "collect",
     "resume",
     "run_experiment",
+    "run_scenarios",
     "diff_artifacts",
     "format_report",
     "calibrate",
@@ -177,15 +171,12 @@ __all__ = [
     "SweepConfig",
     "derive_seed",
     "reject_partial_artifact",
-    "submit_experiments",
-    "submit_scenarios",
     "sweep_worker_main",
     # telemetry
     "SpanTracer",
     "calibration_trace",
     "chrome_trace",
     "dump_trace",
-    "run_traced",
     "runtime_trace",
     "segment_totals",
     # scenario toolkit
@@ -198,8 +189,6 @@ __all__ = [
     "build_scenario",
     "dump_artifact",
     "run_scenario_cli",
-    "run_scenario_files",
-    "scenario_artifact",
     # faults / chaos
     "FAULT_SWITCH_MODES",
     "FaultInjector",
@@ -210,15 +199,11 @@ __all__ = [
     "StallSpec",
     "build_fault_overlay",
     "parse_kill",
-    "run_chaos_cli",
-    "run_chaos_files",
     # experiments
     "EXPERIMENTS",
     "HarnessRun",
     "OneWayResult",
     "add_runner_arguments",
-    "append_bench_run",
-    "check_bench_regression",
     "load_artifact",
     "measure_one_way",
     "positive_int",
@@ -336,13 +321,7 @@ def submit(
                 f"({', '.join(sorted(EXPERIMENTS))}) nor a scenario "
                 "spec file (*.json)"
             )
-        # A fault overlay implies a chaos run, same as run_traced.
-        return submit_scenarios(
-            items,
-            config=config,
-            chaos=chaos or faults is not None,
-            faults=faults,
-        )
+        return submit_scenarios(items, config=config, chaos=chaos, faults=faults)
     raise ValueError(
         "submit() takes experiment names, scenario spec paths, or "
         "ScenarioSpec objects (not a mixture)"
@@ -424,34 +403,6 @@ def calibrate(
     if out_dir is not None:
         write_calibration(report, out_dir)
     return report
-
-
-_JOBS_UNSET: Any = object()
-
-
-def run_experiment(
-    names: Optional[Sequence[str]] = None, jobs: Any = _JOBS_UNSET
-) -> HarnessRun:
-    """Run the paper's experiments (all when ``names`` is None).
-
-    A thin wrapper over the harness.  The ``jobs=N`` form is deprecated
-    — use :func:`submit` (or ``run_experiments(config=SweepConfig(...))``)
-    for parallel and distributed runs.
-    """
-    if jobs is _JOBS_UNSET:
-        return _run_experiments(names, config=SweepConfig())
-    warnings.warn(
-        "run_experiment(jobs=N) is deprecated; use "
-        "api.submit(names, backend='pool', jobs=N) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return _run_experiments(
-        names,
-        config=SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs),
-    )
 
 
 def diff_artifacts(

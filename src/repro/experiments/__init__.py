@@ -17,38 +17,15 @@ module          reproduces
 ==============  ===========================================================
 
 Every experiment exposes ``run(...) -> result dataclass`` and
-``format_report(result) -> str``; ``repro.experiments.runner`` drives
-them all and writes EXPERIMENTS.md-style output.
+``format_report(result) -> str``; ``repro.experiments.runner`` holds
+the registry, and ``repro.experiments.harness`` runs them as one sweep
+job (``python -m repro experiments``).
 """
-
-import warnings
 
 from repro.experiments.oneway import OneWayResult, measure_one_way, make_node
 
 __all__ = [
     "OneWayResult",
-    "diff_artifacts",
-    "load_artifact",
     "make_node",
     "measure_one_way",
-    "run_experiments",
 ]
-
-_DEPRECATED = {
-    "run_experiments": "repro.api.run_experiment",
-    "diff_artifacts": "repro.api.diff_artifacts",
-    "load_artifact": "repro.api.load_artifact",
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.experiments.{name} is deprecated; use {_DEPRECATED[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiments import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,25 +1,26 @@
-"""Parallel experiment harness with machine-readable artifacts.
+"""Experiment harness: the paper's experiments as sweep jobs and artifacts.
 
-The plain :mod:`repro.experiments.runner` walks the registry serially
-and prints free text.  This layer turns an experiment run into a
-*measured, parallelizable, diffable* object:
+This layer turns an experiment run into a *measured, parallelizable,
+diffable* object:
 
-* experiments execute as :mod:`repro.runtime` task shards, fanned over
-  any of its backends — inline (``SweepConfig()``, the debuggable CI
-  fallback), a process pool (``SweepConfig(backend="pool", jobs=N)``),
-  or a detached worker pool over a shared run directory
-  (``backend="workers"``, which is also the resumable/distributed
-  path);
+* experiments execute as :mod:`repro.runtime` task shards:
+  :func:`submit_experiments` plans them into a :class:`~repro.runtime.Job`
+  that runs on any backend — inline (``SweepConfig()``), a process
+  pool (``SweepConfig(backend="pool", jobs=N)``), or a detached worker
+  pool over a shared run directory (``backend="workers"``, which is
+  also the resumable/distributed path);
 * the sweep-heavy experiments (``fig5``, ``fig11``, ``fig12a``,
   ``loaded_latency``) additionally shard *inside* the experiment, one
   task per sweep point, and are merged back into the exact result
   object the serial ``run()`` would have built;
-* every experiment gets run metadata — wall-clock seconds, simulator
-  events fired (via :func:`repro.sim.engine.process_events_total`),
-  events/sec — kept in a ``timing`` section *separate* from results so
-  artifacts stay byte-for-byte comparable across machines (the
-  job-assembled sweep artifact goes further and keeps timing out of
-  the artifact entirely — it lives in the provenance manifest);
+* :func:`run_experiments` is the fail-loud wrapper over that job: it
+  raises on any shard failure and returns a :class:`HarnessRun` whose
+  artifact adds run metadata — wall-clock seconds, simulator events
+  fired (via :func:`repro.sim.engine.process_events_total`),
+  events/sec — in a ``timing`` section kept *separate* from results,
+  so artifacts stay byte-for-byte comparable across machines (the
+  job-assembled sweep artifact keeps timing out entirely — it lives in
+  the provenance manifest);
 * the whole run serializes to a versioned JSON artifact
   (:data:`SCHEMA_VERSION`), and two artifacts diff with
   :func:`diff_artifacts`, flagging paper-target regressions.
@@ -29,24 +30,15 @@ Determinism is the contract: each task builds its own
 single simulation deterministic), tasks share no state, and merge
 order is the task-index order — so any backend's per-experiment
 results are byte-for-byte identical to the serial run's.
-
-The old ``run_experiments(names, jobs=N)`` signature still works but
-emits a :class:`DeprecationWarning`; the canonical spelling is
-``run_experiments(names, config=SweepConfig(backend="pool", jobs=N))``
-or, for the full job surface (status, resumable run directories,
-provenance manifests), :func:`submit_experiments` → :class:`Job`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments import fig5, fig11, fig12a, loaded_latency
@@ -54,14 +46,9 @@ from repro.experiments.oneway import measure_one_way
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.net.topology import ClosTopology
 from repro.params import DEFAULT
-from repro.runtime.backends import SweepConfig, make_backend
+from repro.runtime.backends import SweepConfig
 from repro.runtime.job import Job, register_assembler
-from repro.runtime.tasks import (
-    ShardResult,
-    Task,
-    execute,
-    register_kind,
-)
+from repro.runtime.tasks import ShardResult, Task, register_kind
 from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
 from repro.units import ns
 from repro.workloads.traces import TraceGenerator
@@ -311,6 +298,17 @@ class ExperimentRun:
             "shards": self.shards,
         }
 
+    def artifact_entry(self) -> Dict[str, Any]:
+        """The deterministic ``experiments[name]`` artifact entry."""
+        result = self.result
+        return {
+            "result": result.to_dict() if hasattr(result, "to_dict") else None,
+            "metrics": result.metrics() if hasattr(result, "metrics") else {},
+            "report_sha256": hashlib.sha256(
+                self.report.encode("utf-8")
+            ).hexdigest(),
+        }
+
 
 @dataclass
 class HarnessRun:
@@ -335,27 +333,18 @@ class HarnessRun:
         event-rate metadata live under ``timing`` so that two runs of
         the same code diff clean regardless of machine speed.
         """
-        experiments: Dict[str, Any] = {}
-        timing: Dict[str, Any] = {}
-        for name in self.names:
-            record = self.records[name]
-            result = record.result
-            experiments[name] = {
-                "result": result.to_dict() if hasattr(result, "to_dict") else None,
-                "metrics": result.metrics() if hasattr(result, "metrics") else {},
-                "report_sha256": hashlib.sha256(
-                    record.report.encode("utf-8")
-                ).hexdigest(),
-            }
-            timing[name] = record.timing_dict()
         return {
             "schema": SCHEMA,
             "schema_version": SCHEMA_VERSION,
             "run": {"jobs": self.jobs, "experiments": list(self.names)},
-            "experiments": experiments,
+            "experiments": {
+                name: self.records[name].artifact_entry() for name in self.names
+            },
             "timing": {
                 "total_wall_seconds": round(self.wall_seconds, 6),
-                "per_experiment": timing,
+                "per_experiment": {
+                    name: self.records[name].timing_dict() for name in self.names
+                },
             },
         }
 
@@ -415,11 +404,10 @@ def submit_experiments(
 ) -> Job:
     """The named experiments as a runtime :class:`Job` (not yet run).
 
-    The job-oriented front door: ``submit_experiments(...).run()``
-    executes on the configured backend, ``.result()`` assembles the
-    deterministic sweep artifact, ``.manifest()`` the provenance
-    sidecar.  :func:`run_experiments` remains the convenience wrapper
-    returning a :class:`HarnessRun`.
+    ``submit_experiments(...).run()`` executes on the configured
+    backend, ``.result()`` assembles the deterministic sweep artifact,
+    ``.manifest()`` the provenance sidecar.  :func:`run_experiments` is
+    the fail-loud wrapper over this job returning a :class:`HarnessRun`.
     """
     names = normalize_names(names)
     return Job(
@@ -474,17 +462,6 @@ def _experiment_assembler(
     """
     names = meta["names"]
     records = _records_from(names, results)
-    experiments: Dict[str, Any] = {}
-    for name in names:
-        record = records[name]
-        merged = record.result
-        experiments[name] = {
-            "result": merged.to_dict() if hasattr(merged, "to_dict") else None,
-            "metrics": merged.metrics() if hasattr(merged, "metrics") else {},
-            "report_sha256": hashlib.sha256(
-                record.report.encode("utf-8")
-            ).hexdigest(),
-        }
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -492,7 +469,7 @@ def _experiment_assembler(
             "experiments": list(names),
             "base_seed": meta.get("base_seed", 0),
         },
-        "experiments": experiments,
+        "experiments": {name: records[name].artifact_entry() for name in names},
     }
 
 
@@ -502,73 +479,34 @@ register_assembler("experiment", _experiment_assembler)
 
 def run_experiments(
     names: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    executor_factory: Optional[Callable[[int], Any]] = None,
     *,
     config: Optional[SweepConfig] = None,
 ) -> HarnessRun:
     """Run the named experiments (all by default); returns a HarnessRun.
 
-    The canonical configuration is the keyword-only ``config``
-    (:class:`~repro.runtime.backends.SweepConfig`): ``SweepConfig()``
-    executes every task inline (no subprocesses — the debuggable
-    fallback); ``SweepConfig(backend="pool", jobs=N)`` fans tasks over
-    a process pool; ``SweepConfig(backend="workers", ...)`` runs the
-    distributed worker pool.  Any backend produces identical
-    per-experiment results: tasks are deterministic and merged in
+    The fail-loud wrapper over :func:`submit_experiments`: ``config``
+    (:class:`~repro.runtime.backends.SweepConfig`, inline by default)
+    picks the backend, and any backend produces identical
+    per-experiment results — tasks are deterministic and merged in
     task-index order.
 
-    ``jobs=N`` / ``executor_factory=`` are the pre-runtime spelling;
-    they still work but emit :class:`DeprecationWarning`.
-
-    Raises :class:`ValueError` for unknown experiment names, a
-    non-positive ``jobs``, or a shard failure (the job surface —
-    :func:`submit_experiments` — instead records failures as
-    structured diagnostics).
+    Raises :class:`ValueError` for unknown experiment names and
+    :class:`RuntimeError` for a shard failure (the job itself records
+    failures as structured diagnostics instead).
     """
-    if jobs is not None or executor_factory is not None:
-        if config is not None:
-            raise ValueError(
-                "pass config=SweepConfig(...) or the legacy "
-                "jobs=/executor_factory=, not both"
-            )
-        warnings.warn(
-            "run_experiments(jobs=..., executor_factory=...) is deprecated; "
-            "pass config=SweepConfig(backend='pool', jobs=N) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if jobs is None:
-            jobs = 1
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        config = SweepConfig(
-            backend="pool" if jobs > 1 else "local", jobs=jobs
-        )
-    elif config is None:
-        config = SweepConfig()
-
-    names = normalize_names(names)
-    tasks = plan_tasks(names)
-
+    job = submit_experiments(names, config=config)
     start = time.perf_counter()
-    if executor_factory is not None:
-        with executor_factory(min(jobs or 1, len(tasks) or 1)) as executor:
-            # map() preserves submission order, which is merge order.
-            outcomes = list(executor.map(execute, tasks))
-    else:
-        outcomes = make_backend(config).run(tasks)
+    job.run()
     total_wall = time.perf_counter() - start
-
-    failures = [outcome for outcome in outcomes if not outcome.ok]
+    failures = job.failures()
     if failures:
         lines = "\n  ".join(failure.summary() for failure in failures)
         raise RuntimeError(f"{len(failures)} experiment shard(s) failed:\n  {lines}")
-    records = _records_from(names, outcomes)
+    names = job.meta["names"]
     return HarnessRun(
-        jobs=config.jobs if config.backend == "pool" else 1,
+        jobs=job.config.jobs if job.config.backend == "pool" else 1,
         names=list(names),
-        records=records,
+        records=_records_from(names, job.outcomes()),
         wall_seconds=total_wall,
     )
 
@@ -784,180 +722,3 @@ def diff_artifacts(
                 "(perf, informational)"
             )
     return diff
-
-
-# ---------------------------------------------------------------------------
-# Bench-trajectory emitter (BENCH_runner.json).
-# ---------------------------------------------------------------------------
-
-
-def append_bench_run(
-    path: str,
-    records: List[Dict[str, Any]],
-    meta: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Append one benchmark run (a list of per-test records) to ``path``.
-
-    The file accumulates a perf trajectory across sessions::
-
-        {"schema": ..., "schema_version": 1,
-         "runs": [{"timestamp": ..., "records": [...]}, ...]}
-
-    A missing file starts a fresh trajectory.  An *unreadable* file
-    (malformed JSON, wrong shape, I/O error) is preserved: it is moved
-    aside to ``<path>.corrupt`` and a warning is emitted before the
-    fresh trajectory is written, so a perf history is never silently
-    destroyed.
-
-    Timestamps are timezone-aware UTC ISO-8601
-    (``datetime.now(timezone.utc).isoformat()``).  Older trajectories
-    with local-time ``strftime`` stamps remain valid — timestamps are
-    informational and never parsed by the regression gate.
-    """
-    document: Dict[str, Any] = {
-        "schema": "netdimm-repro/bench-trajectory",
-        "schema_version": 1,
-        "runs": [],
-    }
-    corrupt_reason: Optional[str] = None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-        if isinstance(existing, dict) and isinstance(existing.get("runs"), list):
-            document = existing
-        else:
-            corrupt_reason = "not a bench-trajectory document"
-    except FileNotFoundError:
-        pass
-    except (OSError, ValueError) as error:
-        corrupt_reason = str(error)
-    if corrupt_reason is not None:
-        backup = f"{path}.corrupt"
-        try:
-            os.replace(path, backup)
-        except OSError:
-            backup = None
-        warnings.warn(
-            f"bench trajectory {path} is unreadable ({corrupt_reason}); "
-            + (
-                f"backed it up to {backup} and starting fresh"
-                if backup
-                else "could not back it up; starting fresh"
-            ),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    run_entry: Dict[str, Any] = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "records": records,
-    }
-    if meta:
-        run_entry["meta"] = meta
-    document["runs"].append(run_entry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
-
-
-def check_bench_regression(
-    document: Dict[str, Any],
-    threshold: float = 0.25,
-    expect_improvement: Optional[Dict[str, Any]] = None,
-) -> List[str]:
-    """Compare the newest bench run against the previous one.
-
-    ``document`` is a bench-trajectory (the :func:`append_bench_run`
-    schema).  Each test present in the previous run must appear in the
-    newest run and keep ``events_per_sec`` within ``threshold``
-    (fractional drop) of the previous value; a test that *vanishes*
-    from the newest run is itself a failure — a silently-dropped
-    benchmark is how regressions hide.  Violations come back as
-    human-readable strings; an empty list means the gate passes.
-    Fewer than two runs passes (a fresh trajectory has nothing to
-    regress against), as do tests that are *new* in the latest run.
-
-    ``expect_improvement`` maps test name → required speedup.  A plain
-    float ratio compares against the same test in the *previous* run:
-    the newest ``events_per_sec`` must be at least ``ratio`` times the
-    previous one.  A ``(ratio, baseline_test)`` tuple compares against
-    a *different test in the newest run* — how a fast-path bench pins
-    its speedup over its own slow-path twin recorded in the same
-    session.  A test named in the map but missing a positive rate in
-    the newest run is a failure, as is a missing baseline test — a
-    declared speedup cannot be waved through on absent data.  The one
-    exception: a previous-run expectation for a test that is *new* in
-    the newest run passes — its first recorded rate seeds the baseline
-    the next run will be held to — so a new benchmark can land in the
-    same change as its gate.
-    """
-    runs = document.get("runs") or []
-    if len(runs) < 2:
-        return []
-
-    def by_test(run: Dict[str, Any]) -> Dict[str, float]:
-        rates: Dict[str, float] = {}
-        for record in run.get("records") or []:
-            rate = record.get("events_per_sec")
-            test = record.get("test")
-            if test and isinstance(rate, (int, float)) and rate > 0:
-                rates[test] = float(rate)
-        return rates
-
-    previous, current = by_test(runs[-2]), by_test(runs[-1])
-    failures: List[str] = []
-    for test, base_rate in sorted(previous.items()):
-        now_rate = current.get(test)
-        if now_rate is None:
-            failures.append(
-                f"{test}: present in previous run "
-                f"({base_rate:.0f} events/sec) but missing from newest run"
-            )
-            continue
-        drop = (base_rate - now_rate) / base_rate
-        if drop > threshold:
-            failures.append(
-                f"{test}: events/sec fell {drop:.0%} "
-                f"({base_rate:.0f} -> {now_rate:.0f}, "
-                f"threshold {threshold:.0%})"
-            )
-    for test, expectation in sorted((expect_improvement or {}).items()):
-        if isinstance(expectation, tuple):
-            ratio, baseline_test = expectation
-        else:
-            ratio, baseline_test = expectation, None
-        now_rate = current.get(test)
-        if now_rate is None:
-            failures.append(
-                f"{test}: expected {ratio:g}x improvement but the test has "
-                f"no rate in the newest run"
-            )
-            continue
-        if baseline_test is not None:
-            base_rate = current.get(baseline_test)
-            if base_rate is None:
-                failures.append(
-                    f"{test}: expected >= {ratio:g}x vs {baseline_test}, "
-                    f"but {baseline_test} has no rate in the newest run"
-                )
-                continue
-            if now_rate < base_rate * ratio:
-                failures.append(
-                    f"{test}: expected >= {ratio:g}x vs {baseline_test}, "
-                    f"got {now_rate / base_rate:.2f}x "
-                    f"({base_rate:.0f} -> {now_rate:.0f})"
-                )
-            continue
-        base_rate = previous.get(test)
-        if base_rate is None:
-            # A test new in the newest run: nothing to improve against
-            # yet.  The rate just recorded becomes the baseline its
-            # next run is held to, so new benches land gate-first.
-            continue
-        if now_rate < base_rate * ratio:
-            failures.append(
-                f"{test}: expected >= {ratio:g}x improvement, got "
-                f"{now_rate / base_rate:.2f}x "
-                f"({base_rate:.0f} -> {now_rate:.0f})"
-            )
-    return failures

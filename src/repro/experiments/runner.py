@@ -1,21 +1,22 @@
-"""Run every experiment and print (or save) the full report.
+"""The experiment registry and the ``python -m repro experiments`` verb.
 
-Usage::
+:data:`EXPERIMENTS` maps every experiment name to its ``(run,
+format_report)`` pair; :func:`normalize_names` validates a selection
+against it.  :func:`run_cli` is the body of the ``experiments`` verb::
 
-    python -m repro.experiments.runner                    # everything
-    python -m repro.experiments.runner fig11 fig5         # a subset
-    python -m repro.experiments.runner --jobs 4 --json out.json
-    python -m repro.experiments.runner --baseline old.json
+    python -m repro experiments                    # everything
+    python -m repro experiments fig11 fig5         # a subset
+    python -m repro experiments --jobs 4 --json out.json
+    python -m repro experiments --baseline old.json
 
-``run_all`` remains the simple serial library entry point; the CLI
-delegates to :mod:`repro.experiments.harness` for parallel execution,
-JSON artifacts, and baseline diffing.
+It runs through :func:`repro.experiments.harness.run_experiments` —
+the experiment sweep as a runtime job — for parallel execution, JSON
+artifacts, and baseline diffing.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import (
@@ -73,16 +74,6 @@ def normalize_names(names: Optional[Sequence[str]]) -> List[str]:
         if name not in seen:
             seen.append(name)
     return seen
-
-
-def run_all(names=None) -> str:
-    """Run the named experiments (all by default); returns the report."""
-    sections = []
-    for name in normalize_names(names):
-        run, format_report = EXPERIMENTS[name]
-        result = run()
-        sections.append(f"{'=' * 72}\n{format_report(result)}\n")
-    return "\n".join(sections)
 
 
 def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -171,23 +162,3 @@ def run_cli(args: argparse.Namespace) -> Tuple[str, int]:
             exit_code = 1
     return output, exit_code
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="run the paper's experiments",
-    )
-    add_runner_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        output, exit_code = run_cli(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(output)
-    return exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,10 +24,9 @@ pin.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.driver.node import FlowRecovery
 from repro.driver.registry import make_node
@@ -50,8 +49,6 @@ __all__ = [
     "build_scenario",
     "dump_artifact",
     "format_report",
-    "run_scenario",
-    "scenario_artifact",
 ]
 
 SCENARIO_SCHEMA = "netdimm-repro/scenario-artifact"
@@ -619,34 +616,6 @@ def build_scenario(
     stream is byte-identical either way).
     """
     return Scenario(spec, base_params=base_params, tracer=tracer)
-
-
-def run_scenario(
-    spec: ScenarioSpec, base_params: Optional[SystemParams] = None
-) -> ScenarioResult:
-    """Build and run in one step.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.simulate` instead.
-    """
-    warnings.warn(
-        "repro.scenario.run_scenario is deprecated; use repro.api.simulate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_scenario(spec, base_params=base_params).run()
-
-
-def scenario_artifact(entries: List[Tuple[ScenarioSpec, ScenarioResult]]) -> Dict[str, Any]:
-    """The versioned multi-scenario artifact document."""
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "schema_version": SCENARIO_SCHEMA_VERSION,
-        "scenarios": {
-            spec.name: {"spec": spec.to_dict(), "result": result.to_dict()}
-            for spec, result in entries
-        },
-    }
 
 
 def dump_artifact(document: Dict[str, Any]) -> str:

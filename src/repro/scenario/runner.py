@@ -1,19 +1,23 @@
-"""Run scenario spec files, serially or fanned over worker processes.
+"""Run scenario spec files as a sweep job, serially or fanned out.
 
-Each spec file is an independent simulation, so a scenario run is a
-natural :mod:`repro.runtime` sweep: one task per spec, executed on any
-backend — inline, a process pool (``--jobs N``), or a detached worker
-pool over a resumable run directory.  Per-scenario results are
-deterministic and the artifact is assembled in input order, so the
-artifacts from every backend are byte-identical — pinned by the
-scenario determinism tests.
+Each spec is an independent simulation, so a scenario run is a natural
+:mod:`repro.runtime` sweep: :func:`scenario_tasks` plans one task per
+spec, :func:`submit_scenarios` wraps them in a :class:`~repro.runtime.Job`
+that runs on any backend — inline, a process pool (``--jobs N``), or a
+detached worker pool over a resumable run directory.  Per-scenario
+results are deterministic and the artifact is assembled in input
+order, so the artifacts from every backend are byte-identical — pinned
+by the scenario determinism tests.
 
-``run-chaos`` is the fault-injecting sibling: the same machinery, but
-every spec gets a :class:`~repro.faults.FaultSpec` attached (built from
-CLI flags, or the spec file's own ``faults`` section, or an all-zero
-default that still arms the recovery path).  Fault verdicts are keyed
-on the spec seed and packet identity — never on process layout — so
-chaos artifacts are backend-independent too.
+:func:`run_scenarios` is the fail-loud wrapper over that job behind
+``run-scenario`` and ``run-chaos`` (:func:`run_cli`): it raises on any
+shard failure and returns the artifact, the text reports, and — with
+``trace`` — the merged Chrome-trace document.  A chaos run gives every
+spec a :class:`~repro.faults.FaultSpec` (built from CLI flags, or the
+spec file's own ``faults`` section, or an all-zero default that still
+arms the recovery path).  Fault verdicts are keyed on the spec seed and
+packet identity — never on process layout — so chaos artifacts are
+backend-independent too.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults import FaultSpec, LinkFaultSpec, LinkKillSpec, RecoverySpec
-from repro.runtime.backends import SweepConfig, make_backend
+from repro.runtime.backends import SweepConfig
 from repro.runtime.job import Job, register_assembler
 from repro.runtime.tasks import (
     ShardResult,
@@ -69,28 +73,6 @@ def _run_one(
     return spec.to_dict(), result.to_dict(), format_report(result), payload
 
 
-def run_spec_file(
-    path: str, trace: bool = False
-) -> Tuple[Dict[str, Any], Dict[str, Any], str, Optional[Dict[str, Any]]]:
-    """Worker entry point: one spec file → (spec, result, report, trace).
-
-    Module-level (picklable) so a process pool can run it; returns only
-    JSON-safe payloads so results cross process boundaries unchanged.
-    The fourth element is the span-tracer payload when ``trace`` is on,
-    else ``None``.
-    """
-    return _run_one(ScenarioSpec.load(path), trace=trace)
-
-
-def run_chaos_file(
-    path: str, faults: Optional[FaultSpec] = None, trace: bool = False
-) -> Tuple[Dict[str, Any], Dict[str, Any], str, Optional[Dict[str, Any]]]:
-    """Worker entry point for chaos runs: one spec file under faults."""
-    return _run_one(
-        ScenarioSpec.load(path), faults=faults, chaos=True, trace=trace
-    )
-
-
 # ---------------------------------------------------------------------------
 # The "scenario" runtime kind: one task per spec, any backend.
 # ---------------------------------------------------------------------------
@@ -123,15 +105,24 @@ def scenario_tasks(
     faults: Optional[FaultSpec] = None,
     trace: bool = False,
 ) -> List[Task]:
-    """One runtime task per spec (file path or in-memory spec)."""
+    """One runtime task per spec (file path or in-memory spec).
+
+    Scenario names key the artifact, so a name appearing twice raises
+    :class:`ValueError` here — before any shard runs.
+    """
+    names = set()
     tasks: List[Task] = []
     for index, source in enumerate(sources):
         if isinstance(source, ScenarioSpec):
             args: Dict[str, Any] = {"spec": source.to_dict()}
-            label = source.name
+            label = name = source.name
         else:
             args = {"path": source}
             label = os.path.basename(source)
+            name = ScenarioSpec.load(source).name
+        if name in names:
+            raise ValueError(f"duplicate scenario name {name!r} in inputs")
+        names.add(name)
         args["chaos"] = chaos
         args["trace"] = trace
         args["faults"] = encode_payload(faults) if faults is not None else None
@@ -151,14 +142,17 @@ def submit_scenarios(
     config: Optional[SweepConfig] = None,
     chaos: bool = False,
     faults: Optional[FaultSpec] = None,
+    trace: bool = False,
 ) -> Job:
     """A scenario sweep as a runtime :class:`Job` (not yet run).
 
-    ``Job.result()`` assembles the versioned scenario artifact —
-    byte-identical across backends; ``Job.manifest()`` the provenance
-    sidecar.
+    A fault overlay implies a chaos run.  ``Job.result()`` assembles
+    the versioned scenario artifact — byte-identical across backends;
+    ``Job.manifest()`` the provenance sidecar.
     """
-    tasks = scenario_tasks(sources, chaos=chaos, faults=faults)
+    tasks = scenario_tasks(
+        sources, chaos=chaos or faults is not None, faults=faults, trace=trace
+    )
     return Job(
         kind="scenario",
         meta={"names": [task.task_id for task in tasks], "base_seed": 0},
@@ -204,128 +198,67 @@ def _assemble(
     return document, reports, trace_document
 
 
-def _run_files(
-    paths: Sequence[str],
-    jobs: int,
+def run_scenarios(
+    sources: Sequence[Union[str, ScenarioSpec]],
+    *,
+    config: Optional[SweepConfig] = None,
     chaos: bool = False,
     faults: Optional[FaultSpec] = None,
     trace: bool = False,
-    config: Optional[SweepConfig] = None,
-):
-    """Execute one task per spec on a runtime backend and assemble.
+) -> Tuple[Dict[str, Any], List[str], Optional[Dict[str, Any]]]:
+    """Run every spec; returns ``(artifact document, reports, trace)``.
 
-    ``jobs`` maps onto ``SweepConfig(backend="pool", jobs=N)`` (inline
-    for 1) unless an explicit ``config`` overrides it.  A shard failure
-    raises — the scenario CLI keeps its fail-loud contract; the job
-    surface (:func:`submit_scenarios`) records failures instead.
+    The fail-loud wrapper over :func:`submit_scenarios`: ``config``
+    selects the backend (inline by default), a shard failure raises
+    :class:`ValueError`, and output order always follows input order.
+    ``trace`` span-traces every scenario and merges the timelines into
+    one Chrome-trace document (one process per scenario, pid = input
+    order), byte-identical across backends; without it the third
+    element is ``None``.
     """
-    if config is None:
-        config = SweepConfig(
-            backend="pool" if jobs > 1 else "local", jobs=max(jobs, 1)
-        )
-    tasks = scenario_tasks(paths, chaos=chaos, faults=faults, trace=trace)
-    outcomes = make_backend(config).run(tasks)
-    failures = [outcome for outcome in outcomes if not outcome.ok]
+    job = submit_scenarios(
+        sources, config=config, chaos=chaos, faults=faults, trace=trace
+    ).run()
+    failures = job.failures()
     if failures:
         lines = "\n  ".join(failure.summary() for failure in failures)
         raise ValueError(f"{len(failures)} scenario(s) failed:\n  {lines}")
-    return _assemble([outcome.payload for outcome in outcomes])
+    return _assemble([outcome.payload for outcome in job.outcomes()])
 
 
-def run_scenario_files(
+def run_cli(
     paths: Sequence[str],
+    *,
     jobs: int = 1,
-    config: Optional[SweepConfig] = None,
-) -> Tuple[Dict[str, Any], List[str]]:
-    """Run every spec file; returns (artifact document, reports).
-
-    ``jobs=1`` runs inline (the debuggable fallback); more jobs fan the
-    files over a process pool; an explicit ``config`` selects any
-    runtime backend.  Output order always follows input order.
-    """
-    document, reports, _trace = _run_files(paths, jobs, config=config)
-    return document, reports
-
-
-def run_chaos_files(
-    paths: Sequence[str],
-    faults: Optional[FaultSpec] = None,
-    jobs: int = 1,
-    config: Optional[SweepConfig] = None,
-) -> Tuple[Dict[str, Any], List[str]]:
-    """The chaos twin of :func:`run_scenario_files`.
-
-    The (picklable, frozen) fault spec rides inside each task's args,
-    so every backend — pool workers included — applies the same
-    overlay; output order always follows input order.
-    """
-    document, reports, _trace = _run_files(
-        paths, jobs, chaos=True, faults=faults, config=config
-    )
-    return document, reports
-
-
-def run_traced(
-    paths: Sequence[str],
-    jobs: int = 1,
-    faults: Optional[FaultSpec] = None,
     chaos: bool = False,
-) -> Tuple[Dict[str, Any], List[str], Dict[str, Any]]:
-    """Run spec files with span tracing on; returns
-    ``(artifact document, reports, Chrome-trace document)``.
-
-    One trace process per scenario (pid = input order), merged into one
-    Chrome/Perfetto document.  Like the artifact, the trace is assembled
-    in input order from per-scenario deterministic payloads, so serial
-    and ``jobs > 1`` runs produce byte-identical trace JSON.
-    """
-    document, reports, trace_document = _run_files(
-        paths, jobs, chaos=chaos or faults is not None, faults=faults, trace=True
-    )
-    if trace_document is None:  # no paths at all
-        trace_document = chrome_trace([])
-    return document, reports, trace_document
-
-
-def _check_unique_names(paths: Sequence[str]) -> None:
-    names = set()
-    for path in paths:
-        spec = ScenarioSpec.load(path)
-        if spec.name in names:
-            raise ValueError(f"duplicate scenario name {spec.name!r} in inputs")
-        names.add(spec.name)
-
-
-def _emit(
-    document: Dict[str, Any],
-    reports: List[str],
-    json_path: str,
-    trace_document: Optional[Dict[str, Any]] = None,
+    faults: Optional[FaultSpec] = None,
+    json_path: str = "",
     trace_path: str = "",
 ) -> Tuple[str, int]:
+    """CLI body for ``repro run-scenario`` and ``repro run-chaos``;
+    returns (output, exit code).
+
+    ``jobs`` > 1 fans the specs over a process pool.  For chaos runs,
+    ``faults=None`` defers to each spec file's own ``faults`` section
+    (falling back to the zero-fault default with recovery armed).
+    """
+    document, reports, trace_document = run_scenarios(
+        paths,
+        config=SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs),
+        chaos=chaos,
+        faults=faults,
+        trace=bool(trace_path),
+    )
     output = "\n\n".join(reports)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(dump_artifact(document))
         output += f"\nwrote artifact: {json_path}"
-    if trace_path and trace_document is not None:
+    if trace_path:
         with open(trace_path, "w", encoding="utf-8") as handle:
             handle.write(dump_trace(trace_document))
         output += f"\nwrote trace: {trace_path}"
     return output, 0
-
-
-def run_cli(
-    paths: Sequence[str], jobs: int = 1, json_path: str = "", trace_path: str = ""
-) -> Tuple[str, int]:
-    """CLI body for ``repro run-scenario``; returns (output, exit code)."""
-    _check_unique_names(paths)
-    if trace_path:
-        document, reports, trace_document = run_traced(paths, jobs=jobs)
-    else:
-        document, reports = run_scenario_files(paths, jobs=jobs)
-        trace_document = None
-    return _emit(document, reports, json_path, trace_document, trace_path)
 
 
 def parse_kill(text: str) -> LinkKillSpec:
@@ -369,26 +302,3 @@ def build_fault_overlay(
             timeout_ns=timeout_ns, backoff=backoff, max_retransmits=budget
         ),
     )
-
-
-def run_chaos_cli(
-    paths: Sequence[str],
-    faults: Optional[FaultSpec] = None,
-    jobs: int = 1,
-    json_path: str = "",
-    trace_path: str = "",
-) -> Tuple[str, int]:
-    """CLI body for ``repro run-chaos``; returns (output, exit code).
-
-    ``faults=None`` defers to each spec file's own ``faults`` section
-    (falling back to the zero-fault default with recovery armed).
-    """
-    _check_unique_names(paths)
-    if trace_path:
-        document, reports, trace_document = run_traced(
-            paths, jobs=jobs, faults=faults, chaos=True
-        )
-    else:
-        document, reports = run_chaos_files(paths, faults=faults, jobs=jobs)
-        trace_document = None
-    return _emit(document, reports, json_path, trace_document, trace_path)

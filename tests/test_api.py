@@ -1,5 +1,5 @@
-"""The ``repro.api`` facade: five verbs, lazy top-level re-exports, and
-deprecation shims at every old convenience path."""
+"""The ``repro.api`` facade: its verbs, the job surface every sweep
+runs through, and the lazy top-level re-exports."""
 
 import json
 
@@ -125,14 +125,17 @@ class TestJobVerbs:
             run = api.run_experiment(["table1"])
         assert "table1" in run.records
 
-    def test_run_experiment_jobs_kwarg_warns(self):
-        with pytest.deprecated_call(match="api.submit"):
-            run = api.run_experiment(["table1"], jobs=1)
-        assert "table1" in run.records
+    def test_run_experiment_matches_submitted_job(self):
+        """The fail-loud wrapper and the job assemble the same entries."""
+        names = ["table1", "fig7", "fig4", "transactions", "feasibility"]
+        assert (
+            api.run_experiment(names).to_artifact()["experiments"]
+            == api.submit(names).result()["experiments"]
+        )
 
-    def test_run_experiment_jobs_still_validates(self):
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            api.run_experiment(["table1"], jobs=0)
+    def test_submit_refuses_duplicate_scenario_names(self, spec):
+        with pytest.raises(ValueError, match="duplicate scenario name 'api-twonode'"):
+            api.submit([spec, spec])
 
 
 class TestTopLevelExports:
@@ -147,47 +150,3 @@ class TestTopLevelExports:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.warp_drive
-
-
-class TestDeprecationShims:
-    def test_scenario_run_scenario_warns_and_works(self, spec):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.api.simulate"):
-            run_scenario = scenario.run_scenario
-        with pytest.deprecated_call(match="repro.api.simulate"):
-            result = run_scenario(spec)
-        assert result.to_dict() == api.simulate(spec).to_dict()
-
-    def test_scenario_apply_overrides_warns(self):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.params.apply_overrides"):
-            shim = scenario.apply_overrides
-        from repro.params import apply_overrides
-
-        assert shim is apply_overrides
-
-    def test_scenario_format_report_warns(self, spec):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.api.format_report"):
-            shim = scenario.format_report
-        assert "api-twonode" in shim(api.simulate(spec))
-
-    def test_experiments_run_experiments_warns(self):
-        import repro.experiments as experiments
-
-        with pytest.deprecated_call(match="repro.api.run_experiment"):
-            run_experiments = experiments.run_experiments
-        run = run_experiments(["table1"])
-        assert run.to_artifact()["experiments"]["table1"]["metrics"]
-
-    def test_experiments_load_artifact_warns(self, tmp_path):
-        import repro.experiments as experiments
-
-        path = tmp_path / "artifact.json"
-        path.write_text(json.dumps(api.run_experiment(["table1"]).to_artifact()))
-        with pytest.deprecated_call(match="repro.api.load_artifact"):
-            load_artifact = experiments.load_artifact
-        assert load_artifact(str(path))["experiments"]["table1"]["metrics"]

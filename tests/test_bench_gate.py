@@ -1,7 +1,8 @@
 """End-to-end bench gate: trajectory file in, pass/fail verdict out.
 
 ``tests/test_harness.py`` unit-tests :func:`append_bench_run` and
-:func:`check_bench_regression` in isolation; this file pins the whole
+:func:`check_bench_regression` (``benchmarks/trajectory.py``) in
+isolation; this file pins the whole
 workflow those pieces compose into — bench runs appended to a
 trajectory file, then the hardened gate comparing the newest run with
 its predecessor, including the required-speedup checks.
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 from benchmarks import conftest as bench_conftest
-from repro.experiments.harness import append_bench_run, check_bench_regression
+from benchmarks.trajectory import append_bench_run, check_bench_regression
 
 SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent

@@ -18,7 +18,8 @@ from repro.experiments import (
     fig12b,
     table1,
 )
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.harness import run_experiments
+from repro.experiments.runner import EXPERIMENTS
 from repro.workloads.netfuncs import NetworkFunction
 from repro.workloads.traces import ClusterKind
 
@@ -167,14 +168,9 @@ class TestRunner:
                      "fig12b", "bandwidth", "ablation"):
             assert name in EXPERIMENTS
 
-    def test_run_all_subset(self):
-        text = run_all(["table1", "fig7"])
-        assert "Table 1" in text
-        assert "Fig. 7" in text
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="fig99"):
-            run_all(["fig99"])
+            run_experiments(["fig99"])
 
 
 class TestTable1Module:

@@ -32,7 +32,8 @@ from repro.scenario import (
     build_scenario,
 )
 from repro.scenario.builder import dump_artifact
-from repro.scenario.runner import build_fault_overlay, parse_kill, run_chaos_files
+from repro.runtime import SweepConfig
+from repro.scenario.runner import build_fault_overlay, parse_kill, run_scenarios
 from repro.sim import Simulator
 
 
@@ -337,8 +338,10 @@ class TestChaosDeterminism:
 
     def test_serial_and_parallel_chaos_artifacts_identical(self, tmp_path):
         paths = self._write_specs(tmp_path)
-        serial, _ = run_chaos_files(paths, jobs=1)
-        parallel, _ = run_chaos_files(paths, jobs=2)
+        serial, _, _ = run_scenarios(paths, chaos=True)
+        parallel, _, _ = run_scenarios(
+            paths, config=SweepConfig(backend="pool", jobs=2), chaos=True
+        )
         assert dump_artifact(serial) == dump_artifact(parallel)
         result = serial["scenarios"]["chaos-7"]["result"]
         assert result["recovery"]["oneway"]["drops"] > 0
@@ -355,7 +358,7 @@ class TestChaosDeterminism:
         path = tmp_path / "spec.json"
         chaos_spec(drop=0.0).save(path)
         overlay = build_fault_overlay(drop=1.0, budget=0, timeout_ns=5_000.0)
-        document, _ = run_chaos_files([str(path)], faults=overlay)
+        document, _, _ = run_scenarios([str(path)], chaos=True, faults=overlay)
         result = document["scenarios"]["chaos-twonode"]["result"]
         assert result["packets_delivered"] == 0
 

@@ -6,8 +6,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
+from benchmarks import trajectory
 from repro.experiments import fig11, harness
-from repro.experiments.runner import EXPERIMENTS, normalize_names, run_all
+from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.runtime import SweepConfig
 
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
@@ -25,14 +26,6 @@ class TestNormalizeNames:
     def test_duplicates_collapse_preserving_order(self):
         assert normalize_names(["fig7", "table1", "fig7"]) == ["fig7", "table1"]
 
-    def test_run_all_rejects_unknown_with_value_error(self):
-        with pytest.raises(ValueError):
-            run_all(["not-an-experiment"])
-
-    def test_run_all_deduplicates(self):
-        text = run_all(["table1", "table1"])
-        assert text.count("Table 1 — system configuration") == 1
-
 
 class TestHarnessRun:
     @pytest.fixture(scope="class")
@@ -40,26 +33,19 @@ class TestHarnessRun:
         return harness.run_experiments(FAST_NAMES, config=SweepConfig())
 
     def test_jobs_must_be_positive(self):
-        # The legacy kwarg still validates — after warning about itself.
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            harness.run_experiments(["table1"], jobs=0)
-
-    def test_legacy_jobs_kwarg_warns_and_matches_config_form(self, serial):
-        with pytest.deprecated_call(match="SweepConfig"):
-            legacy = harness.run_experiments(FAST_NAMES, jobs=1)
-        assert (
-            legacy.to_artifact()["experiments"]
-            == serial.to_artifact()["experiments"]
-        )
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
             harness.run_experiments(
-                ["table1"], jobs=2, config=SweepConfig()
+                ["table1"], config=SweepConfig(backend="pool", jobs=0)
             )
 
     def test_report_matches_serial_runner(self, serial):
-        assert serial.report_text() == run_all(FAST_NAMES)
+        """The sharded, merged reports read exactly as the experiments'
+        own serial ``run()`` + ``format_report`` would print them."""
+        sections = []
+        for name in FAST_NAMES:
+            run, format_report = EXPERIMENTS[name]
+            sections.append(f"{'=' * 72}\n{format_report(run())}\n")
+        assert serial.report_text() == "\n".join(sections)
 
     def test_metadata_present(self, serial):
         for name in FAST_NAMES:
@@ -192,10 +178,10 @@ class TestBenchEmitter:
                 "events_per_sec": 200.0,
             }
         ]
-        first = harness.append_bench_run(str(path), records)
+        first = trajectory.append_bench_run(str(path), records)
         assert first["schema_version"] == 1
         assert len(first["runs"]) == 1
-        second = harness.append_bench_run(str(path), records, meta={"tests": 1})
+        second = trajectory.append_bench_run(str(path), records, meta={"tests": 1})
         assert len(second["runs"]) == 2
         assert second["runs"][1]["meta"] == {"tests": 1}
 
@@ -203,7 +189,7 @@ class TestBenchEmitter:
         path = tmp_path / "BENCH_runner.json"
         path.write_text("{not json")
         with pytest.warns(RuntimeWarning, match="unreadable"):
-            document = harness.append_bench_run(str(path), [])
+            document = trajectory.append_bench_run(str(path), [])
         assert len(document["runs"]) == 1
         backup = tmp_path / "BENCH_runner.json.corrupt"
         assert backup.read_text() == "{not json"
@@ -212,7 +198,7 @@ class TestBenchEmitter:
         path = tmp_path / "BENCH_runner.json"
         path.write_text('{"valid json": "but not a trajectory"}')
         with pytest.warns(RuntimeWarning, match="not a bench-trajectory"):
-            document = harness.append_bench_run(str(path), [])
+            document = trajectory.append_bench_run(str(path), [])
         assert len(document["runs"]) == 1
         assert (tmp_path / "BENCH_runner.json.corrupt").exists()
 
@@ -220,7 +206,7 @@ class TestBenchEmitter:
         from datetime import datetime, timezone
 
         path = tmp_path / "BENCH_runner.json"
-        document = harness.append_bench_run(str(path), [])
+        document = trajectory.append_bench_run(str(path), [])
         stamp = document["runs"][0]["timestamp"]
         parsed = datetime.fromisoformat(stamp)
         assert parsed.utcoffset() is not None
@@ -237,7 +223,7 @@ class TestBenchEmitter:
             "runs": [{"timestamp": "2026-01-05T10:00:00+0100", "records": []}],
         }
         path.write_text(json.dumps(old))
-        document = harness.append_bench_run(str(path), [])
+        document = trajectory.append_bench_run(str(path), [])
         assert len(document["runs"]) == 2
         assert document["runs"][0]["timestamp"] == "2026-01-05T10:00:00+0100"
 
@@ -259,30 +245,30 @@ class TestBenchRegressionCheck:
 
     def test_single_run_has_nothing_to_compare(self):
         document = self._trajectory({"t1": 1000.0})
-        assert harness.check_bench_regression(document) == []
+        assert trajectory.check_bench_regression(document) == []
 
     def test_within_threshold_passes(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 800.0})
-        assert harness.check_bench_regression(document) == []
+        assert trajectory.check_bench_regression(document) == []
 
     def test_drop_past_threshold_fails(self):
         document = self._trajectory({"t1": 1000.0, "t2": 500.0}, {"t1": 700.0, "t2": 500.0})
-        failures = harness.check_bench_regression(document)
+        failures = trajectory.check_bench_regression(document)
         assert len(failures) == 1
         assert failures[0].startswith("t1:")
         assert "30%" in failures[0]
 
     def test_only_last_two_runs_are_compared(self):
         document = self._trajectory({"t1": 9999.0}, {"t1": 1000.0}, {"t1": 900.0})
-        assert harness.check_bench_regression(document) == []
+        assert trajectory.check_bench_regression(document) == []
 
     def test_new_tests_are_not_failures(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 1000.0, "new": 10.0})
-        assert harness.check_bench_regression(document) == []
+        assert trajectory.check_bench_regression(document) == []
 
     def test_vanished_tests_are_failures(self):
         document = self._trajectory({"old": 1000.0, "t1": 500.0}, {"t1": 500.0})
-        failures = harness.check_bench_regression(document)
+        failures = trajectory.check_bench_regression(document)
         assert len(failures) == 1
         assert failures[0].startswith("old:")
         assert "missing from newest run" in failures[0]
@@ -290,7 +276,7 @@ class TestBenchRegressionCheck:
     def test_expected_improvement_met_passes(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 1300.0})
         assert (
-            harness.check_bench_regression(
+            trajectory.check_bench_regression(
                 document, expect_improvement={"t1": 1.25}
             )
             == []
@@ -298,7 +284,7 @@ class TestBenchRegressionCheck:
 
     def test_expected_improvement_missed_fails(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 1100.0})
-        failures = harness.check_bench_regression(
+        failures = trajectory.check_bench_regression(
             document, expect_improvement={"t1": 1.25}
         )
         assert len(failures) == 1
@@ -306,7 +292,7 @@ class TestBenchRegressionCheck:
 
     def test_expected_improvement_on_absent_test_fails(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 1000.0})
-        failures = harness.check_bench_regression(
+        failures = trajectory.check_bench_regression(
             document, expect_improvement={"ghost": 1.5}
         )
         assert len(failures) == 1
@@ -314,7 +300,7 @@ class TestBenchRegressionCheck:
 
     def test_threshold_is_configurable(self):
         document = self._trajectory({"t1": 1000.0}, {"t1": 940.0})
-        assert harness.check_bench_regression(document, threshold=0.05) != []
+        assert trajectory.check_bench_regression(document, threshold=0.05) != []
 
     def test_cli_script_exit_codes(self, tmp_path):
         import subprocess

@@ -408,7 +408,7 @@ class TestBackendParity:
         serial = api.submit(specs).result()
         pooled = api.submit(specs, backend="pool", jobs=2).result()
         assert serial == pooled
-        classic, _reports = api.run_scenario_files(specs)
+        classic, _reports, _trace = api.run_scenarios(specs)
         assert serial["scenarios"] == classic["scenarios"]
 
 

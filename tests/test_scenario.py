@@ -26,7 +26,8 @@ from repro.scenario import (
     plan_traffic,
 )
 from repro.scenario.builder import dump_artifact
-from repro.scenario.runner import run_scenario_files
+from repro.runtime import SweepConfig
+from repro.scenario.runner import run_scenarios
 from repro.sim import Simulator
 from repro.workloads.traces import ClusterKind
 
@@ -200,8 +201,10 @@ class TestRunnerAndCli:
 
     def test_serial_and_parallel_artifacts_identical(self, tmp_path):
         paths = self._write_specs(tmp_path)
-        serial, _ = run_scenario_files(paths, jobs=1)
-        parallel, _ = run_scenario_files(paths, jobs=2)
+        serial, _, _ = run_scenarios(paths)
+        parallel, _, _ = run_scenarios(
+            paths, config=SweepConfig(backend="pool", jobs=2)
+        )
         assert dump_artifact(serial) == dump_artifact(parallel)
 
     def test_cli_mixed_incast_end_to_end(self, tmp_path, capsys):
@@ -229,6 +232,19 @@ class TestRunnerAndCli:
         exit_code = cli_main(["run-scenario", str(path), str(path)])
         assert exit_code == 2
         assert "duplicate scenario name" in capsys.readouterr().err
+
+    def test_sweep_rejects_duplicate_names_before_running(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "spec.json"
+        mixed_incast_spec().save(path)
+        artifact_path = tmp_path / "sweep.json"
+        exit_code = cli_main(
+            ["sweep", str(path), str(path), "--json", str(artifact_path)]
+        )
+        assert exit_code == 2
+        assert "duplicate scenario name" in capsys.readouterr().err
+        assert not artifact_path.exists()
 
     def test_cli_rejects_missing_file(self, tmp_path, capsys):
         exit_code = cli_main(["run-scenario", str(tmp_path / "ghost.json")])

@@ -10,8 +10,8 @@ Four promises, each pinned:
 * **Zero overhead** — with a tracer attached, the kernel executes the
   exact same ``(time, seq, owner)`` event stream as without one, and
   the scenario result is byte-identical.
-* **Serial/parallel identity** — ``run_traced`` with ``jobs=1`` and
-  ``jobs=2`` produce byte-identical trace JSON.
+* **Serial/parallel identity** — ``run_scenarios(..., trace=True)``
+  inline and on a 2-process pool produce byte-identical trace JSON.
 * **Fault nesting** — under retransmission every segment/wire span
   nests (by time containment) inside exactly one attempt span, every
   attempt span inside the flow span, and retransmit counters appear.
@@ -26,7 +26,8 @@ import pathlib
 from repro import api
 from repro.experiments.oneway import measure_one_way
 from repro.net.packet import FIG11_SEGMENTS
-from repro.scenario.runner import run_traced
+from repro.runtime import SweepConfig
+from repro.scenario.runner import run_scenarios
 from repro.sim import Simulator
 from repro.telemetry import SpanTracer, chrome_trace, dump_trace, segment_totals
 
@@ -100,15 +101,18 @@ class TestSerialParallelIdentity:
 
     def test_run_traced_jobs_byte_identical(self, tmp_path):
         paths = self._spec_files(tmp_path)
-        doc1, _reports1, trace1 = run_traced(paths, jobs=1)
-        doc2, _reports2, trace2 = run_traced(paths, jobs=2)
+        doc1, _reports1, trace1 = run_scenarios(paths, trace=True)
+        doc2, _reports2, trace2 = run_scenarios(
+            paths, config=SweepConfig(backend="pool", jobs=2), trace=True
+        )
         assert dump_trace(trace1) == dump_trace(trace2)
         assert api.dump_artifact(doc1) == api.dump_artifact(doc2)
 
     def test_traced_artifact_matches_untraced(self, tmp_path):
         paths = self._spec_files(tmp_path)
-        traced_doc, _reports, _trace = run_traced(paths, jobs=1)
-        plain_doc, _plain_reports = api.run_scenario_files(paths, jobs=1)
+        traced_doc, _reports, _trace = run_scenarios(paths, trace=True)
+        plain_doc, _plain_reports, no_trace = api.run_scenarios(paths)
+        assert no_trace is None
         assert api.dump_artifact(traced_doc) == api.dump_artifact(plain_doc)
 
 
