@@ -5,13 +5,15 @@ pin the kernel's ``(time, seq, owner)`` execution order, and rewriting
 them silently would defeat the determinism tests in
 ``tests/test_sim_determinism.py``.
 
-Three artifacts are produced:
+Four artifacts are produced:
 
 * ``golden_event_order.json`` — the traced event stream of the mixed
   kernel workload, recorded through ``Simulator(trace=...)``.
 * ``golden_cluster_streams.json`` — the sha256 of the traced event
   stream of a seeded four-node incast cluster, plus its delivery
   summary, per seed.
+* ``golden_sweep_results.json`` — the sha256 of the ``fig11``,
+  ``fig12a`` and ``loaded_latency`` experiment artifact entries.
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few
   seconds; skip with ``--no-fig5`` when only the kernel golden moved).
 
@@ -73,6 +75,20 @@ def record_golden_cluster_streams() -> pathlib.Path:
     return out
 
 
+def record_golden_sweep_results() -> pathlib.Path:
+    from tests.test_sim_determinism import sweep_digests
+
+    document = {
+        "schema": "netdimm-repro/golden-sweep-results",
+        "schema_version": 1,
+        "experiments": sweep_digests(),
+    }
+    out = DATA_DIR / "golden_sweep_results.json"
+    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(document['experiments'])} sweep result digests -> {out}")
+    return out
+
+
 def record_fig5_baseline() -> pathlib.Path:
     from repro.experiments import harness
 
@@ -95,6 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record_golden_event_order()
     record_golden_cluster_streams()
+    record_golden_sweep_results()
     if not args.no_fig5:
         record_fig5_baseline()
     return 0

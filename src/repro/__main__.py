@@ -9,7 +9,8 @@ Commands
     processes; ``--json`` writes the versioned artifact; ``--baseline``
     diffs against a previous artifact and exits 1 on regressions;
     ``--profile`` appends a kernel event profile (events per callback
-    owner, forces ``--jobs 1``).
+    owner, forces ``--jobs 1``).  A failed shard prints ``error:`` and
+    its diagnostic, and exits 1.
 ``list``
     List available experiments with one-line descriptions.
 ``oneway --nic KIND --size BYTES``
@@ -550,6 +551,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "experiments":
         try:
             output, exit_code = api.run_experiment_cli(args)
+        except api.JobError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -9,7 +9,7 @@ Paper numbers targeted (shape): average improvements over the PCIe NIC
 of 40.6 / 36.0 / 33.1 / 25.3% at 25 / 50 / 100 / 200 ns switch latency,
 8.1–15.3% over iNIC, with webserver benefiting most and hadoop least.
 
-Two replay modes share the result type:
+Three replay modes share the result type and the sweep cells:
 
 * ``mode="analytical"`` (default, the artifact/paper-target path) —
   per-packet latency is assembled as host-side latency (measured with
@@ -33,7 +33,7 @@ Two replay modes share the result type:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments.oneway import measure_one_way
 from repro.net.topology import ClosTopology, Locality
@@ -133,6 +133,118 @@ class Fig12aResult:
         return metrics
 
 
+class Fig12aCell(NamedTuple):
+    """One (cluster, switch latency, config) point of the replay."""
+
+    cluster: ClusterKind
+    switch_ns: int
+    config: str
+    packets: int
+    seed: int
+    replay: Optional[ScenarioSpec] = None
+    """The live-replay scenario (fabric/hybrid modes); None = analytical."""
+
+
+def cells(
+    packets_per_cluster: int = PACKETS_PER_CLUSTER,
+    switch_latencies_ns: Tuple[int, ...] = SWITCH_LATENCIES_NS,
+    seed: int = 2019,
+    mode: str = "analytical",
+    mean_interarrival_ns: float = 1000.0,
+    **spec_options: Any,
+) -> List[Fig12aCell]:
+    """Every (cluster, switch latency, config) point, in merge order.
+
+    Fabric and hybrid cells carry their scenario spec, built by
+    :func:`fabric_replay_spec` / :func:`hybrid_replay_spec` with
+    ``spec_options`` (``queue_depth``; ``background_nodes`` and
+    ``background_load`` for hybrid).
+    """
+    builders = {"fabric": fabric_replay_spec, "hybrid": hybrid_replay_spec}
+    if mode != "analytical" and mode not in builders:
+        raise ValueError(f"unknown fig12a mode: {mode!r}")
+    points = []
+    for cluster in ClusterKind:
+        for switch_ns in switch_latencies_ns:
+            for config in CONFIGS:
+                replay = None
+                if mode in builders:
+                    replay = builders[mode](
+                        cluster,
+                        config,
+                        switch_ns,
+                        packets_per_cluster,
+                        seed=seed,
+                        mean_interarrival_ns=mean_interarrival_ns,
+                        **spec_options,
+                    )
+                points.append(
+                    Fig12aCell(
+                        cluster, switch_ns, config, packets_per_cluster, seed, replay
+                    )
+                )
+    return points
+
+
+def run_cell(
+    cell: Fig12aCell,
+    params: SystemParams,
+    memo: Optional[Dict[Tuple, Any]] = None,
+) -> float:
+    """Mean per-packet latency (ticks) of one replayed trace.
+
+    ``memo`` lets the cells of one serial run share generated traces
+    and host-side latencies, which depend on neither the switch
+    latency nor the cell order.
+    """
+    if cell.replay is not None:
+        scenario = build_scenario(cell.replay, base_params=params)
+        scenario.run()
+        total = sum(d.latency_ticks for d in scenario.delivered)
+        return total / len(scenario.delivered)
+    if memo is None:
+        memo = {}
+    trace_key = (cell.cluster, cell.seed, cell.packets)
+    if trace_key not in memo:
+        memo[trace_key] = TraceGenerator(cell.cluster, seed=cell.seed).generate(
+            cell.packets
+        )
+    trace = memo[trace_key]
+    fabric = ClosTopology(
+        params=params.with_switch_latency(ns(cell.switch_ns)).network
+    )
+    total = 0
+    for packet in trace:
+        # Host-side latency per (config, size bucket): measured from the
+        # detailed node models; the fabric substitutes for the wire.
+        host_key = (cell.config, _size_bucket(packet.size_bytes))
+        if host_key not in memo:
+            memo[host_key] = measure_one_way(*host_key, params).host_ticks()
+        # End-host MAC/PHY + first-link serialization (the "wire"
+        # pieces the fabric path model does not include).
+        endhost_wire = (
+            2 * params.network.mac_phy_latency
+            + fabric.params.propagation
+            + _serialization(packet.size_bytes, params)
+        )
+        total += (
+            memo[host_key]
+            + endhost_wire
+            + fabric.path_latency(packet.size_bytes, packet.locality)
+        )
+    return total / len(trace)
+
+
+def merge(cells: Sequence[Fig12aCell], payloads: Sequence[float]) -> Fig12aResult:
+    """The result object from per-cell mean latencies."""
+    return Fig12aResult(
+        mean_latency={
+            (cell.cluster, cell.config, cell.switch_ns): payload
+            for cell, payload in zip(cells, payloads)
+        }
+    )
+
+
 def run(
     params: Optional[SystemParams] = None,
     packets_per_cluster: int = PACKETS_PER_CLUSTER,
@@ -142,61 +254,19 @@ def run(
     mean_interarrival_ns: float = 1000.0,
 ) -> Fig12aResult:
     """Replay every cluster trace under every configuration and sweep."""
-    if mode == "fabric":
-        return run_fabric(
-            params,
-            packets_per_cluster,
-            switch_latencies_ns,
-            seed,
-            mean_interarrival_ns=mean_interarrival_ns,
-        )
-    if mode == "hybrid":
-        return run_hybrid(
-            params,
-            packets_per_cluster,
-            switch_latencies_ns,
-            seed,
-            mean_interarrival_ns=mean_interarrival_ns,
-        )
-    if mode != "analytical":
-        raise ValueError(f"unknown fig12a mode: {mode!r}")
+    points = cells(
+        packets_per_cluster, switch_latencies_ns, seed, mode, mean_interarrival_ns
+    )
+    return _replay(params, points)
+
+
+def _replay(
+    params: Optional[SystemParams], points: List[Fig12aCell]
+) -> Fig12aResult:
+    """Run every cell serially, sharing one memo, and merge."""
     params = params or DEFAULT
-    # Host-side latency per (config, size bucket): measured once from
-    # the detailed node models; the fabric substitutes for the wire.
-    host_cache: Dict[Tuple[str, int], int] = {}
-
-    def host_latency(config: str, bucket: int) -> int:
-        key = (config, bucket)
-        if key not in host_cache:
-            result = measure_one_way(config, bucket, params)
-            host_cache[key] = result.host_ticks()
-        return host_cache[key]
-
-    mean_latency: Dict[Tuple[ClusterKind, str, int], float] = {}
-    for cluster in ClusterKind:
-        trace = TraceGenerator(cluster, seed=seed).generate(packets_per_cluster)
-        for switch_ns in switch_latencies_ns:
-            fabric = ClosTopology(
-                params=params.with_switch_latency(ns(switch_ns)).network
-            )
-            # End-host MAC/PHY + first-link serialization (the "wire"
-            # pieces the fabric path model does not include).
-            for config in CONFIGS:
-                total = 0
-                for packet in trace:
-                    bucket = _size_bucket(packet.size_bytes)
-                    endhost_wire = (
-                        2 * params.network.mac_phy_latency
-                        + fabric.params.propagation
-                        + _serialization(packet.size_bytes, params)
-                    )
-                    total += (
-                        host_latency(config, bucket)
-                        + endhost_wire
-                        + fabric.path_latency(packet.size_bytes, packet.locality)
-                    )
-                mean_latency[(cluster, config, switch_ns)] = total / len(trace)
-    return Fig12aResult(mean_latency=mean_latency)
+    memo: Dict[Tuple, Any] = {}
+    return merge(points, [run_cell(cell, params, memo) for cell in points])
 
 
 def run_fabric(
@@ -215,26 +285,17 @@ def run_fabric(
     a large ``mean_interarrival_ns`` for a zero-load cross-check of the
     analytical mode; the 1 us default carries the trace's nominal load.
     """
-    mean_latency: Dict[Tuple[ClusterKind, str, int], float] = {}
-    for cluster in ClusterKind:
-        for switch_ns in switch_latencies_ns:
-            for config in CONFIGS:
-                spec = fabric_replay_spec(
-                    cluster,
-                    config,
-                    switch_ns,
-                    packets_per_cluster,
-                    seed=seed,
-                    mean_interarrival_ns=mean_interarrival_ns,
-                    queue_depth=queue_depth,
-                )
-                scenario = build_scenario(spec, base_params=params)
-                scenario.run()
-                total = sum(d.latency_ticks for d in scenario.delivered)
-                mean_latency[(cluster, config, switch_ns)] = total / len(
-                    scenario.delivered
-                )
-    return Fig12aResult(mean_latency=mean_latency)
+    return _replay(
+        params,
+        cells(
+            packets_per_cluster,
+            switch_latencies_ns,
+            seed,
+            "fabric",
+            mean_interarrival_ns,
+            queue_depth=queue_depth,
+        ),
+    )
 
 
 def run_hybrid(
@@ -256,28 +317,19 @@ def run_hybrid(
     background costs O(sources) events total, so the loaded figure
     runs at essentially unloaded-replay speed.
     """
-    mean_latency: Dict[Tuple[ClusterKind, str, int], float] = {}
-    for cluster in ClusterKind:
-        for switch_ns in switch_latencies_ns:
-            for config in CONFIGS:
-                spec = hybrid_replay_spec(
-                    cluster,
-                    config,
-                    switch_ns,
-                    packets_per_cluster,
-                    seed=seed,
-                    mean_interarrival_ns=mean_interarrival_ns,
-                    queue_depth=queue_depth,
-                    background_nodes=background_nodes,
-                    background_load=background_load,
-                )
-                scenario = build_scenario(spec, base_params=params)
-                scenario.run()
-                total = sum(d.latency_ticks for d in scenario.delivered)
-                mean_latency[(cluster, config, switch_ns)] = total / len(
-                    scenario.delivered
-                )
-    return Fig12aResult(mean_latency=mean_latency)
+    return _replay(
+        params,
+        cells(
+            packets_per_cluster,
+            switch_latencies_ns,
+            seed,
+            "hybrid",
+            mean_interarrival_ns,
+            queue_depth=queue_depth,
+            background_nodes=background_nodes,
+            background_load=background_load,
+        ),
+    )
 
 
 def hybrid_replay_spec(

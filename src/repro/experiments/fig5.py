@@ -15,7 +15,7 @@ thread), y-axis = achieved iperf bandwidth (Gb/s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.controller import MemoryController
 from repro.params import DEFAULT, SystemParams
@@ -66,9 +66,18 @@ class Fig5Result:
         return metrics
 
 
-def _one_point(
-    params: SystemParams, delay_ns: Optional[int], packets: int, threads: int
-) -> float:
+def cells(
+    delays_ns: Tuple[Optional[int], ...] = INJECT_DELAYS_NS,
+    packets: int = PACKETS_PER_POINT,
+    threads: int = 16,
+) -> List[Tuple[Optional[int], int, int]]:
+    """The sweep points, in merge order: ``(delay_ns, packets, threads)``."""
+    return [(delay_ns, packets, threads) for delay_ns in delays_ns]
+
+
+def run_cell(cell: Tuple[Optional[int], int, int], params: SystemParams) -> float:
+    """Achieved iperf bandwidth (Gb/s) at one injector delay."""
+    delay_ns, packets, threads = cell
     sim = Simulator()
     controller = MemoryController(sim, "mc", params.host_dram)
     injector = None
@@ -93,6 +102,15 @@ def _one_point(
     return bandwidth_bps / 1e9
 
 
+def merge(
+    cells: Sequence[Tuple[Optional[int], int, int]], payloads: Sequence[float]
+) -> Fig5Result:
+    """The result object from per-point bandwidths."""
+    return Fig5Result(
+        bandwidth_gbps={cell[0]: gbps for cell, gbps in zip(cells, payloads)}
+    )
+
+
 def run(
     params: Optional[SystemParams] = None,
     delays_ns: Tuple[Optional[int], ...] = INJECT_DELAYS_NS,
@@ -101,10 +119,8 @@ def run(
 ) -> Fig5Result:
     """Sweep injector pressure and measure achieved iperf bandwidth."""
     params = params or DEFAULT
-    bandwidth: Dict[Optional[int], float] = {}
-    for delay_ns in delays_ns:
-        bandwidth[delay_ns] = _one_point(params, delay_ns, packets, threads)
-    return Fig5Result(bandwidth_gbps=bandwidth)
+    points = cells(delays_ns, packets, threads)
+    return merge(points, [run_cell(cell, params) for cell in points])
 
 
 def format_report(result: Fig5Result) -> str:

@@ -9,10 +9,14 @@ diffable* object:
   pool (``SweepConfig(backend="pool", jobs=N)``), or a detached worker
   pool over a shared run directory (``backend="workers"``, which is
   also the resumable/distributed path);
-* the sweep-heavy experiments (``fig5``, ``fig11``, ``fig12a``,
-  ``loaded_latency``) additionally shard *inside* the experiment, one
-  task per sweep point, and are merged back into the exact result
-  object the serial ``run()`` would have built;
+* the sweep-heavy experiments (:data:`SWEEPS`: ``fig5``, ``fig11``,
+  ``fig12a``, ``loaded_latency``) additionally shard *inside* the
+  experiment, one task per sweep point.  Each such module declares its
+  sweep once — ``cells()`` (the ordered points), ``run_cell(cell,
+  params)`` (one point in a fresh simulator), ``merge(cells,
+  payloads)`` (the result object) — and its serial ``run()`` is that
+  same loop, so the merged shards are the object ``run()`` builds by
+  construction;
 * :func:`run_experiments` is the fail-loud wrapper over that job: it
   raises on any shard failure and returns a :class:`HarnessRun` whose
   artifact adds run metadata — wall-clock seconds, simulator events
@@ -38,206 +42,32 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments import fig5, fig11, fig12a, loaded_latency
-from repro.experiments.oneway import measure_one_way
 from repro.experiments.runner import EXPERIMENTS, normalize_names
-from repro.net.topology import ClosTopology
 from repro.params import DEFAULT
 from repro.runtime.backends import SweepConfig
-from repro.runtime.job import Job, register_assembler
+from repro.runtime.job import Job, JobError, register_assembler
 from repro.runtime.tasks import ShardResult, Task, register_kind
 from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
-from repro.units import ns
-from repro.workloads.traces import TraceGenerator
 
 SCHEMA = "netdimm-repro/experiment-artifact"
 SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Sharded experiments: one task per sweep point, deterministic merge.
+# Sweep experiments: one task per cell, merged by the module itself.
 # ---------------------------------------------------------------------------
 
-
-class ShardedExperiment:
-    """A sweep experiment split into independent, picklable point tasks.
-
-    ``run_shard(i)`` must be pure (fresh simulator, no shared state) and
-    ``merge`` must rebuild exactly the result object the experiment's
-    serial ``run()`` produces, so sharding is invisible in the artifact.
-    """
-
-    name: str = ""
-
-    def shard_count(self) -> int:
-        raise NotImplementedError
-
-    def run_shard(self, index: int) -> Any:
-        raise NotImplementedError
-
-    def merge(self, payloads: List[Any]) -> Any:
-        raise NotImplementedError
-
-
-class _Fig5Shards(ShardedExperiment):
-    """One task per injector-delay point of the Fig. 5 pressure sweep."""
-
-    name = "fig5"
-
-    def shard_count(self) -> int:
-        return len(fig5.INJECT_DELAYS_NS)
-
-    def run_shard(self, index: int) -> float:
-        delay_ns = fig5.INJECT_DELAYS_NS[index]
-        return fig5._one_point(DEFAULT, delay_ns, fig5.PACKETS_PER_POINT, 16)
-
-    def merge(self, payloads: List[Any]) -> fig5.Fig5Result:
-        return fig5.Fig5Result(
-            bandwidth_gbps=dict(zip(fig5.INJECT_DELAYS_NS, payloads))
-        )
-
-
-class _Fig11Shards(ShardedExperiment):
-    """One task per (config, size) cell of the Fig. 11 latency matrix."""
-
-    name = "fig11"
-
-    def __init__(self) -> None:
-        self.sizes = tuple(
-            sorted(set(fig11.PACKET_SIZES) | set(fig11.QUOTED_SIZES))
-        )
-        self.cells = [
-            (config, size) for config in fig11.CONFIGS for size in self.sizes
-        ]
-
-    def shard_count(self) -> int:
-        return len(self.cells)
-
-    def run_shard(self, index: int):
-        config, size = self.cells[index]
-        return measure_one_way(config, size, DEFAULT)
-
-    def merge(self, payloads: List[Any]) -> fig11.Fig11Result:
-        return fig11.Fig11Result(
-            results=dict(zip(self.cells, payloads)), sizes=self.sizes
-        )
-
-
-class _Fig12aShards(ShardedExperiment):
-    """One task per (cluster, switch latency, config) trace replay."""
-
-    name = "fig12a"
-
-    def __init__(self) -> None:
-        from repro.workloads.traces import ClusterKind
-
-        self.cells = [
-            (cluster, switch_ns, config)
-            for cluster in ClusterKind
-            for switch_ns in fig12a.SWITCH_LATENCIES_NS
-            for config in fig12a.CONFIGS
-        ]
-
-    def shard_count(self) -> int:
-        return len(self.cells)
-
-    def run_shard(self, index: int) -> float:
-        cluster, switch_ns, config = self.cells[index]
-        params = DEFAULT
-        trace = TraceGenerator(cluster, seed=2019).generate(
-            fig12a.PACKETS_PER_CLUSTER
-        )
-        fabric = ClosTopology(
-            params=params.with_switch_latency(ns(switch_ns)).network
-        )
-        host_cache: Dict[int, int] = {}
-        total = 0
-        for packet in trace:
-            bucket = fig12a._size_bucket(packet.size_bytes)
-            if bucket not in host_cache:
-                host_cache[bucket] = measure_one_way(
-                    config, bucket, params
-                ).host_ticks()
-            endhost_wire = (
-                2 * params.network.mac_phy_latency
-                + fabric.params.propagation
-                + fig12a._serialization(packet.size_bytes, params)
-            )
-            total += (
-                host_cache[bucket]
-                + endhost_wire
-                + fabric.path_latency(packet.size_bytes, packet.locality)
-            )
-        return total / len(trace)
-
-    def merge(self, payloads: List[Any]) -> fig12a.Fig12aResult:
-        mean_latency = {
-            (cluster, config, switch_ns): payload
-            for (cluster, switch_ns, config), payload in zip(self.cells, payloads)
-        }
-        return fig12a.Fig12aResult(mean_latency=mean_latency)
-
-
-class _LoadedLatencyShards(ShardedExperiment):
-    """Tasks: one DRAM probe per pressure level + one one-way baseline
-    per (config, size); merged with the serial run's exact formula."""
-
-    name = "loaded_latency"
-
-    def __init__(self) -> None:
-        self.probes = list(loaded_latency.PRESSURES)
-        self.bases = [
-            (config, size)
-            for config in loaded_latency.CONFIGS
-            for size in loaded_latency.SIZES
-        ]
-
-    def shard_count(self) -> int:
-        return len(self.probes) + len(self.bases)
-
-    def run_shard(self, index: int) -> float:
-        if index < len(self.probes):
-            pressure = self.probes[index]
-            return loaded_latency._probe_dram_latency(
-                DEFAULT, loaded_latency._DELAYS[pressure]
-            )
-        config, size = self.bases[index - len(self.probes)]
-        return measure_one_way(config, size, DEFAULT).total_ticks
-
-    def merge(self, payloads: List[Any]) -> loaded_latency.LoadedLatencyResult:
-        dram_latency = dict(zip(self.probes, payloads))
-        bases = dict(zip(self.bases, payloads[len(self.probes) :]))
-        idle_dram = dram_latency["idle"]
-        latency: Dict[Tuple[str, str, int], float] = {}
-        for config in loaded_latency.CONFIGS:
-            for size in loaded_latency.SIZES:
-                base = bases[(config, size)]
-                for pressure in loaded_latency.PRESSURES:
-                    extra_per_line = (
-                        max(0.0, dram_latency[pressure] - idle_dram) * 1000
-                    )
-                    latency[(pressure, config, size)] = base + (
-                        extra_per_line
-                        * loaded_latency.host_dram_lines(config, size)
-                    )
-        return loaded_latency.LoadedLatencyResult(
-            latency=latency, dram_latency_ns=dram_latency
-        )
-
-
-def _sharded_experiments() -> Dict[str, ShardedExperiment]:
-    return {
-        spec.name: spec
-        for spec in (
-            _Fig5Shards(),
-            _Fig11Shards(),
-            _Fig12aShards(),
-            _LoadedLatencyShards(),
-        )
-    }
+SWEEPS = {
+    "fig5": fig5,
+    "fig11": fig11,
+    "fig12a": fig12a,
+    "loaded_latency": loaded_latency,
+}
+"""Experiments sharded one task per sweep point (``cells()`` order)."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +88,8 @@ def _experiment_executor(args: Dict[str, Any]) -> Any:
     if shard is None:
         run, _format = EXPERIMENTS[name]
         return run()
-    return _sharded_experiments()[name].run_shard(int(shard))
+    module = SWEEPS[name]
+    return module.run_cell(module.cells()[int(shard)], DEFAULT)
 
 
 def _task_experiment_name(task_id: str) -> str:
@@ -370,11 +201,10 @@ def plan_tasks(
     Task ids name the sweep point (``"fig5[3]"``) — they are the seed
     param ids and the merge keys — and task index order is merge order.
     """
-    sharded = _sharded_experiments()
     tasks: List[Task] = []
     for name in names:
-        if name in sharded:
-            for shard in range(sharded[name].shard_count()):
+        if name in SWEEPS:
+            for shard in range(len(SWEEPS[name].cells())):
                 tasks.append(
                     Task(
                         kind="experiment",
@@ -422,7 +252,6 @@ def _records_from(
     names: Sequence[str], results: Sequence[ShardResult]
 ) -> Dict[str, ExperimentRun]:
     """Merge per-shard results (in task-index order) into run records."""
-    sharded = _sharded_experiments()
     grouped: Dict[str, List[ShardResult]] = {}
     for result in results:
         grouped.setdefault(_task_experiment_name(result.task_id), []).append(
@@ -434,8 +263,8 @@ def _records_from(
         if not mine:
             raise ValueError(f"no shard results for experiment {name!r}")
         payloads = [shard.payload for shard in mine]
-        if name in sharded:
-            merged = sharded[name].merge(payloads)
+        if name in SWEEPS:
+            merged = SWEEPS[name].merge(SWEEPS[name].cells(), payloads)
         else:
             merged = payloads[0]
         _run, format_report = EXPERIMENTS[name]
@@ -491,8 +320,9 @@ def run_experiments(
     task-index order.
 
     Raises :class:`ValueError` for unknown experiment names and
-    :class:`RuntimeError` for a shard failure (the job itself records
-    failures as structured diagnostics instead).
+    :class:`~repro.runtime.job.JobError` (a :class:`RuntimeError`) for
+    a shard failure (the job itself records failures as structured
+    diagnostics instead).
     """
     job = submit_experiments(names, config=config)
     start = time.perf_counter()
@@ -501,7 +331,7 @@ def run_experiments(
     failures = job.failures()
     if failures:
         lines = "\n  ".join(failure.summary() for failure in failures)
-        raise RuntimeError(f"{len(failures)} experiment shard(s) failed:\n  {lines}")
+        raise JobError(f"{len(failures)} experiment shard(s) failed:\n  {lines}")
     names = job.meta["names"]
     return HarnessRun(
         jobs=job.config.jobs if job.config.backend == "pool" else 1,

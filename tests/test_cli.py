@@ -102,6 +102,17 @@ class TestExperiments:
         assert main(["experiments", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_shard_failure_exits_1_without_traceback(self, monkeypatch, capsys):
+        def explode():
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(EXPERIMENTS, "exploding", (explode, str))
+        assert main(["experiments", "exploding"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1 experiment shard(s) failed")
+        assert "(exploding, seed" in err and "RuntimeError: boom" in err
+        assert "Traceback" not in err
+
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

@@ -7,8 +7,9 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
 from benchmarks import trajectory
-from repro.experiments import fig11, harness
+from repro.experiments import fig11, harness, loaded_latency
 from repro.experiments.runner import EXPERIMENTS, normalize_names
+from repro.params import DEFAULT
 from repro.runtime import SweepConfig
 
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
@@ -111,12 +112,36 @@ class TestHarnessRun:
 
 
 class TestShardedMergeEquality:
+    SHARDS = {"fig5": 8, "fig11": 33, "fig12a": 36, "loaded_latency": 9}
+
+    def test_shard_plan_is_pinned(self):
+        """Task ids and args are run-directory keys: a plan that moves
+        breaks resuming an older run directory."""
+        tasks = harness.plan_tasks(list(EXPERIMENTS))
+        assert len(tasks) == 97
+        assert [task.index for task in tasks] == list(range(97))
+        for name in EXPERIMENTS:
+            mine = [task for task in tasks if task.args["name"] == name]
+            if name in self.SHARDS:
+                shards = range(self.SHARDS[name])
+                assert [t.task_id for t in mine] == [f"{name}[{i}]" for i in shards]
+                assert [t.args for t in mine] == [
+                    {"name": name, "shard": i} for i in shards
+                ]
+            else:
+                assert [t.task_id for t in mine] == [name]
+                assert [t.args for t in mine] == [{"name": name, "shard": None}]
+
+    @staticmethod
+    def cell_by_cell(module):
+        cells = module.cells()
+        return module.merge(cells, [module.run_cell(cell, DEFAULT) for cell in cells])
+
     def test_fig11_sharded_equals_serial(self):
-        spec = harness._sharded_experiments()["fig11"]
-        merged = spec.merge(
-            [spec.run_shard(index) for index in range(spec.shard_count())]
-        )
-        assert merged == fig11.run()
+        assert self.cell_by_cell(fig11) == fig11.run()
+
+    def test_loaded_latency_sharded_equals_serial(self):
+        assert self.cell_by_cell(loaded_latency) == loaded_latency.run()
 
 
 class TestDiff:

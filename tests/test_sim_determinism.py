@@ -13,6 +13,10 @@ never change which event fires when.  These tests pin that promise:
 * ``test_event_streams_byte_identical_across_seeds`` runs a seeded
   four-node incast cluster under trace and compares its stream digest
   against ``tests/data/golden_cluster_streams.json``.
+* ``test_sweep_result_matches_golden`` runs the other sharded sweeps
+  (``fig11``, ``fig12a``, ``loaded_latency``) through the harness and
+  compares the sha256 of each ``experiments[name]`` artifact entry
+  against ``tests/data/golden_sweep_results.json``.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
   through the harness and diffs its artifact against a baseline written
   by the pre-optimization kernel — metric-for-metric equality, not just
@@ -35,6 +39,8 @@ GOLDEN_PATH = DATA_DIR / "golden_event_order.json"
 CLUSTER_GOLDEN_PATH = DATA_DIR / "golden_cluster_streams.json"
 CLUSTER_SEEDS = (1, 11, 2019)
 FIG5_BASELINE_PATH = DATA_DIR / "fig5_baseline.json"
+SWEEP_GOLDEN_PATH = DATA_DIR / "golden_sweep_results.json"
+SWEEP_NAMES = ("fig11", "fig12a", "loaded_latency")
 
 
 def mixed_workload(sim: Simulator):
@@ -209,3 +215,35 @@ class TestFig5ArtifactEquality:
             current["experiments"]["fig5"]["metrics"]
             == baseline["experiments"]["fig5"]["metrics"]
         )
+
+
+def sweep_digests(names=SWEEP_NAMES):
+    """sha256 of each experiment's ``experiments[name]`` artifact entry
+    (canonical JSON: sorted keys, no whitespace), run inline through
+    the harness."""
+    from repro.experiments import harness
+    from repro.runtime import SweepConfig
+
+    entries = harness.run_experiments(list(names), config=SweepConfig()).to_artifact()[
+        "experiments"
+    ]
+    return {
+        name: hashlib.sha256(
+            json.dumps(entries[name], sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        for name in names
+    }
+
+
+class TestSweepResultDigests:
+    """The sharded sweeps' artifact entries, pinned by digest."""
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        return sweep_digests()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", SWEEP_NAMES)
+    def test_sweep_result_matches_golden(self, digests, name):
+        golden = json.loads(SWEEP_GOLDEN_PATH.read_text())["experiments"]
+        assert digests[name] == golden[name]
