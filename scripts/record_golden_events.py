@@ -5,7 +5,7 @@ pin the kernel's ``(time, seq, owner)`` execution order, and rewriting
 them silently would defeat the determinism tests in
 ``tests/test_sim_determinism.py``.
 
-Four artifacts are produced:
+Five artifacts are produced:
 
 * ``golden_event_order.json`` — the traced event stream of the mixed
   kernel workload, recorded through ``Simulator(trace=...)``.
@@ -14,6 +14,10 @@ Four artifacts are produced:
   summary, per seed.
 * ``golden_sweep_results.json`` — the sha256 of the ``fig11``,
   ``fig12a`` and ``loaded_latency`` experiment artifact entries.
+* ``golden_dram_stream.json`` — the sha256 and event count of the
+  traced memory-controller streams (a short fig5 cell and a refreshing
+  idle/busy/idle run), traced from simulator birth so the scheduler
+  process appears under its own name.
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few
   seconds; skip with ``--no-fig5`` when only the kernel golden moved).
 
@@ -89,6 +93,27 @@ def record_golden_sweep_results() -> pathlib.Path:
     return out
 
 
+def record_golden_dram_stream() -> pathlib.Path:
+    from tests.test_sim_determinism import DRAM_STREAMS
+
+    streams = {}
+    for name, stream_fn in sorted(DRAM_STREAMS.items()):
+        stream, fired = stream_fn()
+        streams[name] = {
+            "sha256": hashlib.sha256(stream).hexdigest(),
+            "events_fired": fired,
+        }
+    document = {
+        "schema": "netdimm-repro/golden-dram-stream",
+        "schema_version": 1,
+        "streams": streams,
+    }
+    out = DATA_DIR / "golden_dram_stream.json"
+    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(streams)} DRAM stream digests -> {out}")
+    return out
+
+
 def record_fig5_baseline() -> pathlib.Path:
     from repro.experiments import harness
 
@@ -112,6 +137,7 @@ def main(argv=None) -> int:
     record_golden_event_order()
     record_golden_cluster_streams()
     record_golden_sweep_results()
+    record_golden_dram_stream()
     if not args.no_fig5:
         record_fig5_baseline()
     return 0
