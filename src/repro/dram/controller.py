@@ -12,11 +12,21 @@ overlap their ACT/PRE latencies and the channel can sustain its full
 data-bus bandwidth under row-hit streams.  This matters for the Fig. 5
 reproduction, where an MLC-style injector drives the channel to
 saturation.
+
+Each channel runs one scheduler process for its whole life.  It is
+spawned on the first access; when both queues drain it parks on a wake
+future instead of exiting, and the next access completes that future.
+The wake is one ring entry for the scheduler's step, queued in the same
+``seq`` slot and under the same owner label as the ``spawn`` a
+run-to-exit scheduler would need there, so the executed event stream is
+the same either way (``tests/data/golden_dram_stream.json`` pins it).
+One-cacheline requests — nearly all of an MLC injector's traffic — skip
+the same-row run split and the batched bank timing call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from heapq import heappush
 from typing import List, Optional
 
 from repro.dram.bank import Bank
@@ -26,25 +36,40 @@ from repro.sim import Component, Future, Simulator
 from repro.units import CACHELINE, PAGE
 
 
-@dataclass
 class MemRequest:
     """One memory request, possibly spanning multiple cachelines."""
 
-    address: int
-    is_write: bool
-    size_bytes: int = CACHELINE
-    priority: int = 0
-    arrival: int = 0
-    completion: Optional[Future] = None
-    issue_started: bool = dataclass_field(default=False, repr=False)
-    runs: Optional[list] = dataclass_field(default=None, repr=False)
-    """``(bank, global_row, line_count)`` per same-row run, precomputed
-    once at :meth:`MemoryController.access`."""
+    __slots__ = (
+        "address",
+        "is_write",
+        "size_bytes",
+        "priority",
+        "arrival",
+        "completion",
+        "num_lines",
+        "runs",
+    )
 
-    @property
-    def num_lines(self) -> int:
+    def __init__(
+        self,
+        address: int,
+        is_write: bool,
+        size_bytes: int = CACHELINE,
+        priority: int = 0,
+        arrival: int = 0,
+        completion: Optional[Future] = None,
+    ):
+        self.address = address
+        self.is_write = is_write
+        self.size_bytes = size_bytes
+        self.priority = priority
+        self.arrival = arrival
+        self.completion = completion
+        self.num_lines = max(1, -(-size_bytes // CACHELINE))
         """Cachelines touched (requests are line-aligned in this model)."""
-        return max(1, -(-self.size_bytes // CACHELINE))
+        self.runs: Optional[list] = None
+        """``(bank, global_row, line_count)`` per same-row run, precomputed
+        once at :meth:`MemoryController.access`."""
 
     def line_addresses(self) -> List[int]:
         """The line-aligned addresses this request touches."""
@@ -98,6 +123,9 @@ class MemoryController(Component):
         self._write_queue: List[MemRequest] = []
         self._bus_free = 0
         self._scheduler_running = False
+        self._wake: Optional[Future] = None
+        """The future the parked scheduler waits on; None while it runs."""
+        self._counters = self.stats.counters
         self._busy_until = 0
         self._hit_streak = 0
         # Requests carry precomputed (bank, row, count) runs, so the
@@ -135,23 +163,29 @@ class MemoryController(Component):
         """
         sim = self.sim
         pool = sim._future_pool
-        request = MemRequest(
-            address=address,
-            is_write=is_write,
-            size_bytes=size_bytes,
-            priority=priority,
-            arrival=sim._now,
-            completion=pool.pop() if pool else Future(sim),
-        )
-        request.runs = self._request_runs(request)
-        queue = self._write_queue if is_write else self._read_queue
-        queue.append(request)
-        self.stats.count("writes" if is_write else "reads")
-        self.stats.sample(
-            "write_queue_depth" if is_write else "read_queue_depth", len(queue)
-        )
-        self._ensure_scheduler()
-        return request.completion
+        completion = pool.pop() if pool else Future(sim)
+        request = MemRequest(address, is_write, size_bytes, priority, sim._now, completion)
+        if size_bytes <= CACHELINE:
+            coords = self._coords_cache.get(address >> PAGE_OFFSET_BITS)
+            if coords is None:
+                coords = self._coords(address)
+            request.runs = [(coords[0], coords[1], 1)]
+        else:
+            request.runs = self._request_runs(request)
+        counters = self._counters
+        if is_write:
+            queue = self._write_queue
+            queue.append(request)
+            counters["writes"] = counters.get("writes", 0) + 1
+            self.stats.sample("write_queue_depth", len(queue))
+        else:
+            queue = self._read_queue
+            queue.append(request)
+            counters["reads"] = counters.get("reads", 0) + 1
+            self.stats.sample("read_queue_depth", len(queue))
+        if not self._scheduler_running:
+            self._ensure_scheduler()
+        return completion
 
     def read(self, address: int, size_bytes: int = CACHELINE, priority: int = 0) -> Future:
         """Convenience wrapper for a read access."""
@@ -217,17 +251,44 @@ class MemoryController(Component):
     # -- scheduling ------------------------------------------------------------
 
     def _ensure_scheduler(self) -> None:
-        if not self._scheduler_running:
-            self._scheduler_running = True
+        """Start the idle scheduler: spawn it on first use, wake it after.
+
+        Called only while ``_scheduler_running`` is False, which after
+        the first spawn means the scheduler is parked on ``_wake``.
+        Either way exactly one ring entry for the scheduler's step is
+        queued, with the next ``seq``.  The controller drops its
+        reference to the wake future before completing it, so once the
+        scheduler resumes nothing holds the future and
+        ``Process._step`` returns it to the simulator's pool.
+        """
+        self._scheduler_running = True
+        wake = self._wake
+        if wake is None:
             sim = self.sim
             sim.spawn(self._scheduler(), name=f"{self.name}.sched" if sim.named else "")
+        else:
+            self._wake = None
+            wake.set_result(None)
 
     def _scheduler(self):
-        while self._read_queue or self._write_queue:
-            request = self._pick()
-            yield self.timing.tCMD  # command-bus occupancy per scheduled request
-            self._issue(request)
-        self._scheduler_running = False
+        sim = self.sim
+        read_queue = self._read_queue
+        write_queue = self._write_queue
+        pick = self._pick
+        issue = self._issue
+        tCMD = self.timing.tCMD
+        while True:
+            while read_queue or write_queue:
+                request = pick()
+                yield tCMD  # command-bus occupancy per scheduled request
+                issue(request)
+            # Park.  The wake future is reached only through
+            # ``self._wake`` (never a local), so it is recyclable as soon
+            # as the resumed step has consumed it.
+            self._scheduler_running = False
+            pool = sim._future_pool
+            self._wake = pool.pop() if pool else Future(sim)
+            yield self._wake
 
     def _pick(self) -> MemRequest:
         """FR-FCFS: prefer row hits, then lowest priority value, then oldest.
@@ -270,28 +331,43 @@ class MemoryController(Component):
 
     def _issue(self, request: MemRequest) -> None:
         """Walk the request's lines through bank timing and the data bus."""
-        now = self.now
-        finish = now
+        sim = self.sim
+        now = sim._now
         tBURST = self.timing.tBURST
-        # One access_ready_batch call per same-row run, bus occupancy
-        # folded in with plain arithmetic, one counter update per
-        # request.  Each line still lands on the data bus at
-        # max(data ready, previous line's transfer end + tBURST).
+        # Each line lands on the data bus at max(data ready, previous
+        # line's transfer end + tBURST), with bus occupancy folded in as
+        # plain arithmetic.  A one-line request takes a single bank
+        # timing call; longer ones take one access_ready_batch call per
+        # same-row run.
         bus_free = self._bus_free
         is_write = request.is_write
-        num_lines = 0
-        for bank, row, count in request.runs:
-            for data_time in bank.access_ready_batch(now, row, is_write, count):
-                transfer_end = bus_free + tBURST
-                if data_time > transfer_end:
-                    transfer_end = data_time
-                bus_free = transfer_end
-            num_lines += count
-        self._bus_free = bus_free
-        if transfer_end > finish:
-            finish = transfer_end
-        self.stats.count("bus_busy_ticks", tBURST * num_lines)
+        num_lines = request.num_lines
+        if num_lines == 1:
+            bank, row, _count = request.runs[0]
+            transfer_end = bus_free + tBURST
+            data_time = bank.access_ready_time(now, row, is_write)
+            if data_time > transfer_end:
+                transfer_end = data_time
+        else:
+            for bank, row, count in request.runs:
+                for data_time in bank.access_ready_batch(now, row, is_write, count):
+                    transfer_end = bus_free + tBURST
+                    if data_time > transfer_end:
+                        transfer_end = data_time
+                    bus_free = transfer_end
+        self._bus_free = transfer_end
+        finish = transfer_end if transfer_end > now else now
+        counters = self._counters
+        counters["bus_busy_ticks"] = counters.get("bus_busy_ticks", 0) + tBURST * num_lines
         self.stats.sample("request_latency_ns", (finish - request.arrival) / 1000)
-        self.stats.count("lines_transferred", request.num_lines)
-        self._busy_until = max(self._busy_until, finish)
-        self.sim.schedule_at(finish, request.completion.set_result, finish)
+        counters["lines_transferred"] = counters.get("lines_transferred", 0) + num_lines
+        if finish > self._busy_until:
+            self._busy_until = finish
+        # Inlined sim.schedule_at(finish, completion.set_result, finish).
+        seq = sim._seq + 1
+        sim._seq = seq
+        set_result = request.completion.set_result
+        if finish == now:
+            sim._ring_append((seq, set_result, (finish,)))
+        else:
+            heappush(sim._queue, (finish, seq, set_result, (finish,)))

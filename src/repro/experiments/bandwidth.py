@@ -14,6 +14,7 @@ for all three.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -74,7 +75,7 @@ def _stream(config: str, params: SystemParams, packets: int) -> float:
     def pump():
         # Window-limited pipelining: keep several packets in flight so
         # driver, device, and wire stages overlap.
-        inflight = []
+        inflight = deque()
         sent = 0
         while sent < packets or inflight:
             while sent < packets and len(inflight) < PIPELINE_DEPTH:
@@ -88,8 +89,7 @@ def _stream(config: str, params: SystemParams, packets: int) -> float:
 
                 inflight.append(sim.spawn(one()).done)
                 sent += 1
-            head = inflight.pop(0)
-            yield head
+            yield inflight.popleft()
 
     process = sim.spawn(pump(), name="pump")
     start = sim.now
@@ -113,7 +113,7 @@ def _stream_rx(config: str, params: SystemParams, packets: int) -> float:
     delivered = {"bytes": 0, "last": 0}
 
     def pump():
-        inflight = []
+        inflight = deque()
         for index in range(packets):
             packet = Packet(size_bytes=mtu)
 
@@ -124,7 +124,7 @@ def _stream_rx(config: str, params: SystemParams, packets: int) -> float:
 
             inflight.append(sim.spawn(one()).done)
             if len(inflight) > PIPELINE_DEPTH:
-                yield inflight.pop(0)
+                yield inflight.popleft()
             yield interarrival
         for pending in inflight:
             yield pending

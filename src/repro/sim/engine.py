@@ -677,8 +677,7 @@ class Simulator:
         """Start a process; its first step runs at the current tick."""
         process = Process(self, body, name)
         # Inlined schedule(0, ...): spawn is hot enough in the model
-        # layers (a process per DRAM request / packet hop) for the call
-        # to show up.
+        # layers (a process per packet hop) for the call to show up.
         seq = self._seq + 1
         self._seq = seq
         self._ring_append((seq, process._step_bound, ()))

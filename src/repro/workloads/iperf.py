@@ -18,7 +18,7 @@ bits over elapsed time.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
 
 from repro.dram.controller import MemoryController
 from repro.sim import Component, Future, Simulator
@@ -67,7 +67,7 @@ class IperfModel(Component):
         remaining = packet_count
         inflight = 0
         wire_free = start
-        completions = []
+        completions = deque()
 
         def packet_pipeline(buffer: int):
             # NIC DMA write of the payload into the DMA buffer.
@@ -96,8 +96,7 @@ class IperfModel(Component):
                 )
                 completions.append(process.done)
             # Wait for the oldest in-flight packet to finish.
-            oldest = completions.pop(0)
-            yield oldest
+            yield completions.popleft()
             inflight -= 1
 
         elapsed = self.sim.now - start

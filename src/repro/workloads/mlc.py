@@ -13,6 +13,7 @@ ticks between requests.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Optional
 
 from repro.dram.controller import MemoryController
@@ -63,7 +64,7 @@ class MLCInjector(Component):
     def _thread_body(self, thread: int):
         rng = random.Random(self._rng.random())
         lines = self.footprint_bytes // CACHELINE
-        inflight = []
+        inflight = deque()
         while not self._stop:
             # Random line within the footprint: page-strided so requests
             # spread over banks like MLC's buffer walk.
@@ -74,7 +75,7 @@ class MLCInjector(Component):
             self.stats.count("requests")
             inflight.append(request)
             if len(inflight) >= self.outstanding:
-                yield inflight.pop(0)
+                yield inflight.popleft()
             if self.delay:
                 yield self.delay
 

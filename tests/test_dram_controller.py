@@ -4,7 +4,7 @@ import pytest
 
 from repro.dram.controller import MemoryController, MemRequest
 from repro.params import ddr4_2400, ddr5_4800
-from repro.sim import Simulator
+from repro.sim import Simulator, SimulationError
 from repro.units import CACHELINE, to_ns
 
 
@@ -31,6 +31,13 @@ class TestMemRequest:
         request = MemRequest(address=0, is_write=False, size_bytes=256)
         addresses = request.line_addresses()
         assert addresses == [0, 64, 128, 192]
+
+    @pytest.mark.parametrize(
+        "size_bytes, lines", [(0, 1), (1, 1), (64, 1), (65, 2), (1514, 24)]
+    )
+    def test_num_lines(self, size_bytes, lines):
+        request = MemRequest(address=0, is_write=False, size_bytes=size_bytes)
+        assert request.num_lines == lines
 
 
 class TestLatency:
@@ -165,3 +172,55 @@ class TestScheduling:
         assert mc.queued_requests == 2
         sim.run()
         assert mc.queued_requests == 0
+
+
+class TestSchedulerLifecycle:
+    """One scheduler process per channel: spawned once, parked when idle."""
+
+    @staticmethod
+    def _count_spawns(sim):
+        spawned = []
+        spawn = sim.spawn
+
+        def counting_spawn(body, name=""):
+            process = spawn(body, name)
+            spawned.append(process)
+            return process
+
+        sim.spawn = counting_spawn
+        return spawned
+
+    def test_one_scheduler_process_across_busy_periods(self, sim, mc):
+        spawned = self._count_spawns(sim)
+        sim.run_until(sim.all_of([mc.read(i * 257 * CACHELINE) for i in range(8)]))
+        sim.run(until=sim.now + 1_000_000)
+        writes = [mc.write(0x100000 + i * CACHELINE, size_bytes=256) for i in range(8)]
+        sim.run_until(sim.all_of(writes))
+        sim.run()
+        assert len(spawned) == 1
+        assert not spawned[0].done.done  # parked, not exited
+
+    def test_no_events_pending_after_queues_drain(self, sim, mc):
+        mc.read(0)
+        mc.write(64)
+        mc.read(0x1000, size_bytes=1514)
+        sim.run()
+        assert mc.queued_requests == 0
+        assert sim.pending_events == 0
+
+    def test_parked_scheduler_does_not_keep_run_until_alive(self, sim, mc):
+        mc.read(0)
+        with pytest.raises(SimulationError, match="event queue drained"):
+            sim.run_until(sim.future())
+
+    def test_wake_future_returns_to_pool(self, sim, mc):
+        sim.run_until(mc.read(0))
+        sim.run()
+        wake_id = id(mc._wake)
+        assert mc._wake is not None
+        mc.read(64)
+        assert mc._wake is None
+        # One event: the scheduler resumes and recycles the wake future
+        # before it parks again on a fresh one.
+        sim.run(max_events=1)
+        assert wake_id in [id(future) for future in sim._future_pool]
