@@ -32,10 +32,12 @@ Three replay modes share the result type and the sweep cells:
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.experiments.oneway import measure_one_way
+from repro.experiments.oneway import cached_one_way
 from repro.net.topology import ClosTopology, Locality
 from repro.params import DEFAULT, SystemParams
 from repro.scenario.builder import build_scenario
@@ -186,53 +188,62 @@ def cells(
     return points
 
 
-def run_cell(
-    cell: Fig12aCell,
-    params: SystemParams,
-    memo: Optional[Dict[Tuple, Any]] = None,
-) -> float:
+def run_cell(cell: Fig12aCell, params: SystemParams) -> float:
     """Mean per-packet latency (ticks) of one replayed trace.
 
-    ``memo`` lets the cells of one serial run share generated traces
-    and host-side latencies, which depend on neither the switch
-    latency nor the cell order.
+    The analytical replay reads two per-process caches, so the cells a
+    process runs — serially or as shards on one worker — share them:
+    the trace's (size, locality) mix and the host-side latency per
+    (config, size bucket, params).  Neither depends on the switch
+    latency or on the cell order.
     """
     if cell.replay is not None:
         scenario = build_scenario(cell.replay, base_params=params)
         scenario.run()
         total = sum(d.latency_ticks for d in scenario.delivered)
         return total / len(scenario.delivered)
-    if memo is None:
-        memo = {}
-    trace_key = (cell.cluster, cell.seed, cell.packets)
-    if trace_key not in memo:
-        memo[trace_key] = TraceGenerator(cell.cluster, seed=cell.seed).generate(
-            cell.packets
-        )
-    trace = memo[trace_key]
+    mix = _trace_mix(cell.cluster, cell.seed, cell.packets)
+    # Host-side latency per size bucket, measured from the detailed node
+    # models; the fabric substitutes for the wire.  One cache lookup per
+    # bucket: hashing ``params`` is not free.
+    host = {
+        bucket: cached_one_way(cell.config, bucket, params).host_ticks()
+        for bucket in {_size_bucket(size) for (size, _loc), _count in mix}
+    }
     fabric = ClosTopology(
         params=params.with_switch_latency(ns(cell.switch_ns)).network
     )
-    total = 0
-    for packet in trace:
-        # Host-side latency per (config, size bucket): measured from the
-        # detailed node models; the fabric substitutes for the wire.
-        host_key = (cell.config, _size_bucket(packet.size_bytes))
-        if host_key not in memo:
-            memo[host_key] = measure_one_way(*host_key, params).host_ticks()
-        # End-host MAC/PHY + first-link serialization (the "wire"
-        # pieces the fabric path model does not include).
-        endhost_wire = (
-            2 * params.network.mac_phy_latency
-            + fabric.params.propagation
-            + _serialization(packet.size_bytes, params)
-        )
-        total += (
-            memo[host_key]
+    # End-host MAC/PHY + first-link propagation (with the serialization
+    # below, the "wire" pieces the fabric path model does not include).
+    endhost_wire = 2 * params.network.mac_phy_latency + fabric.params.propagation
+    # Every term is an integer tick count, so summing per distinct
+    # (size, locality) pair gives the per-packet total exactly.
+    total = sum(
+        count
+        * (
+            host[_size_bucket(size)]
             + endhost_wire
-            + fabric.path_latency(packet.size_bytes, packet.locality)
+            + _serialization(size, params)
+            + fabric.path_latency(size, locality)
         )
-    return total / len(trace)
+        for (size, locality), count in mix
+    )
+    return total / cell.packets
+
+
+@functools.lru_cache(maxsize=16)
+def _trace_mix(
+    cluster: ClusterKind, seed: int, packets: int
+) -> Tuple[Tuple[Tuple[int, Locality], int], ...]:
+    """((size, locality), packet count) pairs of one seeded trace."""
+    trace = TraceGenerator(cluster, seed=seed).generate(packets)
+    return tuple(Counter((p.size_bytes, p.locality) for p in trace).items())
+
+
+def clear_caches() -> None:
+    """Drop the per-process trace and host-side caches (for cold timings)."""
+    _trace_mix.cache_clear()
+    cached_one_way.cache_clear()
 
 
 def merge(cells: Sequence[Fig12aCell], payloads: Sequence[float]) -> Fig12aResult:
@@ -263,10 +274,9 @@ def run(
 def _replay(
     params: Optional[SystemParams], points: List[Fig12aCell]
 ) -> Fig12aResult:
-    """Run every cell serially, sharing one memo, and merge."""
+    """Run every cell serially and merge."""
     params = params or DEFAULT
-    memo: Dict[Tuple, Any] = {}
-    return merge(points, [run_cell(cell, params, memo) for cell in points])
+    return merge(points, [run_cell(cell, params) for cell in points])
 
 
 def run_fabric(

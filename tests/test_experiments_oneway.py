@@ -1,10 +1,14 @@
 """The shared one-way measurement machinery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.oneway import NIC_KINDS, cached_one_way, make_node, measure_one_way
 from repro.net.packet import FIG11_SEGMENTS
+from repro.params import DEFAULT
 from repro.sim import Simulator
+from repro.units import ns
 
 
 class TestMakeNode:
@@ -54,6 +58,22 @@ class TestMeasureOneWay:
             assert totals == sorted(totals)
 
     def test_cached_measurement_consistent(self):
+        cached_one_way.cache_clear()
         direct = measure_one_way("inic", 320)
-        cached = cached_one_way("inic", 320)
-        assert cached.total_ticks == direct.total_ticks
+        cached = cached_one_way("inic", 320, DEFAULT)
+        assert cached == direct
+        assert cached_one_way("inic", 320, DEFAULT) is cached
+        assert cached_one_way.cache_info().misses == 1
+
+    def test_cached_measurement_keyed_on_params(self):
+        cached_one_way.cache_clear()
+        default = cached_one_way("inic", 320, DEFAULT)
+        # The switch latency leaves the host side alone, but a different
+        # params object is a different entry, never a stale hit.
+        switched = cached_one_way("inic", 320, DEFAULT.with_switch_latency(ns(25)))
+        assert cached_one_way.cache_info().misses == 2
+        assert switched.host_ticks() == default.host_ticks()
+        slow = replace(DEFAULT, software=replace(DEFAULT.software, copy_base=ns(360)))
+        cached = cached_one_way("inic", 320, slow)
+        assert cached == measure_one_way("inic", 320, slow)
+        assert cached.host_ticks() > default.host_ticks()

@@ -7,7 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
 from benchmarks import trajectory
-from repro.experiments import fig11, harness, loaded_latency
+from repro.experiments import fig11, fig12a, harness, loaded_latency, oneway
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime import SweepConfig
@@ -142,6 +142,35 @@ class TestShardedMergeEquality:
 
     def test_loaded_latency_sharded_equals_serial(self):
         assert self.cell_by_cell(loaded_latency) == loaded_latency.run()
+
+    def test_fig12a_cold_sharded_equals_serial(self):
+        fig12a.clear_caches()
+        assert self.cell_by_cell(fig12a) == fig12a.run()
+
+    def test_fig12a_warm_cells_are_order_independent(self):
+        """A worker's shards share its caches: the payloads must not
+        depend on which cells it ran before."""
+        cells = fig12a.cells()
+        fig12a.clear_caches()
+        cold = [fig12a.run_cell(cell, DEFAULT) for cell in cells]
+        warm = [fig12a.run_cell(cell, DEFAULT) for cell in reversed(cells)]
+        assert warm[::-1] == cold
+
+    def test_fig12a_measures_each_host_point_once_per_process(self, monkeypatch):
+        calls = []
+        measure = oneway.measure_one_way
+
+        def counting(nic_kind, size_bytes, params):
+            calls.append((nic_kind, size_bytes))
+            return measure(nic_kind, size_bytes, params)
+
+        monkeypatch.setattr(oneway, "measure_one_way", counting)
+        fig12a.clear_caches()
+        for cell in fig12a.cells():
+            fig12a.run_cell(cell, DEFAULT)
+        # 3 configs x 24 size buckets, each measured once.
+        assert len(calls) <= 72
+        assert len(set(calls)) == len(calls)
 
 
 class TestDiff:
