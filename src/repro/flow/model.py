@@ -17,7 +17,7 @@ edge), plus the queueing delay each loaded link adds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 from repro.net.topology import INTER_DC_WAN_PROPAGATION
 from repro.params import NetworkParams
@@ -116,12 +116,13 @@ class FlowModel:
     def __init__(
         self,
         params: NetworkParams,
-        tiers: Dict[str, str],
+        wan_links: AbstractSet[LinkKey],
         load: FlowLoadMap,
     ):
         self.params = params
-        self.tiers = tiers
-        """Topology node name → tier (``host``/``tor``/.../``edge``)."""
+        self.wan_links = wan_links
+        """The inter-DC links that add the WAN propagation
+        (:attr:`repro.net.topology.ClosTopology.wan_links`)."""
 
         self.load = load
         self._serialization_cache: Dict[int, int] = {}
@@ -150,7 +151,7 @@ class FlowModel:
         params = self.params
         load = self.load
         serialization = self.serialization(size_bytes)
-        tiers = self.tiers
+        wan_links = self.wan_links
         total = 2 * params.mac_phy_latency
         # Host uplink onto the first switch.
         total += (
@@ -165,6 +166,6 @@ class FlowModel:
                 + params.propagation
                 + load.queue_wait((node, next_hop), serialization)
             )
-            if tiers[node] == "edge" and tiers.get(next_hop) == "edge":
+            if (node, next_hop) in wan_links:
                 total += INTER_DC_WAN_PROPAGATION
         return total

@@ -184,12 +184,7 @@ class FlowSource(Component):
         self.on_window_done = on_window_done
         self.load: FlowLoadMap = fabric.enable_flow_coupling()
         self.model = FlowModel(
-            fabric.params,
-            {
-                node: data["tier"]
-                for node, data in fabric.topology.graph.nodes(data=True)
-            },
-            self.load,
+            fabric.params, fabric.topology.wan_links, self.load
         )
         # Per-group accumulators, filled at window deactivation.
         self._offered_packets = 0

@@ -10,8 +10,7 @@
   with traffic-locality path resolution used by the Fig. 12(a) trace
   replay.  Its ECMP route table comes from one breadth-first search per
   source ToR over the switch layer, spliced with the host endpoints and
-  cached per topology; networkx only holds the graph for structural
-  checks.
+  cached per topology; the fabric's structure is plain dicts and sets.
 * :mod:`repro.net.fabric` — event-driven fabric instantiation: packets
   live-traverse one switch instance per topology node (the scenario
   layer's transport).

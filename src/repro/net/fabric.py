@@ -120,7 +120,6 @@ class ClosFabric(Component):
         self.queue_depth = queue_depth
         self.drop_mode = drop_mode
         self.injector = injector
-        graph = self.topology.graph
         self.switches: Dict[str, Switch] = {
             node: Switch(
                 sim,
@@ -129,15 +128,14 @@ class ClosFabric(Component):
                 queue_depth=queue_depth,
                 drop_mode=drop_mode,
             )
-            for node, data in sorted(graph.nodes(data=True))
-            if data["tier"] != "host"
+            for node in self.topology.switches()
         }
         # Each host's uplink to its ToR serializes that host's departures.
         self._uplinks: Dict[str, Resource] = {}
         # (src, dst, path index) -> precomputed per-hop transit plan:
         # the first-link label plus (switch, next_hop, wan?, label) per
-        # switch hop, so transit never re-reads graph node attributes
-        # or rebuilds link labels per packet.
+        # switch hop, so transit never re-tests WAN links or rebuilds
+        # link labels per packet.
         self._hop_plans: Dict[Tuple[str, str, int], tuple] = {}
         self._serialization_cache: Dict[int, int] = {}
         # Hybrid-fidelity coupling (repro.flow): set by
@@ -218,7 +216,8 @@ class ClosFabric(Component):
         ``first_hop`` is the ToR the host uplink lands on (the flow-load
         key of the uplink); ``hops`` is ``(switch, next_hop, wan_extra,
         link_label)`` per switch on the path, with the inter-DC WAN test
-        (both endpoints edge-tier) resolved once instead of per packet.
+        (is the hop in ``topology.wan_links``?) resolved once instead of
+        per packet.
         """
         paths = self.route_paths(src, dst)
         index = flow_id % len(paths)
@@ -226,18 +225,12 @@ class ClosFabric(Component):
         plan = self._hop_plans.get(key)
         if plan is None:
             path = paths[index]
-            tiers = self.topology.graph.nodes
-            hops = []
-            for node, next_hop in zip(path[1:-1], path[2:]):
-                wan_extra = (
-                    tiers[node]["tier"] == "edge"
-                    and next_hop in self.switches
-                    and tiers[next_hop]["tier"] == "edge"
-                )
-                hops.append(
-                    (self.switches[node], next_hop, wan_extra, f"{node}->{next_hop}")
-                )
-            plan = (f"{src}->{path[1]}", path[1], tuple(hops))
+            wan_links = self.topology.wan_links
+            hops = tuple(
+                (self.switches[node], hop, (node, hop) in wan_links, f"{node}->{hop}")
+                for node, hop in zip(path[1:-1], path[2:])
+            )
+            plan = (f"{src}->{path[1]}", path[1], hops)
             self._hop_plans[key] = plan
         return plan
 

@@ -27,18 +27,17 @@ switches for a 1024-host fabric).  :meth:`ClosTopology.ecmp_paths` runs
 one breadth-first search per source ToR over that layer, lazily,
 enumerates the equal-cost switch paths level by level back from the
 destination ToR, splices the host endpoints on and caches the sorted
-list per host pair on the topology instance.  networkx only holds the
-graph, for structural checks (connectivity, tiers); the latency math
-uses the per-hop switch model.
+list per host pair on the topology instance.  The fabric's structure
+lives in three plain structures built once: the host → ToR map, the
+switch layer's adjacency, and the set of inter-DC WAN links; the
+latency math uses the per-hop switch model.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.params import NetworkParams
 from repro.units import ns, transfer_time
@@ -87,21 +86,16 @@ class ClosTopology:
     ):
         self.config = config or ClosConfig()
         self.params = params or NetworkParams()
-        self.graph = nx.Graph()
-        # host -> its ToR; the graph is fixed once built.
+        # host -> its ToR.
         self._tor_of: Dict[str, str] = {}
+        # switch -> its switch peers in construction order (host leaves
+        # left out), which is all the ECMP route table searches.
+        self._switch_adjacency: Dict[str, List[str]] = {}
+        self.wan_links: Set[Tuple[str, str]] = set()
+        """Both directions of every inter-DC edge-to-edge link: the
+        metro-fiber hops that add :data:`INTER_DC_WAN_PROPAGATION`."""
+
         self._build()
-        # The switch layer's adjacency (host leaves left out), which is
-        # all the ECMP route table searches.
-        self._switch_adjacency: Dict[str, List[str]] = {
-            node: [
-                peer
-                for peer in self.graph.adj[node]
-                if self.graph.nodes[peer]["tier"] != "host"
-            ]
-            for node, tier in self.graph.nodes(data="tier")
-            if tier != "host"
-        }
         # source ToR -> {switch: its BFS depth from that ToR}.
         self._depths: Dict[str, Dict[str, int]] = {}
         # (src, dst) host pair -> all equal-cost shortest paths, sorted.
@@ -111,39 +105,47 @@ class ClosTopology:
 
     def _build(self) -> None:
         config = self.config
+        adjacency = self._switch_adjacency
+
+        def link(a: str, b: str) -> None:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+
         for dc in range(config.datacenters):
             edge = f"dc{dc}/edge"
-            self.graph.add_node(edge, tier="edge")
+            adjacency[edge] = []
             for spine in range(config.spines):
                 spine_name = f"dc{dc}/spine{spine}"
-                self.graph.add_node(spine_name, tier="spine")
-                self.graph.add_edge(spine_name, edge)
+                adjacency[spine_name] = []
+                link(spine_name, edge)
             for cluster in range(config.clusters):
                 for fabric in range(config.fabric_per_cluster):
                     fabric_name = f"dc{dc}/c{cluster}/fab{fabric}"
-                    self.graph.add_node(fabric_name, tier="fabric")
+                    adjacency[fabric_name] = []
                     for spine in range(config.spines):
-                        self.graph.add_edge(fabric_name, f"dc{dc}/spine{spine}")
+                        link(fabric_name, f"dc{dc}/spine{spine}")
                 for rack in range(config.racks_per_cluster):
                     tor = f"dc{dc}/c{cluster}/r{rack}/tor"
-                    self.graph.add_node(tor, tier="tor")
+                    adjacency[tor] = []
                     for fabric in range(config.fabric_per_cluster):
-                        self.graph.add_edge(tor, f"dc{dc}/c{cluster}/fab{fabric}")
+                        link(tor, f"dc{dc}/c{cluster}/fab{fabric}")
                     for host in range(config.hosts_per_rack):
-                        host_name = f"dc{dc}/c{cluster}/r{rack}/h{host}"
-                        self.graph.add_node(host_name, tier="host")
-                        self.graph.add_edge(host_name, tor)
-                        self._tor_of[host_name] = tor
-        # Inter-DC connectivity through the edge routers.
+                        self._tor_of[f"dc{dc}/c{cluster}/r{rack}/h{host}"] = tor
+        # Inter-DC connectivity: the edge routers chain over the WAN.
         edges = [f"dc{dc}/edge" for dc in range(config.datacenters)]
         for a, b in zip(edges, edges[1:]):
-            self.graph.add_edge(a, b)
+            link(a, b)
+            self.wan_links.update(((a, b), (b, a)))
 
     # -- structural queries ---------------------------------------------------
 
     def hosts(self) -> List[str]:
-        """All host node names."""
+        """All host node names, sorted."""
         return sorted(self._tor_of)
+
+    def switches(self) -> List[str]:
+        """All switch and router node names, sorted."""
+        return sorted(self._switch_adjacency)
 
     def switch_count(self, src: str, dst: str) -> int:
         """Number of switch/router hops on the shortest path."""
@@ -156,8 +158,8 @@ class ClosTopology:
         """All equal-cost shortest paths between two hosts, sorted.
 
         Equal, element for element, to the sorted list of every shortest
-        path between them in :attr:`graph`, but computed on the switch
-        layer and cached per host pair.  The returned lists are shared: read, never mutate.
+        path between them in the full host graph, but computed on the
+        switch layer and cached per host pair.  The returned lists are shared: read, never mutate.
         """
         paths = self._routes.get((src, dst))
         if paths is None:

@@ -337,11 +337,13 @@ class Scenario:
             injector=self.injector,
         )
         placement: Dict[str, str] = {}
+        hosts = fabric.host_names()
+        known = set(hosts)
         bound = {n.host for n in spec.nodes if n.host}
-        available = (host for host in fabric.host_names() if host not in bound)
+        available = (host for host in hosts if host not in bound)
         for node_spec in spec.nodes:
             if node_spec.host is not None:
-                if node_spec.host not in fabric.topology.graph:
+                if node_spec.host not in known:
                     raise ValueError(
                         f"node {node_spec.name!r} binds to unknown host "
                         f"{node_spec.host!r}"

@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import pytest
 
+import repro
 from repro.params import SystemParams
 from repro.sim import Simulator
 
@@ -22,3 +25,14 @@ def run_process(sim: Simulator, body, max_events: int = 1_000_000):
     """Spawn a process and run the simulator until it finishes."""
     process = sim.spawn(body)
     return sim.run_until(process.done, max_events=max_events)
+
+
+def worker_env() -> dict:
+    """A subprocess env that can import repro the way this test run did."""
+    env = dict(os.environ)
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    parts = [src_root] + [
+        p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+    return env

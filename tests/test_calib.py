@@ -18,7 +18,6 @@ The contracts under test:
 """
 
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -26,7 +25,6 @@ import time
 
 import pytest
 
-import repro
 from repro import api
 from repro.analysis.targets import PAPER_TARGETS, aggregate_loss
 from repro.calib import (
@@ -51,6 +49,7 @@ from repro.params import (
 from repro.runtime.backends import SweepConfig
 from repro.runtime.seeds import derive
 from repro.runtime.tasks import ShardFailure, Task, execute
+from tests.conftest import worker_env
 
 SMOKE_SPACE = SearchSpace(
     axes=(
@@ -60,16 +59,6 @@ SMOKE_SPACE = SearchSpace(
 )
 
 ONE_TARGET = ["fig11.netdimm_total_us.64B"]
-
-
-def _worker_env():
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    parts = [src_root] + [
-        p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    return env
 
 
 class TestSeedsAndIdentity:
@@ -369,14 +358,14 @@ class TestCLIAndResume:
         subprocess.run(
             common + ["--out", str(tmp_path / "serial")],
             check=True,
-            env=_worker_env(),
+            env=worker_env(),
             stdout=subprocess.DEVNULL,
         )
         subprocess.run(
             common
             + ["--backend", "pool", "--jobs", "2", "--out", str(tmp_path / "pool")],
             check=True,
-            env=_worker_env(),
+            env=worker_env(),
             stdout=subprocess.DEVNULL,
         )
         serial = (tmp_path / "serial" / "calibrated-params.json").read_bytes()
@@ -420,7 +409,7 @@ class TestCLIAndResume:
             command,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            env=_worker_env(),
+            env=worker_env(),
         )
         time.sleep(1.0)  # let it finish some rounds, then die mid-search
         victim.send_signal(signal.SIGKILL)
@@ -429,7 +418,7 @@ class TestCLIAndResume:
         subprocess.run(
             command + ["--out", str(tmp_path / "resumed")],
             check=True,
-            env=_worker_env(),
+            env=worker_env(),
             stdout=subprocess.DEVNULL,
         )
         assert (tmp_path / "resumed" / "calibrated-params.json").read_bytes() == (

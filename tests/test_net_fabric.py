@@ -2,15 +2,71 @@
 
 import itertools
 import random
+import subprocess
+import sys
+import textwrap
 
 import networkx as nx
 import pytest
 
-from repro.net import ClosFabric, ClosTopology, EthernetWire, Locality, Switch
-from repro.net.topology import ClosConfig, SWITCH_HOPS
+from repro.flow.model import FlowLoadMap, FlowModel
+from repro.net import ClosFabric, ClosTopology, EthernetWire, Locality, Packet, Switch
+from repro.net.topology import INTER_DC_WAN_PROPAGATION, ClosConfig, SWITCH_HOPS
 from repro.params import NetworkParams
 from repro.sim import Simulator
 from repro.units import ns, to_ns
+from tests.conftest import worker_env
+
+
+def reference_graph(config):
+    """The fabric as a networkx graph built from ``config`` alone.
+
+    An oracle independent of :class:`ClosTopology`'s own structures:
+    every node carries its tier, hosts included.
+    """
+    graph = nx.Graph()
+    for dc in range(config.datacenters):
+        edge = f"dc{dc}/edge"
+        graph.add_node(edge, tier="edge")
+        for spine in range(config.spines):
+            spine_name = f"dc{dc}/spine{spine}"
+            graph.add_node(spine_name, tier="spine")
+            graph.add_edge(spine_name, edge)
+        for cluster in range(config.clusters):
+            for fabric in range(config.fabric_per_cluster):
+                fabric_name = f"dc{dc}/c{cluster}/fab{fabric}"
+                graph.add_node(fabric_name, tier="fabric")
+                for spine in range(config.spines):
+                    graph.add_edge(fabric_name, f"dc{dc}/spine{spine}")
+            for rack in range(config.racks_per_cluster):
+                tor = f"dc{dc}/c{cluster}/r{rack}/tor"
+                graph.add_node(tor, tier="tor")
+                for fabric in range(config.fabric_per_cluster):
+                    graph.add_edge(tor, f"dc{dc}/c{cluster}/fab{fabric}")
+                for host in range(config.hosts_per_rack):
+                    host_name = f"dc{dc}/c{cluster}/r{rack}/h{host}"
+                    graph.add_node(host_name, tier="host")
+                    graph.add_edge(host_name, tor)
+    edges = [f"dc{dc}/edge" for dc in range(config.datacenters)]
+    for a, b in zip(edges, edges[1:]):
+        graph.add_edge(a, b)
+    return graph
+
+
+def assert_matches_reference(topology):
+    """Hosts, switches and WAN links agree with the reference graph,
+    which must itself be connected."""
+    graph = reference_graph(topology.config)
+    assert nx.is_connected(graph)
+    tiers = graph.nodes(data="tier")
+    assert topology.hosts() == sorted(n for n, t in tiers if t == "host")
+    assert topology.switches() == sorted(n for n, t in tiers if t != "host")
+    assert topology.wan_links == {
+        link
+        for a, b in graph.edges
+        if tiers[a] == tiers[b] == "edge"
+        for link in ((a, b), (b, a))
+    }
 
 
 class TestEthernetWire:
@@ -104,7 +160,7 @@ class TestClosTopology:
         assert len(self.topology.hosts()) == expected
 
     def test_fabric_connected(self):
-        assert nx.is_connected(self.topology.graph)
+        assert_matches_reference(self.topology)
 
     def test_intra_rack_one_switch(self):
         assert self.topology.switch_count("dc0/c0/r0/h0", "dc0/c0/r0/h1") == 1
@@ -163,19 +219,20 @@ class TestClosTopology:
         small = ClosTopology(ClosConfig(racks_per_cluster=2, hosts_per_rack=2,
                                         clusters=1, datacenters=1))
         assert len(small.hosts()) == 4
-        assert nx.is_connected(small.graph)
+        assert_matches_reference(small)
 
 
-def networkx_paths(topology, src, dst):
+def networkx_paths(graph, src, dst):
     """The reference: every shortest path in the full host graph, sorted."""
-    return sorted(nx.all_shortest_paths(topology.graph, src, dst))
+    return sorted(nx.all_shortest_paths(graph, src, dst))
 
 
 class TestEcmpRouteTable:
     def assert_all_pairs_match(self, topology):
+        graph = reference_graph(topology.config)
         for src, dst in itertools.permutations(topology.hosts(), 2):
             assert topology.ecmp_paths(src, dst) == networkx_paths(
-                topology, src, dst
+                graph, src, dst
             ), (src, dst)
 
     def test_default_config_all_pairs_match_networkx(self):
@@ -205,11 +262,12 @@ class TestEcmpRouteTable:
         )
         hosts = topology.hosts()
         assert len(hosts) == 1024
+        graph = reference_graph(topology.config)
         rng = random.Random(2019)
         for _ in range(200):
             src, dst = rng.sample(hosts, 2)
             assert topology.ecmp_paths(src, dst) == networkx_paths(
-                topology, src, dst
+                graph, src, dst
             ), (src, dst)
 
     def test_intra_rack_single_path(self):
@@ -270,3 +328,91 @@ class TestEcmpRouteTable:
             topology.ecmp_paths(src, dst)
         with pytest.raises(ValueError, match=repr(unknown)):
             topology.switch_count(src, dst)
+
+
+class TestWanPricing:
+    """At zero load the flow plane prices a path exactly as a
+    packet-level transit of that path takes, tick for tick."""
+
+    @pytest.mark.parametrize(
+        "config, src, dst, wan_hops",
+        [
+            (ClosConfig(), "dc0/c0/r0/h0", "dc1/c1/r3/h2", 1),
+            # dc0 to dc2 crosses the transit edge dc1: two WAN links.
+            (
+                ClosConfig(racks_per_cluster=2, hosts_per_rack=2, clusters=1,
+                           datacenters=3),
+                "dc0/c0/r1/h0",
+                "dc2/c0/r0/h1",
+                2,
+            ),
+        ],
+    )
+    def test_flow_model_equals_packet_transit(self, config, src, dst, wan_hops):
+        topology = ClosTopology(config)
+        params = topology.params
+        sim = Simulator()
+        fabric = ClosFabric(sim, "f", topology)
+        idle = FlowLoadMap(params.link_bytes_per_ps)
+        model = FlowModel(params, topology.wan_links, idle)
+        no_wan = FlowModel(params, frozenset(), idle)
+        paths = topology.ecmp_paths(src, dst)
+        for size in (64, 512, 1514):
+            for flow_id, path in enumerate(paths):
+                packet = Packet(size_bytes=size, flow_id=flow_id)
+                sim.run_until(sim.spawn(fabric.transit(packet, src, dst)).done)
+                priced = model.path_latency(path, size)
+                assert packet.breakdown.get("wire") == priced, (size, path)
+                # The WAN propagation is added once per edge-to-edge hop.
+                assert priced - no_wan.path_latency(path, size) == (
+                    wan_hops * INTER_DC_WAN_PROPAGATION
+                )
+        assert fabric.stall_count() == 0
+
+
+NO_NETWORKX_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import repro.api
+
+    assert "networkx" not in sys.modules, "import repro.api loaded networkx"
+    sys.modules["networkx"] = None  # any later `import networkx` fails
+
+    from repro import api
+    from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+
+    spec = ScenarioSpec(
+        name="two-dc",
+        seed=3,
+        nodes=(
+            NodeSpec(name="tx", nic_kind="netdimm", host="dc0/c0/r0/h0"),
+            NodeSpec(name="rx", nic_kind="dnic", host="dc1/c0/r1/h1"),
+            NodeSpec(name="bg", nic_kind="dnic", host="dc0/c0/r1/h0"),
+        ),
+        fabric=FabricSpec(kind="clos", datacenters=2, racks_per_cluster=2,
+                          hosts_per_rack=2),
+        traffic=(
+            TrafficSpec(kind="oneway", packets=4, src=("tx",), dst="rx",
+                        label="fg"),
+            TrafficSpec(kind="oneway", packets=20, src=("bg",), dst="rx",
+                        label="bg", role="background", fidelity="flow"),
+        ),
+    )
+    result = api.simulate(spec)
+    assert result.packets_delivered == 4, result.packets_delivered
+    """
+)
+
+
+def test_runtime_runs_without_networkx():
+    """networkx is a test-only oracle: the package imports and runs a
+    two-datacenter clos scenario, flow plane included, without it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX_SCRIPT],
+        env=worker_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,6 @@ up the pieces.
 """
 
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -38,19 +37,9 @@ from repro.runtime.state import JOB_SCHEMA
 from repro.runtime.tasks import decode_payload, encode_payload
 from repro.runtime.worker import work
 from repro.telemetry import runtime_trace
+from tests.conftest import worker_env
 
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
-
-
-def _worker_env():
-    """A subprocess env that can import repro the way this test did."""
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    parts = [src_root] + [
-        p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    return env
 
 
 # A tiny task kind the tests own: echoes its shard number, or explodes.
@@ -434,7 +423,7 @@ class TestKillAndResume:
             [sys.executable, "-m", "repro", "sweep-worker", run_dir],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            env=_worker_env(),
+            env=worker_env(),
         )
         time.sleep(1.0)  # let it claim/execute *some* of the queue
         worker.send_signal(signal.SIGKILL)

@@ -180,6 +180,15 @@ class TestScenarioRun:
         with pytest.raises(ValueError, match="exactly 2 nodes"):
             build_scenario(spec)
 
+    @pytest.mark.parametrize(
+        "name", ["dc0/c0/r0/tor", "dc0/spine0", "dc0/edge", "dc0/c0/r0/h8"]
+    )
+    def test_node_binding_to_a_non_host_refused_at_build(self, name):
+        document = json.loads((EXAMPLES_DIR / "incast_mixed.json").read_text())
+        document["nodes"][0]["host"] = name
+        with pytest.raises(ValueError, match=f"binds to unknown host {name!r}"):
+            build_scenario(ScenarioSpec.from_dict(document))
+
 
 class TestRunnerAndCli:
     def _write_specs(self, tmp_path):
