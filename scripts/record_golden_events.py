@@ -117,12 +117,9 @@ def record_golden_dram_stream() -> pathlib.Path:
 def record_fig5_baseline() -> pathlib.Path:
     from repro.experiments import harness
 
-    from repro.runtime import SweepConfig
-
-    run = harness.run_experiments(["fig5"], config=SweepConfig())
     out = DATA_DIR / "fig5_baseline.json"
-    run.write_artifact(str(out))
-    print(f"wrote fig5 artifact -> {out}")
+    harness.submit_experiments(["fig5"]).artifact(str(out))
+    print(f"wrote fig5 artifact (+ .manifest.json sidecar) -> {out}")
     return out
 
 

@@ -40,8 +40,8 @@ __all__ = [
     "diff_artifacts",
     "format_report",
     "load_spec",
-    "run_experiment",
     "simulate",
+    "submit",
 ]
 
 
@@ -55,7 +55,7 @@ def __getattr__(name):
     if name in (
         "load_spec",
         "simulate",
-        "run_experiment",
+        "submit",
         "diff_artifacts",
         "format_report",
     ):

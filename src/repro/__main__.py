@@ -6,7 +6,8 @@ Commands
 ``experiments [names...] [--jobs N] [--json PATH] [--baseline PATH] [--profile]``
     Run the paper's tables/figures (all by default) and print reports.
     ``--jobs`` fans experiments (and sweep points) over worker
-    processes; ``--json`` writes the versioned artifact; ``--baseline``
+    processes; ``--json`` writes the versioned artifact (the bytes
+    ``sweep NAMES --json`` writes); ``--baseline``
     diffs against a previous artifact and exits 1 on regressions;
     ``--profile`` appends a kernel event profile (events per callback
     owner, forces ``--jobs 1``).  A failed shard prints ``error:`` and
@@ -30,9 +31,10 @@ Commands
 ``run-chaos SPEC.json [...] [--drop P] [--corrupt P] [--kill LINK@NS]
 [--switch-mode MODE] [--timeout-ns T] [--backoff B] [--budget N]``
     The fault-injecting twin of ``run-scenario``: every spec runs under
-    a seeded :class:`~repro.faults.FaultSpec` (assembled from the flags,
-    or the spec file's own ``faults`` section when no fault flag is
-    given), with driver-level retransmission recovering losses.
+    a seeded :class:`~repro.faults.FaultSpec` (assembled from the flags
+    given, unset ones at their FaultSpec defaults, or the spec file's
+    own ``faults`` section when no fault flag is given), with
+    driver-level retransmission recovering losses.
 ``sweep TARGET [...] [--backend B] [--jobs N] [--workers N]
 [--run-dir DIR] [--json PATH] [--base-seed N] [--allow-partial]``
     The job-oriented front door (:func:`repro.api.submit`): run
@@ -73,7 +75,13 @@ Commands
     ``--artifact`` fills its measured/verdict columns from an
     experiments artifact.
 
-This module deliberately imports only :mod:`repro.api` — the CLI is the
+Every verb that runs a sweep — ``experiments``, ``run-scenario``,
+``run-chaos``, ``sweep``, ``resume`` — submits one job and ends in the
+same tail: the report or shard summary, ``Job.artifact()`` for
+``--json``, and exit 1 on a failed shard.
+
+This module deliberately imports only :mod:`repro.api` (plus the kernel
+profiler, on demand, for ``experiments --profile``) — the CLI is the
 facade's first consumer.
 """
 
@@ -112,7 +120,30 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("experiments", help="run experiments")
-    api.add_runner_arguments(run)
+    run.add_argument("names", nargs="*", help="experiment names (default: all)")
+    run.add_argument(
+        "--jobs",
+        type=api.positive_int,
+        default=1,
+        metavar="N",
+        help="worker processes (1 = run inline, the debuggable fallback)",
+    )
+    run.add_argument(
+        "--json",
+        dest="json_path",
+        metavar="PATH",
+        help="write the versioned JSON artifact to PATH",
+    )
+    run.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help="diff this run against a previous artifact and flag regressions",
+    )
+    run.add_argument(
+        "--profile",
+        action="store_true",
+        help="profile kernel events per callback owner (forces --jobs 1)",
+    )
 
     commands.add_parser("list", help="list available experiments")
 
@@ -177,17 +208,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "run-chaos", help="run scenario spec files under fault injection"
     )
     add_scenario_arguments(chaos)
+    # Fault flags default to None ("not given"): an unset field takes
+    # the FaultSpec/RecoverySpec default, and with no fault flag at all
+    # each spec file's own ``faults`` section applies.
     chaos.add_argument(
         "--drop",
         type=float,
-        default=0.0,
         metavar="P",
         help="per-link per-attempt drop probability",
     )
     chaos.add_argument(
         "--corrupt",
         type=float,
-        default=0.0,
         metavar="P",
         help="per-link per-attempt bit-error probability",
     )
@@ -201,27 +233,23 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--switch-mode",
         choices=api.FAULT_SWITCH_MODES,
-        default="backpressure",
         help="what a full switch queue does: stall ingress or drop",
     )
     chaos.add_argument(
         "--timeout-ns",
         type=float,
-        default=50_000.0,
         metavar="T",
         help="initial retransmission timeout",
     )
     chaos.add_argument(
         "--backoff",
         type=float,
-        default=2.0,
         metavar="B",
         help="exponential backoff factor between timeouts",
     )
     chaos.add_argument(
         "--budget",
         type=int,
-        default=5,
         metavar="N",
         help="retransmit budget before a packet is declared lost",
     )
@@ -416,9 +444,21 @@ def _describe_job(job) -> List[str]:
     return lines
 
 
-def _finish_job(job, json_path: str, allow_partial: bool) -> tuple:
-    """Common tail of ``sweep`` and ``resume``: report, emit, exit code."""
-    lines = _describe_job(job)
+def _pool_config(jobs: int):
+    """``--jobs N`` of the reporting verbs: inline for 1, else a pool."""
+    return api.SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs)
+
+
+def _finish_job(
+    job, json_path: str, allow_partial: bool = False, report: str = ""
+) -> tuple:
+    """Common tail of every sweep verb: report, emit, exit code.
+
+    ``report`` — the text ``experiments``, ``run-scenario`` and
+    ``run-chaos`` print — replaces the shard-count summary that
+    ``sweep`` and ``resume`` print.
+    """
+    lines = [report] if report else _describe_job(job)
     if json_path:
         job.artifact(json_path, allow_partial=allow_partial)
         lines.append(f"wrote artifact: {json_path}")
@@ -429,6 +469,66 @@ def _finish_job(job, json_path: str, allow_partial: bool) -> tuple:
         else:
             lines.append(f"wrote manifest: {json_path}.manifest.json")
     return "\n".join(lines), 1 if job.failures() else 0
+
+
+def _cmd_experiments(args: argparse.Namespace) -> tuple:
+    """``experiments``: the named experiments as one job, reported."""
+    job = api.submit_experiments(
+        args.names or None, config=_pool_config(1 if args.profile else args.jobs)
+    )
+    profile = _profile_run(job) if args.profile else ""
+    output, exit_code = _finish_job(
+        job, args.json_path or "", report=api.format_report(job.run()) + profile
+    )
+    if args.baseline:
+        diff = api.diff_artifacts(job.result(), api.load_artifact(args.baseline))
+        output += "\n" + diff.format()
+        if diff.has_regressions:
+            exit_code = 1
+    return output, exit_code
+
+
+def _profile_run(job) -> str:
+    """Run ``job`` with the kernel's per-callback-owner event profile on;
+    returns the profile section ``--profile`` appends to the report.
+
+    The profile accumulates in process-global counters, so the job must
+    run inline: worker processes would drop their buckets.
+    """
+    from repro.analysis.statsdump import format_profile
+    from repro.sim import engine
+
+    engine.reset_profile_totals()
+    engine.set_profile_default(True)
+    try:
+        job.run()
+    finally:
+        engine.set_profile_default(False)
+    return (
+        f"\n{'=' * 72}\n"
+        "kernel event profile (events per callback owner)\n"
+        f"{format_profile(engine.profile_totals(), top=30)}\n"
+    )
+
+
+def _cmd_scenarios(args: argparse.Namespace) -> tuple:
+    """``run-scenario`` / ``run-chaos``: the specs as one job, reported."""
+    chaos = args.command == "run-chaos"
+    job = api.submit_scenarios(
+        args.specs,
+        config=_pool_config(args.jobs),
+        chaos=chaos,
+        faults=_chaos_overlay(args) if chaos else None,
+        trace=bool(args.trace_path),
+    ).run()
+    output, exit_code = _finish_job(
+        job, args.json_path or "", report=api.format_report(job)
+    )
+    if args.trace_path:
+        with open(args.trace_path, "w", encoding="utf-8") as handle:
+            handle.write(api.dump_trace(api.job_trace(job)))
+        output += f"\nwrote trace: {args.trace_path}"
+    return output, exit_code
 
 
 def _cmd_status(run_dir: str) -> str:
@@ -516,23 +616,51 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+_JOB_VERBS = ("experiments", "run-scenario", "run-chaos", "sweep", "resume")
+
+
+def _cmd_job(args: argparse.Namespace) -> tuple:
+    """The verbs that run a sweep job; returns (output, exit code)."""
+    if args.command == "experiments":
+        return _cmd_experiments(args)
+    if args.command in ("run-scenario", "run-chaos"):
+        return _cmd_scenarios(args)
+    if args.command == "sweep":
+        job = api.submit(
+            args.targets,
+            backend=args.backend,
+            jobs=args.jobs,
+            workers=args.workers,
+            run_dir=args.run_dir,
+            base_seed=args.base_seed,
+        ).run()
+    else:  # resume
+        job = api.resume(
+            args.run_dir,
+            config=api.SweepConfig(
+                backend=args.backend,
+                jobs=args.jobs,
+                workers=args.workers,
+                run_dir=args.run_dir,
+            ),
+            retry_failed=args.retry_failed,
+        )
+    return _finish_job(job, args.json_path or "", args.allow_partial)
+
+
+_FAULT_FLAGS = ("drop", "corrupt", "switch_mode", "timeout_ns", "backoff", "budget")
+
+
 def _chaos_overlay(args: argparse.Namespace):
     """The FaultSpec overlay from the chaos flags, or None.
 
     None means "no fault flag given": each spec file's own ``faults``
     section applies (or a default FaultSpec when it has none), so
-    ``run-chaos spec.json`` without flags is still a chaos run.
+    ``run-chaos spec.json`` without flags is still a chaos run.  Any
+    flag given — even at its default value — replaces the spec's
+    section, and the flags left unset take the FaultSpec defaults.
     """
-    defaults = (
-        args.drop == 0.0
-        and args.corrupt == 0.0
-        and not args.kill
-        and args.switch_mode == "backpressure"
-        and args.timeout_ns == 50_000.0
-        and args.backoff == 2.0
-        and args.budget == 5
-    )
-    if defaults:
+    if not args.kill and all(getattr(args, flag) is None for flag in _FAULT_FLAGS):
         return None
     return api.build_fault_overlay(
         drop=args.drop,
@@ -548,13 +676,13 @@ def _chaos_overlay(args: argparse.Namespace):
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     exit_code = 0
-    if args.command == "experiments":
+    if args.command in _JOB_VERBS:
         try:
-            output, exit_code = api.run_experiment_cli(args)
+            output, exit_code = _cmd_job(args)
         except api.JobError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-        except ValueError as error:
+        except (OSError, ValueError, RuntimeError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
     elif args.command == "list":
@@ -570,61 +698,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         else:
             output = _cmd_trace(args.cluster, args.count, args.seed, args.out)
-    elif args.command in ("run-scenario", "run-chaos"):
-        chaos = args.command == "run-chaos"
-        try:
-            output, exit_code = api.run_scenario_cli(
-                args.specs,
-                jobs=args.jobs,
-                chaos=chaos,
-                faults=_chaos_overlay(args) if chaos else None,
-                json_path=args.json_path or "",
-                trace_path=args.trace_path or "",
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.command == "sweep":
-        try:
-            job = api.submit(
-                args.targets,
-                backend=args.backend,
-                jobs=args.jobs,
-                workers=args.workers,
-                run_dir=args.run_dir,
-                base_seed=args.base_seed,
-            )
-            job.run()
-            output, exit_code = _finish_job(
-                job, args.json_path or "", args.allow_partial
-            )
-        except api.JobError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        except (OSError, ValueError, RuntimeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.command == "resume":
-        try:
-            job = api.resume(
-                args.run_dir,
-                config=api.SweepConfig(
-                    backend=args.backend,
-                    jobs=args.jobs,
-                    workers=args.workers,
-                    run_dir=args.run_dir,
-                ),
-                retry_failed=args.retry_failed,
-            )
-            output, exit_code = _finish_job(
-                job, args.json_path or "", args.allow_partial
-            )
-        except api.JobError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        except (OSError, ValueError, RuntimeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     elif args.command == "status":
         try:
             output = _cmd_status(args.run_dir)

@@ -8,7 +8,8 @@ Everything a user (or the CLI) does goes through a handful of verbs::
     result = api.simulate(spec)
     print(api.format_report(result))
 
-    job = api.submit(["fig4", "table1"], backend="pool", jobs=2)
+    job = api.submit(["fig4", "table1"], backend="pool", jobs=2).run()
+    print(api.format_report(job))
     artifact = job.result()
 
     diff = api.diff_artifacts(api.load_artifact("old.json"), artifact)
@@ -21,15 +22,12 @@ Everything a user (or the CLI) does goes through a handful of verbs::
   ``"pool"``, ``"workers"``); ``Job.status()`` / ``Job.result()`` /
   ``Job.artifact()`` drive it, :func:`collect` gathers many, and
   :func:`resume` picks a killed sweep back up from its run directory.
-  Every sweep runs through a job.
-* :func:`run_experiment` / :func:`run_scenarios` — the fail-loud
-  wrappers over that job: they raise on any shard failure and return a
-  :class:`HarnessRun` (experiments) or the scenario artifact, reports
-  and optional merged trace (scenarios).
+  Every sweep runs through a job, and ``Job.artifact()`` is the one
+  writer of experiment and scenario artifacts.
 * :func:`diff_artifacts` — compare two experiment artifacts
   metric-by-metric against the paper-target bands.
-* :func:`format_report` — the human-readable report for either result
-  kind.
+* :func:`format_report` — the human-readable report of a
+  :class:`ScenarioResult` or of a completed experiment or scenario job.
 
 Another verb, :func:`trace_scenario`, is :func:`simulate` with the
 per-packet span tracer attached: it returns the result *and* a
@@ -74,20 +72,16 @@ from repro.calib import calibrate as _calibrate
 from repro.driver.registry import NIC_KINDS, make_node
 from repro.experiments.harness import (
     ArtifactDiff,
-    HarnessRun,
     reject_partial_artifact,
     submit_experiments,
 )
 from repro.experiments.harness import diff_artifacts as _diff_artifacts
-from repro.experiments.harness import load_artifact
-from repro.experiments.harness import run_experiments as run_experiment
-from repro.experiments.oneway import OneWayResult, measure_one_way
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    add_runner_arguments,
-    positive_int,
+from repro.experiments.harness import (
+    format_job_report as _format_experiment_job,
 )
-from repro.experiments.runner import run_cli as run_experiment_cli
+from repro.experiments.harness import load_artifact
+from repro.experiments.oneway import OneWayResult, measure_one_way
+from repro.experiments.runner import EXPERIMENTS, positive_int
 from repro.faults import (
     FAULT_SWITCH_MODES,
     FaultInjector,
@@ -121,11 +115,11 @@ from repro.runtime import resume as _resume
 from repro.runtime.worker import main as sweep_worker_main
 from repro.scenario.runner import (
     build_fault_overlay,
+    job_trace,
     parse_kill,
-    run_scenarios,
     submit_scenarios,
 )
-from repro.scenario.runner import run_cli as run_scenario_cli
+from repro.scenario.runner import format_job_report as _format_scenario_job
 from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 from repro.telemetry import (
     SpanTracer,
@@ -146,8 +140,6 @@ __all__ = [
     "submit",
     "collect",
     "resume",
-    "run_experiment",
-    "run_scenarios",
     "diff_artifacts",
     "format_report",
     "calibrate",
@@ -171,12 +163,15 @@ __all__ = [
     "SweepConfig",
     "derive_seed",
     "reject_partial_artifact",
+    "submit_experiments",
+    "submit_scenarios",
     "sweep_worker_main",
     # telemetry
     "SpanTracer",
     "calibration_trace",
     "chrome_trace",
     "dump_trace",
+    "job_trace",
     "runtime_trace",
     "segment_totals",
     # scenario toolkit
@@ -188,7 +183,6 @@ __all__ = [
     "TrafficSpec",
     "build_scenario",
     "dump_artifact",
-    "run_scenario_cli",
     # faults / chaos
     "FAULT_SWITCH_MODES",
     "FaultInjector",
@@ -201,13 +195,10 @@ __all__ = [
     "parse_kill",
     # experiments
     "EXPERIMENTS",
-    "HarnessRun",
     "OneWayResult",
-    "add_runner_arguments",
     "load_artifact",
     "measure_one_way",
     "positive_int",
-    "run_experiment_cli",
     # params / registry / workloads
     "DEFAULT",
     "NIC_KINDS",
@@ -278,6 +269,7 @@ def submit(
     base_seed: int = 0,
     chaos: bool = False,
     faults: Optional[FaultSpec] = None,
+    trace: bool = False,
 ) -> Job:
     """Submit experiments or scenarios as a :class:`Job` on a backend.
 
@@ -287,11 +279,14 @@ def submit(
     ``backend`` selects by name: ``"local"`` (inline), ``"pool"``
     (``jobs`` processes), ``"workers"`` (``workers`` detached worker
     processes over ``run_dir`` — the resumable, distributable path).
+    ``chaos``, ``faults`` and ``trace`` apply to scenarios only:
+    ``trace`` span-traces every scenario for :func:`job_trace`.
 
     The returned job has not run yet: ``job.run()`` executes it,
     ``job.status()`` reports shard counts, ``job.result()`` assembles
-    the artifact (refusing partial runs unless asked), and
-    ``job.manifest()`` is the provenance sidecar.
+    the artifact (refusing partial runs unless asked),
+    ``job.manifest()`` is the provenance sidecar, and
+    :func:`format_report` renders the completed job as text.
     """
     config = SweepConfig(
         backend=backend, jobs=jobs, workers=workers, run_dir=run_dir
@@ -306,8 +301,10 @@ def submit(
         for item in items
     ):
         names = None if spec_or_experiment is None else items
-        if chaos or faults is not None:
-            raise ValueError("chaos/faults only apply to scenario submissions")
+        if chaos or faults is not None or trace:
+            raise ValueError(
+                "chaos/faults/trace only apply to scenario submissions"
+            )
         return submit_experiments(names, config=config, base_seed=base_seed)
     if all(isinstance(item, (str, ScenarioSpec)) for item in items):
         unknown = [
@@ -321,7 +318,9 @@ def submit(
                 f"({', '.join(sorted(EXPERIMENTS))}) nor a scenario "
                 "spec file (*.json)"
             )
-        return submit_scenarios(items, config=config, chaos=chaos, faults=faults)
+        return submit_scenarios(
+            items, config=config, chaos=chaos, faults=faults, trace=trace
+        )
     raise ValueError(
         "submit() takes experiment names, scenario spec paths, or "
         "ScenarioSpec objects (not a mixture)"
@@ -418,13 +417,33 @@ def diff_artifacts(
     return _diff_artifacts(current, baseline, tolerance, allow_partial)
 
 
-def format_report(result: Union[ScenarioResult, HarnessRun]) -> str:
-    """The human-readable report for either result kind."""
+_JOB_REPORTS = {
+    "experiment": _format_experiment_job,
+    "scenario": _format_scenario_job,
+}
+
+
+def format_report(result: Union[ScenarioResult, Job]) -> str:
+    """The human-readable report of a :class:`ScenarioResult` or of a
+    completed experiment or scenario :class:`Job`.
+
+    A job with failed or pending shards raises :class:`JobError` naming
+    them; any other job kind raises :class:`TypeError`.
+    """
     if isinstance(result, ScenarioResult):
         return _format_scenario_report(result)
-    if isinstance(result, HarnessRun):
-        return result.report_text()
+    if isinstance(result, Job) and result.kind in _JOB_REPORTS:
+        failures = result.failures()
+        if failures:
+            lines = "\n  ".join(failure.summary() for failure in failures)
+            raise JobError(
+                f"{len(failures)} {result.kind} shard(s) failed:\n  {lines}"
+            )
+        pending = len(result.tasks) - len(result.outcomes())
+        if pending:
+            raise JobError(f"{pending} shard(s) still pending; run the job first")
+        return _JOB_REPORTS[result.kind](result)
     raise TypeError(
-        f"cannot format a {type(result).__name__}; "
-        "expected ScenarioResult or HarnessRun"
+        f"cannot format a {type(result).__name__}; expected ScenarioResult "
+        "or a completed experiment or scenario Job"
     )

@@ -17,17 +17,14 @@ diffable* object:
   payloads)`` (the result object) — and its serial ``run()`` is that
   same loop, so the merged shards are the object ``run()`` builds by
   construction;
-* :func:`run_experiments` is the fail-loud wrapper over that job: it
-  raises on any shard failure and returns a :class:`HarnessRun` whose
-  artifact adds run metadata — wall-clock seconds, simulator events
-  fired (via :func:`repro.sim.engine.process_events_total`),
-  events/sec — in a ``timing`` section kept *separate* from results,
-  so artifacts stay byte-for-byte comparable across machines (the
-  job-assembled sweep artifact keeps timing out entirely — it lives in
-  the provenance manifest);
-* the whole run serializes to a versioned JSON artifact
-  (:data:`SCHEMA_VERSION`), and two artifacts diff with
-  :func:`diff_artifacts`, flagging paper-target regressions.
+* a completed job assembles (``Job.result()``) into a versioned JSON
+  artifact (:data:`SCHEMA_VERSION`) holding only deterministic
+  content — wall-clock seconds and simulator events per shard live in
+  the job's provenance manifest — so artifacts stay byte-for-byte
+  comparable across machines and backends, and
+  :func:`format_job_report` renders the same job as text;
+* two artifacts diff with :func:`diff_artifacts`, flagging
+  paper-target regressions.
 
 Determinism is the contract: each task builds its own
 :class:`~repro.sim.Simulator` (the seq-ordered event heap makes a
@@ -40,17 +37,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments import fig5, fig11, fig12a, loaded_latency
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime.backends import SweepConfig
-from repro.runtime.job import Job, JobError, register_assembler
-from repro.runtime.tasks import ShardResult, Task, register_kind
+from repro.runtime.job import Job, register_assembler
+from repro.runtime.tasks import Outcome, ShardResult, Task, register_kind
 from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
 
 SCHEMA = "netdimm-repro/experiment-artifact"
@@ -97,102 +93,6 @@ def _task_experiment_name(task_id: str) -> str:
     return task_id.partition("[")[0]
 
 
-# ---------------------------------------------------------------------------
-# The harness run.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExperimentRun:
-    """One experiment's merged result plus aggregated run metadata."""
-
-    name: str
-    result: Any
-    report: str
-    wall_seconds: float
-    events_fired: int
-    shards: int
-
-    @property
-    def events_per_sec(self) -> float:
-        """Simulator event throughput (0 when nothing fired)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_fired / self.wall_seconds
-
-    def timing_dict(self) -> Dict[str, float]:
-        """The timing section entry (kept out of the result section)."""
-        return {
-            "wall_seconds": round(self.wall_seconds, 6),
-            "events_fired": self.events_fired,
-            "events_per_sec": round(self.events_per_sec, 3),
-            "shards": self.shards,
-        }
-
-    def artifact_entry(self) -> Dict[str, Any]:
-        """The deterministic ``experiments[name]`` artifact entry."""
-        result = self.result
-        return {
-            "result": result.to_dict() if hasattr(result, "to_dict") else None,
-            "metrics": result.metrics() if hasattr(result, "metrics") else {},
-            "report_sha256": hashlib.sha256(
-                self.report.encode("utf-8")
-            ).hexdigest(),
-        }
-
-
-@dataclass
-class HarnessRun:
-    """A completed harness invocation over one or more experiments."""
-
-    jobs: int
-    names: List[str]
-    records: Dict[str, ExperimentRun]
-    wall_seconds: float = 0.0
-
-    def report_text(self) -> str:
-        """The concatenated text reports (the runner's classic output)."""
-        sections = [
-            f"{'=' * 72}\n{self.records[name].report}\n" for name in self.names
-        ]
-        return "\n".join(sections)
-
-    def to_artifact(self) -> Dict[str, Any]:
-        """The versioned, JSON-safe artifact (schema v1).
-
-        ``experiments`` holds only deterministic content; wall-clock and
-        event-rate metadata live under ``timing`` so that two runs of
-        the same code diff clean regardless of machine speed.
-        """
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "run": {"jobs": self.jobs, "experiments": list(self.names)},
-            "experiments": {
-                name: self.records[name].artifact_entry() for name in self.names
-            },
-            "timing": {
-                "total_wall_seconds": round(self.wall_seconds, 6),
-                "per_experiment": {
-                    name: self.records[name].timing_dict() for name in self.names
-                },
-            },
-        }
-
-    def write_artifact(self, path: str) -> Dict[str, Any]:
-        """Serialize :meth:`to_artifact` to ``path``; returns the dict."""
-        artifact = self.to_artifact()
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(artifact, handle, indent=2, sort_keys=False)
-                handle.write("\n")
-        except OSError as error:
-            raise ValueError(
-                f"{path}: cannot write artifact ({error.strerror})"
-            ) from error
-        return artifact
-
-
 def plan_tasks(
     names: Sequence[str], base_seed: int = 0
 ) -> List[Task]:
@@ -236,8 +136,8 @@ def submit_experiments(
 
     ``submit_experiments(...).run()`` executes on the configured
     backend, ``.result()`` assembles the deterministic sweep artifact,
-    ``.manifest()`` the provenance sidecar.  :func:`run_experiments` is
-    the fail-loud wrapper over this job returning a :class:`HarnessRun`.
+    ``.manifest()`` the provenance sidecar, and
+    :func:`format_job_report` the text reports.
     """
     names = normalize_names(names)
     return Job(
@@ -248,35 +148,37 @@ def submit_experiments(
     )
 
 
-def _records_from(
-    names: Sequence[str], results: Sequence[ShardResult]
-) -> Dict[str, ExperimentRun]:
-    """Merge per-shard results (in task-index order) into run records."""
-    grouped: Dict[str, List[ShardResult]] = {}
-    for result in results:
-        grouped.setdefault(_task_experiment_name(result.task_id), []).append(
-            result
-        )
-    records: Dict[str, ExperimentRun] = {}
+def _merged_results(
+    names: Sequence[str], outcomes: Sequence[Outcome]
+) -> Dict[str, Tuple[Any, str]]:
+    """Merge shard payloads (task-index order) into each experiment's
+    ``(result, report)``."""
+    grouped: Dict[str, List[Any]] = {}
+    for outcome in outcomes:
+        if isinstance(outcome, ShardResult):
+            grouped.setdefault(
+                _task_experiment_name(outcome.task_id), []
+            ).append(outcome.payload)
+    merged: Dict[str, Tuple[Any, str]] = {}
     for name in names:
-        mine = grouped.get(name, [])
-        if not mine:
+        payloads = grouped.get(name)
+        if not payloads:
             raise ValueError(f"no shard results for experiment {name!r}")
-        payloads = [shard.payload for shard in mine]
         if name in SWEEPS:
-            merged = SWEEPS[name].merge(SWEEPS[name].cells(), payloads)
+            result = SWEEPS[name].merge(SWEEPS[name].cells(), payloads)
         else:
-            merged = payloads[0]
+            result = payloads[0]
         _run, format_report = EXPERIMENTS[name]
-        records[name] = ExperimentRun(
-            name=name,
-            result=merged,
-            report=format_report(merged),
-            wall_seconds=sum(shard.wall_seconds for shard in mine),
-            events_fired=sum(shard.events_fired for shard in mine),
-            shards=len(mine),
-        )
-    return records
+        merged[name] = (result, format_report(result))
+    return merged
+
+
+def format_job_report(job: Job) -> str:
+    """A completed experiment job's text reports, in name order."""
+    merged = _merged_results(job.meta["names"], job.outcomes())
+    return "\n".join(
+        f"{'=' * 72}\n{report}\n" for _result, report in merged.values()
+    )
 
 
 def _experiment_assembler(
@@ -284,13 +186,12 @@ def _experiment_assembler(
 ) -> Dict[str, Any]:
     """Assemble the deterministic sweep artifact from shard results.
 
-    Same schema as :meth:`HarnessRun.to_artifact`, minus the ``timing``
-    section: wall-clock and event-rate metadata are provenance, and
-    live in the run's manifest sidecar instead — which is what makes
-    serial, pooled, and distributed sweep artifacts byte-identical.
+    Wall-clock and event-rate metadata are provenance and live in the
+    run's manifest sidecar, never here — which is what makes serial,
+    pooled, and distributed sweep artifacts byte-identical.
     """
     names = meta["names"]
-    records = _records_from(names, results)
+    merged = _merged_results(names, results)
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -298,47 +199,21 @@ def _experiment_assembler(
             "experiments": list(names),
             "base_seed": meta.get("base_seed", 0),
         },
-        "experiments": {name: records[name].artifact_entry() for name in names},
+        "experiments": {
+            name: {
+                "result": result.to_dict() if hasattr(result, "to_dict") else None,
+                "metrics": result.metrics() if hasattr(result, "metrics") else {},
+                "report_sha256": hashlib.sha256(
+                    report.encode("utf-8")
+                ).hexdigest(),
+            }
+            for name, (result, report) in merged.items()
+        },
     }
 
 
 register_kind("experiment", _experiment_executor)
 register_assembler("experiment", _experiment_assembler)
-
-
-def run_experiments(
-    names: Optional[Sequence[str]] = None,
-    *,
-    config: Optional[SweepConfig] = None,
-) -> HarnessRun:
-    """Run the named experiments (all by default); returns a HarnessRun.
-
-    The fail-loud wrapper over :func:`submit_experiments`: ``config``
-    (:class:`~repro.runtime.backends.SweepConfig`, inline by default)
-    picks the backend, and any backend produces identical
-    per-experiment results — tasks are deterministic and merged in
-    task-index order.
-
-    Raises :class:`ValueError` for unknown experiment names and
-    :class:`~repro.runtime.job.JobError` (a :class:`RuntimeError`) for
-    a shard failure (the job itself records failures as structured
-    diagnostics instead).
-    """
-    job = submit_experiments(names, config=config)
-    start = time.perf_counter()
-    job.run()
-    total_wall = time.perf_counter() - start
-    failures = job.failures()
-    if failures:
-        lines = "\n  ".join(failure.summary() for failure in failures)
-        raise JobError(f"{len(failures)} experiment shard(s) failed:\n  {lines}")
-    names = job.meta["names"]
-    return HarnessRun(
-        jobs=job.config.jobs if job.config.backend == "pool" else 1,
-        names=list(names),
-        records=_records_from(names, job.outcomes()),
-        wall_seconds=total_wall,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +225,8 @@ def load_artifact(path: str) -> Dict[str, Any]:
     """Load and validate an artifact file.
 
     Accepts both artifact kinds the toolkit writes: the experiment
-    artifact (:class:`HarnessRun`, schema v1) and the scenario artifact
-    (``run-scenario``/``run-chaos`` ``--json``, schema v2–v3).  Either
+    artifact (schema v1) and the scenario artifact
+    (``run-scenario``/``run-chaos`` ``--json``, schema v2–v4).  Either
     can be handed to :func:`diff_artifacts` — scenario artifacts are
     viewed through :func:`_experiment_view` so per-flow and (v3)
     per-segment metrics diff the same way experiment metrics do.  See
@@ -440,7 +315,7 @@ def _experiment_view(artifact: Dict[str, Any]) -> Dict[str, Any]:
                     "mean"
                 ]
         experiments[name] = {"result": result, "metrics": metrics}
-    return {"experiments": experiments, "timing": {}}
+    return {"experiments": experiments}
 
 
 def reject_partial_artifact(
@@ -538,17 +413,4 @@ def diff_artifacts(
         if name not in baseline_experiments:
             diff.notes.append(f"{name}: new experiment (not in baseline)")
 
-    current_timing = current.get("timing", {}).get("per_experiment", {})
-    baseline_timing = baseline.get("timing", {}).get("per_experiment", {})
-    for name, baseline_entry in baseline_timing.items():
-        current_entry = current_timing.get(name)
-        if not current_entry:
-            continue
-        base_rate = baseline_entry.get("events_per_sec") or 0
-        now_rate = current_entry.get("events_per_sec") or 0
-        if base_rate > 0 and now_rate > 0 and now_rate < base_rate / 2:
-            diff.notes.append(
-                f"{name}: events/sec dropped {base_rate:.0f} -> {now_rate:.0f} "
-                "(perf, informational)"
-            )
     return diff

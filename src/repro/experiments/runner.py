@@ -1,17 +1,10 @@
-"""The experiment registry and the ``python -m repro experiments`` verb.
+"""The experiment registry.
 
 :data:`EXPERIMENTS` maps every experiment name to its ``(run,
 format_report)`` pair; :func:`normalize_names` validates a selection
-against it.  :func:`run_cli` is the body of the ``experiments`` verb::
-
-    python -m repro experiments                    # everything
-    python -m repro experiments fig11 fig5         # a subset
-    python -m repro experiments --jobs 4 --json out.json
-    python -m repro experiments --baseline old.json
-
-It runs through :func:`repro.experiments.harness.run_experiments` —
-the experiment sweep as a runtime job — for parallel execution, JSON
-artifacts, and baseline diffing.
+against it.  The harness (:mod:`repro.experiments.harness`) runs a
+selection as a sweep job, and ``python -m repro experiments`` is that
+job's command-line front-end.
 """
 
 from __future__ import annotations
@@ -76,36 +69,6 @@ def normalize_names(names: Optional[Sequence[str]]) -> List[str]:
     return seen
 
 
-def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared runner flags (used here and by ``repro`` CLI)."""
-    parser.add_argument(
-        "names", nargs="*", help="experiment names (default: all)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes (1 = run inline, the debuggable fallback)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        help="write the versioned JSON artifact to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="diff this run against a previous artifact and flag regressions",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile kernel events per callback owner (forces --jobs 1)",
-    )
-
-
 def positive_int(text: str) -> int:
     """argparse type: a strictly positive integer."""
     try:
@@ -115,50 +78,3 @@ def positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
-
-
-def run_cli(args: argparse.Namespace) -> Tuple[str, int]:
-    """Execute a parsed runner invocation; returns (output, exit code)."""
-    from repro.experiments import harness
-
-    profile = getattr(args, "profile", False)
-    jobs = args.jobs
-    if profile:
-        # The profile accumulates in process-global counters; worker
-        # processes would run their simulators (and drop their buckets)
-        # in separate address spaces, so profiling forces inline runs.
-        from repro.sim import engine
-
-        jobs = 1
-        engine.reset_profile_totals()
-        engine.set_profile_default(True)
-    from repro.runtime.backends import SweepConfig
-
-    config = SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs)
-    try:
-        run = harness.run_experiments(args.names or None, config=config)
-    finally:
-        if profile:
-            engine.set_profile_default(False)
-    output = run.report_text()
-    if profile:
-        from repro.analysis.statsdump import format_profile
-        from repro.sim.engine import profile_totals
-
-        output += (
-            f"\n{'=' * 72}\n"
-            "kernel event profile (events per callback owner)\n"
-            f"{format_profile(profile_totals(), top=30)}\n"
-        )
-    exit_code = 0
-    if args.json_path:
-        run.write_artifact(args.json_path)
-        output += f"\nwrote artifact: {args.json_path}"
-    if args.baseline:
-        baseline = harness.load_artifact(args.baseline)
-        diff = harness.diff_artifacts(run.to_artifact(), baseline)
-        output += "\n" + diff.format()
-        if diff.has_regressions:
-            exit_code = 1
-    return output, exit_code
-

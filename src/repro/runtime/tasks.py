@@ -128,7 +128,7 @@ class ShardResult:
     """One completed shard: its payload plus run metadata.
 
     Only ``payload`` enters the deterministic artifact; the metadata
-    feeds the timing section and the provenance manifest.
+    feeds the provenance manifest.
     """
 
     task_id: str

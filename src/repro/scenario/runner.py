@@ -9,15 +9,14 @@ results are deterministic and the artifact is assembled in input
 order, so the artifacts from every backend are byte-identical — pinned
 by the scenario determinism tests.
 
-:func:`run_scenarios` is the fail-loud wrapper over that job behind
-``run-scenario`` and ``run-chaos`` (:func:`run_cli`): it raises on any
-shard failure and returns the artifact, the text reports, and — with
-``trace`` — the merged Chrome-trace document.  A chaos run gives every
-spec a :class:`~repro.faults.FaultSpec` (built from CLI flags, or the
-spec file's own ``faults`` section, or an all-zero default that still
-arms the recovery path).  Fault verdicts are keyed on the spec seed and
-packet identity — never on process layout — so chaos artifacts are
-backend-independent too.
+``Job.result()`` assembles the scenario artifact; :func:`format_job_report`
+and :func:`job_trace` read the same shard payloads for the text reports
+and — for a ``trace`` job — the merged Chrome-trace document.  A chaos
+run gives every spec a :class:`~repro.faults.FaultSpec` (built from CLI
+flags, or the spec file's own ``faults`` section, or an all-zero
+default that still arms the recovery path).  Fault verdicts are keyed
+on the spec seed and packet identity — never on process layout — so
+chaos artifacts are backend-independent too.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.faults import FaultSpec, LinkFaultSpec, LinkKillSpec, RecoverySpec
 from repro.runtime.backends import SweepConfig
 from repro.runtime.job import Job, register_assembler
 from repro.runtime.tasks import (
+    Outcome,
     ShardResult,
     Task,
     encode_payload,
@@ -40,11 +40,10 @@ from repro.scenario.builder import (
     SCENARIO_SCHEMA,
     SCENARIO_SCHEMA_VERSION,
     build_scenario,
-    dump_artifact,
     format_report,
 )
 from repro.scenario.spec import ScenarioSpec
-from repro.telemetry import SpanTracer, chrome_trace, dump_trace
+from repro.telemetry import SpanTracer, chrome_trace
 
 
 def _run_one(
@@ -165,100 +164,44 @@ def _scenario_assembler(
     meta: Dict[str, Any], results: List[ShardResult]
 ) -> Dict[str, Any]:
     """Assemble the scenario artifact from shard payloads (input order)."""
-    document, _reports, _trace = _assemble(
-        [shard.payload for shard in results]
-    )
-    return document
+    return {
+        "schema": SCENARIO_SCHEMA,
+        "schema_version": SCENARIO_SCHEMA_VERSION,
+        "scenarios": {
+            spec["name"]: {"spec": spec, "result": result}
+            for spec, result, _report, _trace in _payloads(results)
+        },
+    }
 
 
 register_kind("scenario", _scenario_executor)
 register_assembler("scenario", _scenario_assembler)
 
 
-def _assemble(
-    outcomes,
-) -> Tuple[Dict[str, Any], List[str], Optional[Dict[str, Any]]]:
-    reports = [report for _spec, _result, report, _trace in outcomes]
-    document = {
-        "schema": SCENARIO_SCHEMA,
-        "schema_version": SCENARIO_SCHEMA_VERSION,
-        "scenarios": {
-            spec["name"]: {"spec": spec, "result": result}
-            for spec, result, _report, _trace in outcomes
-        },
-    }
-    # Traces merge in input order, so pids (and the whole Chrome-trace
-    # document) are byte-identical between serial and --jobs N runs.
-    entries = [
-        (spec["name"], payload)
-        for spec, _result, _report, payload in outcomes
-        if payload is not None
-    ]
-    trace_document = chrome_trace(entries) if entries else None
-    return document, reports, trace_document
+def _payloads(outcomes: Sequence[Outcome]) -> List[Any]:
+    """The ``(spec, result, report, trace)`` payloads, in input order."""
+    return [o.payload for o in outcomes if isinstance(o, ShardResult)]
 
 
-def run_scenarios(
-    sources: Sequence[Union[str, ScenarioSpec]],
-    *,
-    config: Optional[SweepConfig] = None,
-    chaos: bool = False,
-    faults: Optional[FaultSpec] = None,
-    trace: bool = False,
-) -> Tuple[Dict[str, Any], List[str], Optional[Dict[str, Any]]]:
-    """Run every spec; returns ``(artifact document, reports, trace)``.
-
-    The fail-loud wrapper over :func:`submit_scenarios`: ``config``
-    selects the backend (inline by default), a shard failure raises
-    :class:`ValueError`, and output order always follows input order.
-    ``trace`` span-traces every scenario and merges the timelines into
-    one Chrome-trace document (one process per scenario, pid = input
-    order), byte-identical across backends; without it the third
-    element is ``None``.
-    """
-    job = submit_scenarios(
-        sources, config=config, chaos=chaos, faults=faults, trace=trace
-    ).run()
-    failures = job.failures()
-    if failures:
-        lines = "\n  ".join(failure.summary() for failure in failures)
-        raise ValueError(f"{len(failures)} scenario(s) failed:\n  {lines}")
-    return _assemble([outcome.payload for outcome in job.outcomes()])
-
-
-def run_cli(
-    paths: Sequence[str],
-    *,
-    jobs: int = 1,
-    chaos: bool = False,
-    faults: Optional[FaultSpec] = None,
-    json_path: str = "",
-    trace_path: str = "",
-) -> Tuple[str, int]:
-    """CLI body for ``repro run-scenario`` and ``repro run-chaos``;
-    returns (output, exit code).
-
-    ``jobs`` > 1 fans the specs over a process pool.  For chaos runs,
-    ``faults=None`` defers to each spec file's own ``faults`` section
-    (falling back to the zero-fault default with recovery armed).
-    """
-    document, reports, trace_document = run_scenarios(
-        paths,
-        config=SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs),
-        chaos=chaos,
-        faults=faults,
-        trace=bool(trace_path),
+def format_job_report(job: Job) -> str:
+    """A completed scenario job's text reports, in input order."""
+    return "\n\n".join(
+        report for _spec, _result, report, _trace in _payloads(job.outcomes())
     )
-    output = "\n\n".join(reports)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(dump_artifact(document))
-        output += f"\nwrote artifact: {json_path}"
-    if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            handle.write(dump_trace(trace_document))
-        output += f"\nwrote trace: {trace_path}"
-    return output, 0
+
+
+def job_trace(job: Job) -> Optional[Dict[str, Any]]:
+    """The merged Chrome-trace document of a ``trace`` scenario job.
+
+    One process per scenario, pids in input order — so the document is
+    byte-identical across backends.  ``None`` when the job ran untraced.
+    """
+    entries = [
+        (spec["name"], trace)
+        for spec, _result, _report, trace in _payloads(job.outcomes())
+        if trace is not None
+    ]
+    return chrome_trace(entries) if entries else None
 
 
 def parse_kill(text: str) -> LinkKillSpec:
@@ -278,27 +221,30 @@ def parse_kill(text: str) -> LinkKillSpec:
 
 
 def build_fault_overlay(
-    drop: float = 0.0,
-    corrupt: float = 0.0,
-    switch_mode: str = "backpressure",
+    drop: Optional[float] = None,
+    corrupt: Optional[float] = None,
+    switch_mode: Optional[str] = None,
     kills: Sequence[LinkKillSpec] = (),
-    timeout_ns: float = 50_000.0,
-    backoff: float = 2.0,
-    budget: int = 5,
+    timeout_ns: Optional[float] = None,
+    backoff: Optional[float] = None,
+    budget: Optional[int] = None,
 ) -> FaultSpec:
-    """Assemble the ``run-chaos`` CLI flags into one :class:`FaultSpec`."""
-    links: Tuple[LinkFaultSpec, ...] = ()
-    if drop or corrupt:
-        links = (
-            LinkFaultSpec(
-                link="*", drop_probability=drop, corrupt_probability=corrupt
-            ),
-        )
+    """Assemble the ``run-chaos`` CLI flags into one :class:`FaultSpec`.
+
+    A field left ``None`` takes the :class:`FaultSpec` /
+    :class:`RecoverySpec` / :class:`LinkFaultSpec` default.
+    """
+    link = _given(drop_probability=drop, corrupt_probability=corrupt)
     return FaultSpec(
-        links=links,
+        links=(LinkFaultSpec(link="*", **link),) if any(link.values()) else (),
         kills=tuple(kills),
-        switch_drop_mode=switch_mode,
         recovery=RecoverySpec(
-            timeout_ns=timeout_ns, backoff=backoff, max_retransmits=budget
+            **_given(timeout_ns=timeout_ns, backoff=backoff, max_retransmits=budget)
         ),
+        **_given(switch_drop_mode=switch_mode),
     )
+
+
+def _given(**fields: Any) -> Dict[str, Any]:
+    """The keyword arguments that were actually set (not ``None``)."""
+    return {name: value for name, value in fields.items() if value is not None}

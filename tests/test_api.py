@@ -2,6 +2,7 @@
 runs through, and the lazy top-level re-exports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -55,15 +56,29 @@ class TestFacadeVerbs:
         assert counters["delivered"] + counters["lost"] == 4
 
     def test_run_experiment_and_diff(self):
-        run = api.run_experiment(["table1"])
-        artifact = run.to_artifact()
-        assert "Table 1" in api.format_report(run)
+        job = api.submit(["table1"]).run()
+        artifact = job.result()
+        assert "Table 1" in api.format_report(job)
         diff = api.diff_artifacts(artifact, artifact)
         assert not diff.has_regressions
 
     def test_format_report_rejects_other_types(self):
         with pytest.raises(TypeError, match="expected ScenarioResult"):
             api.format_report({"not": "a result"})
+        other = api.Job(kind="calibration", meta={}, tasks=[])
+        with pytest.raises(TypeError, match="expected ScenarioResult"):
+            api.format_report(other)
+
+    def test_format_report_of_a_scenario_job(self, spec):
+        job = api.submit([spec, replace(spec, name="api-twonode-b")]).run()
+        assert api.format_report(job) == "\n\n".join(
+            api.format_report(api.simulate(one))
+            for one in (spec, replace(spec, name="api-twonode-b"))
+        )
+
+    def test_format_report_refuses_unrun_job(self):
+        with pytest.raises(api.JobError, match="pending"):
+            api.format_report(api.submit("table1"))
 
 
 class TestJobVerbs:
@@ -97,6 +112,8 @@ class TestJobVerbs:
             api.submit("fig99")
         with pytest.raises(ValueError, match="scenario"):
             api.submit("table1", chaos=True)
+        with pytest.raises(ValueError, match="scenario"):
+            api.submit("table1", trace=True)
 
     def test_collect_gathers_in_order(self, spec):
         documents = api.collect([api.submit("table1"), api.submit(spec)])
@@ -117,22 +134,6 @@ class TestJobVerbs:
         resumed = api.resume(run_dir)
         assert resumed.result() == job.result()
 
-    def test_run_experiment_without_jobs_does_not_warn(self):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            run = api.run_experiment(["table1"])
-        assert "table1" in run.records
-
-    def test_run_experiment_matches_submitted_job(self):
-        """The fail-loud wrapper and the job assemble the same entries."""
-        names = ["table1", "fig7", "fig4", "transactions", "feasibility"]
-        assert (
-            api.run_experiment(names).to_artifact()["experiments"]
-            == api.submit(names).result()["experiments"]
-        )
-
     def test_submit_refuses_duplicate_scenario_names(self, spec):
         with pytest.raises(ValueError, match="duplicate scenario name 'api-twonode'"):
             api.submit([spec, spec])
@@ -143,7 +144,7 @@ class TestTopLevelExports:
         assert repro.api is api
         assert repro.simulate is api.simulate
         assert repro.load_spec is api.load_spec
-        assert repro.run_experiment is api.run_experiment
+        assert repro.submit is api.submit
         assert repro.diff_artifacts is api.diff_artifacts
         assert repro.format_report is api.format_report
 

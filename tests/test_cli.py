@@ -1,5 +1,8 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import EXPERIMENT_BLURBS, main
@@ -116,3 +119,52 @@ class TestExperiments:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_json_equals_sweep_json_byte_for_byte(self, tmp_path, capsys):
+        """``experiments`` and ``sweep`` are two front-ends over one job."""
+        ran, swept = tmp_path / "experiments.json", tmp_path / "sweep.json"
+        assert main(["experiments", "table1", "fig7", "--json", str(ran)]) == 0
+        assert main(["sweep", "table1", "fig7", "--json", str(swept)]) == 0
+        assert ran.read_bytes() == swept.read_bytes()
+        out = capsys.readouterr().out
+        assert f"wrote manifest: {ran}.manifest.json" in out
+
+    def test_json_into_unwritable_path_is_a_clean_error(self, tmp_path, capsys):
+        parent = tmp_path / "a-file"
+        parent.write_text("")
+        path = parent / "artifact.json"
+        assert main(["experiments", "table1", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+class TestScenarioVerbs:
+    def test_run_scenario_json_equals_sweep_json(self, tmp_path):
+        specs = [str(EXAMPLES / "twonode_oneway.json"),
+                 str(EXAMPLES / "incast_mixed.json")]
+        ran, swept = tmp_path / "run.json", tmp_path / "sweep.json"
+        assert main(["run-scenario", *specs, "--json", str(ran)]) == 0
+        assert main(["sweep", *specs, "--json", str(swept)]) == 0
+        assert ran.read_bytes() == swept.read_bytes()
+
+    @pytest.mark.parametrize("verb", ["run-scenario", "run-chaos"])
+    def test_failed_scenario_exits_1_with_diagnostic(
+        self, tmp_path, capsys, verb
+    ):
+        """A scenario that fails at build time is a failed shard (exit 1),
+        not a usage error (exit 2) — as ``sweep`` reports it."""
+        document = json.loads((EXAMPLES / "incast_mixed.json").read_text())
+        for node in document["nodes"]:
+            if node["name"] == "recv":
+                node["host"] = "dc0/c0/r0/h999"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1 scenario shard(s) failed")
+        assert "unknown host 'dc0/c0/r0/h999'" in err
+        assert "Traceback" not in err

@@ -18,7 +18,7 @@ from repro.experiments import (
     fig12b,
     table1,
 )
-from repro.experiments.harness import run_experiments
+from repro.experiments.harness import submit_experiments
 from repro.experiments.runner import EXPERIMENTS
 from repro.workloads.netfuncs import NetworkFunction
 from repro.workloads.traces import ClusterKind
@@ -170,7 +170,7 @@ class TestRunner:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="fig99"):
-            run_experiments(["fig99"])
+            submit_experiments(["fig99"])
 
 
 class TestTable1Module:

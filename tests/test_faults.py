@@ -33,7 +33,7 @@ from repro.scenario import (
 )
 from repro.scenario.builder import dump_artifact
 from repro.runtime import SweepConfig
-from repro.scenario.runner import build_fault_overlay, parse_kill, run_scenarios
+from repro.scenario.runner import build_fault_overlay, parse_kill, submit_scenarios
 from repro.sim import Simulator
 
 
@@ -338,10 +338,10 @@ class TestChaosDeterminism:
 
     def test_serial_and_parallel_chaos_artifacts_identical(self, tmp_path):
         paths = self._write_specs(tmp_path)
-        serial, _, _ = run_scenarios(paths, chaos=True)
-        parallel, _, _ = run_scenarios(
+        serial = submit_scenarios(paths, chaos=True).result()
+        parallel = submit_scenarios(
             paths, config=SweepConfig(backend="pool", jobs=2), chaos=True
-        )
+        ).result()
         assert dump_artifact(serial) == dump_artifact(parallel)
         result = serial["scenarios"]["chaos-7"]["result"]
         assert result["recovery"]["oneway"]["drops"] > 0
@@ -358,7 +358,9 @@ class TestChaosDeterminism:
         path = tmp_path / "spec.json"
         chaos_spec(drop=0.0).save(path)
         overlay = build_fault_overlay(drop=1.0, budget=0, timeout_ns=5_000.0)
-        document, _, _ = run_scenarios([str(path)], chaos=True, faults=overlay)
+        document = submit_scenarios(
+            [str(path)], chaos=True, faults=overlay
+        ).result()
         result = document["scenarios"]["chaos-twonode"]["result"]
         assert result["packets_delivered"] == 0
 
@@ -391,6 +393,34 @@ class TestChaosCli:
         result = document["scenarios"]["chaos-twonode"]["result"]
         counters = result["recovery"]["oneway"]
         assert counters["delivered"] + counters["lost"] == 20
+
+    @pytest.mark.parametrize(
+        "flags, timeout_ns",
+        [
+            (["--timeout-ns", "50000"], 50_000.0),
+            (["--drop", "0"], 50_000.0),
+            (["--timeout-ns", "50001"], 50_001.0),
+        ],
+    )
+    def test_fault_flag_at_its_default_overrides_spec_faults(
+        self, tmp_path, capsys, flags, timeout_ns
+    ):
+        """Any fault flag given replaces the spec's own faults section,
+        even at its default value; the flags left unset take the
+        FaultSpec defaults."""
+        spec_path = tmp_path / "spec.json"
+        chaos_spec(drop=0.2).save(spec_path)  # own faults: timeout 20000
+        artifact_path = tmp_path / "artifact.json"
+        exit_code = cli_main(
+            ["run-chaos", str(spec_path), *flags, "--json", str(artifact_path)]
+        )
+        assert exit_code == 0
+        document = json.loads(artifact_path.read_text())
+        faults = document["scenarios"]["chaos-twonode"]["spec"]["faults"]
+        assert faults["links"] == []
+        assert faults["recovery"] == {
+            "timeout_ns": timeout_ns, "backoff": 2.0, "max_retransmits": 5
+        }
 
     def test_flagless_run_chaos_arms_recovery(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

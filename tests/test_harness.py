@@ -11,6 +11,7 @@ from repro.experiments import fig11, fig12a, harness, loaded_latency, oneway
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime import SweepConfig
+from repro.scenario.builder import dump_artifact
 
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
 
@@ -29,15 +30,17 @@ class TestNormalizeNames:
 
 
 class TestHarnessRun:
+    """The experiment job end to end: report, artifact, determinism."""
+
     @pytest.fixture(scope="class")
     def serial(self):
-        return harness.run_experiments(FAST_NAMES, config=SweepConfig())
+        return harness.submit_experiments(FAST_NAMES).run()
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            harness.run_experiments(
+            harness.submit_experiments(
                 ["table1"], config=SweepConfig(backend="pool", jobs=0)
-            )
+            ).run()
 
     def test_report_matches_serial_runner(self, serial):
         """The sharded, merged reports read exactly as the experiments'
@@ -46,53 +49,42 @@ class TestHarnessRun:
         for name in FAST_NAMES:
             run, format_report = EXPERIMENTS[name]
             sections.append(f"{'=' * 72}\n{format_report(run())}\n")
-        assert serial.report_text() == "\n".join(sections)
+        assert harness.format_job_report(serial) == "\n".join(sections)
 
     def test_metadata_present(self, serial):
+        shards = serial.manifest()["shards"]
         for name in FAST_NAMES:
-            record = serial.records[name]
-            assert record.wall_seconds >= 0
-            assert record.events_fired >= 0
-            assert record.shards >= 1
+            mine = [shard for shard in shards if shard["task_id"] == name]
+            assert len(mine) == 1
+            assert mine[0]["wall_seconds"] >= 0
+            assert mine[0]["events_fired"] >= 0
 
     def test_artifact_schema(self, serial):
-        artifact = serial.to_artifact()
+        artifact = serial.result()
         assert artifact["schema"] == harness.SCHEMA
         assert artifact["schema_version"] == harness.SCHEMA_VERSION
-        assert artifact["run"]["experiments"] == FAST_NAMES
+        assert artifact["run"] == {"experiments": FAST_NAMES, "base_seed": 0}
+        assert "timing" not in artifact
         for name in FAST_NAMES:
             entry = artifact["experiments"][name]
             assert isinstance(entry["result"], dict)
             assert isinstance(entry["metrics"], dict)
             assert len(entry["report_sha256"]) == 64
-            timing = artifact["timing"]["per_experiment"][name]
-            assert set(timing) == {
-                "wall_seconds",
-                "events_fired",
-                "events_per_sec",
-                "shards",
-            }
 
     def test_artifact_is_json_serializable(self, serial):
-        text = json.dumps(serial.to_artifact())
+        text = json.dumps(serial.result())
         assert json.loads(text)["schema_version"] == 1
 
     def test_parallel_matches_serial_byte_for_byte(self, serial):
         """The determinism contract: --jobs 4 == --jobs 1, byte for byte."""
-        parallel = harness.run_experiments(
+        parallel = harness.submit_experiments(
             FAST_NAMES, config=SweepConfig(backend="pool", jobs=4)
         )
-        serial_bytes = json.dumps(
-            serial.to_artifact()["experiments"], sort_keys=True
-        ).encode()
-        parallel_bytes = json.dumps(
-            parallel.to_artifact()["experiments"], sort_keys=True
-        ).encode()
-        assert serial_bytes == parallel_bytes
+        assert dump_artifact(serial.result()) == dump_artifact(parallel.result())
 
     def test_write_and_load_roundtrip(self, serial, tmp_path):
         path = tmp_path / "artifact.json"
-        written = serial.write_artifact(str(path))
+        written = serial.artifact(str(path))
         loaded = harness.load_artifact(str(path))
         assert loaded == written
 
@@ -103,7 +95,7 @@ class TestHarnessRun:
             harness.load_artifact(str(path))
 
     def test_load_rejects_future_schema_version(self, serial, tmp_path):
-        artifact = serial.to_artifact()
+        artifact = serial.result()
         artifact["schema_version"] = 999
         path = tmp_path / "future.json"
         path.write_text(json.dumps(artifact))
@@ -176,9 +168,7 @@ class TestShardedMergeEquality:
 class TestDiff:
     @pytest.fixture(scope="class")
     def artifact(self):
-        return harness.run_experiments(
-            ["table1", "fig7"], config=SweepConfig()
-        ).to_artifact()
+        return harness.submit_experiments(["table1", "fig7"]).result()
 
     def test_self_diff_reports_no_regressions(self, artifact):
         diff = harness.diff_artifacts(artifact, artifact)
@@ -209,9 +199,8 @@ class TestDiff:
 
 class TestArtifactTargetChecks:
     def test_checks_rerun_from_loaded_json(self, tmp_path):
-        run = harness.run_experiments(["fig7"], config=SweepConfig())
         path = tmp_path / "fig7.json"
-        run.write_artifact(str(path))
+        harness.submit_experiments(["fig7"]).artifact(str(path))
         checks = check_artifact(harness.load_artifact(str(path)))
         names = {check.target.name for check in checks}
         assert "fig7.lines_per_burst" in names

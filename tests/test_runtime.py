@@ -387,19 +387,6 @@ class TestBackendParity:
         assert manifest["run"]["status"] == "complete"
         assert manifest["run"]["backend"] == "workers"
 
-    def test_scenario_sweep_matches_classic_runner(self, tmp_path):
-        specs = []
-        for size in (256, 1024):
-            spec = api.ScenarioSpec.two_node("netdimm", size)
-            path = tmp_path / f"{size}.json"
-            spec.save(path)
-            specs.append(str(path))
-        serial = api.submit(specs).result()
-        pooled = api.submit(specs, backend="pool", jobs=2).result()
-        assert serial == pooled
-        classic, _reports, _trace = api.run_scenarios(specs)
-        assert serial["scenarios"] == classic["scenarios"]
-
 
 class TestKillAndResume:
     @pytest.mark.slow

@@ -27,7 +27,7 @@ from repro.scenario import (
 )
 from repro.scenario.builder import dump_artifact
 from repro.runtime import SweepConfig
-from repro.scenario.runner import run_scenarios
+from repro.scenario.runner import submit_scenarios
 from repro.sim import Simulator
 from repro.workloads.traces import ClusterKind
 
@@ -210,10 +210,10 @@ class TestRunnerAndCli:
 
     def test_serial_and_parallel_artifacts_identical(self, tmp_path):
         paths = self._write_specs(tmp_path)
-        serial, _, _ = run_scenarios(paths)
-        parallel, _, _ = run_scenarios(
+        serial = submit_scenarios(paths).result()
+        parallel = submit_scenarios(
             paths, config=SweepConfig(backend="pool", jobs=2)
-        )
+        ).result()
         assert dump_artifact(serial) == dump_artifact(parallel)
 
     def test_cli_mixed_incast_end_to_end(self, tmp_path, capsys):

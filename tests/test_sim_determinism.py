@@ -212,11 +212,9 @@ class TestFig5ArtifactEquality:
     @pytest.mark.slow
     def test_fig5_artifact_matches_baseline(self):
         from repro.experiments import harness
-        from repro.runtime import SweepConfig
 
         baseline = harness.load_artifact(str(FIG5_BASELINE_PATH))
-        run = harness.run_experiments(["fig5"], config=SweepConfig())
-        current = run.to_artifact()
+        current = harness.submit_experiments(["fig5"]).result()
         diff = harness.diff_artifacts(current, baseline)
         assert not diff.has_regressions, diff.format()
         assert (
@@ -320,11 +318,8 @@ def sweep_digests(names=SWEEP_NAMES):
     (canonical JSON: sorted keys, no whitespace), run inline through
     the harness."""
     from repro.experiments import harness
-    from repro.runtime import SweepConfig
 
-    entries = harness.run_experiments(list(names), config=SweepConfig()).to_artifact()[
-        "experiments"
-    ]
+    entries = harness.submit_experiments(list(names)).result()["experiments"]
     return {
         name: hashlib.sha256(
             json.dumps(entries[name], sort_keys=True, separators=(",", ":")).encode()

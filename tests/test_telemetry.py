@@ -10,7 +10,7 @@ Four promises, each pinned:
 * **Zero overhead** — with a tracer attached, the kernel executes the
   exact same ``(time, seq, owner)`` event stream as without one, and
   the scenario result is byte-identical.
-* **Serial/parallel identity** — ``run_scenarios(..., trace=True)``
+* **Serial/parallel identity** — ``submit_scenarios(..., trace=True)``
   inline and on a 2-process pool produce byte-identical trace JSON.
 * **Fault nesting** — under retransmission every segment/wire span
   nests (by time containment) inside exactly one attempt span, every
@@ -27,7 +27,7 @@ from repro import api
 from repro.experiments.oneway import measure_one_way
 from repro.net.packet import FIG11_SEGMENTS
 from repro.runtime import SweepConfig
-from repro.scenario.runner import run_scenarios
+from repro.scenario.runner import job_trace, submit_scenarios
 from repro.sim import Simulator
 from repro.telemetry import SpanTracer, chrome_trace, dump_trace, segment_totals
 
@@ -101,19 +101,21 @@ class TestSerialParallelIdentity:
 
     def test_run_traced_jobs_byte_identical(self, tmp_path):
         paths = self._spec_files(tmp_path)
-        doc1, _reports1, trace1 = run_scenarios(paths, trace=True)
-        doc2, _reports2, trace2 = run_scenarios(
+        job1 = submit_scenarios(paths, trace=True).run()
+        job2 = submit_scenarios(
             paths, config=SweepConfig(backend="pool", jobs=2), trace=True
-        )
-        assert dump_trace(trace1) == dump_trace(trace2)
-        assert api.dump_artifact(doc1) == api.dump_artifact(doc2)
+        ).run()
+        assert dump_trace(job_trace(job1)) == dump_trace(job_trace(job2))
+        assert api.dump_artifact(job1.result()) == api.dump_artifact(job2.result())
 
     def test_traced_artifact_matches_untraced(self, tmp_path):
         paths = self._spec_files(tmp_path)
-        traced_doc, _reports, _trace = run_scenarios(paths, trace=True)
-        plain_doc, _plain_reports, no_trace = api.run_scenarios(paths)
-        assert no_trace is None
-        assert api.dump_artifact(traced_doc) == api.dump_artifact(plain_doc)
+        traced = api.submit(paths, trace=True).run()
+        plain = api.submit(paths).run()
+        assert api.job_trace(plain) is None
+        assert api.dump_artifact(traced.result()) == api.dump_artifact(
+            plain.result()
+        )
 
 
 class TestFigureParity:
