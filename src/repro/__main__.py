@@ -93,23 +93,15 @@ from typing import List, Optional
 
 from repro import api
 
-EXPERIMENT_BLURBS = {
-    "table1": "system configuration (Table 1)",
-    "fig4": "baseline NIC comparison + pcie.overh (Fig. 4)",
-    "fig5": "iperf bandwidth vs. memory pressure (Fig. 5)",
-    "fig7": "NIC DMA burst locality (Fig. 7)",
-    "fig11": "latency breakdown: dNIC/iNIC/NetDIMM (Fig. 11)",
-    "fig12a": "Facebook-trace replay, normalized latency (Fig. 12a)",
-    "fig12b": "co-runner memory latency under DPI/L3F (Fig. 12b)",
-    "bandwidth": "line-rate check, TX and RX (Sec. 5.2)",
-    "ablation": "design-choice ablations",
-    "transactions": "PCIe transaction census (Sec. 3)",
-    "notification": "polling vs. interrupts (Sec. 2.1)",
-    "kernel_stack": "kernel-stack dilution (Sec. 5.1)",
-    "loaded_latency": "packet latency under host-memory pressure",
-    "feasibility": "TDP budget + per-packet energy (Sec. 4.3)",
-    "faults": "tail latency vs. drop rate under retransmission",
-}
+def positive_int(text: str) -> int:
+    """argparse type: a strictly positive integer."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("names", nargs="*", help="experiment names (default: all)")
     run.add_argument(
         "--jobs",
-        type=api.positive_int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="worker processes (1 = run inline, the debuggable fallback)",
@@ -150,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oneway = commands.add_parser("oneway", help="measure one packet transfer")
     oneway.add_argument("--nic", choices=api.NIC_KINDS, default="netdimm")
     oneway.add_argument(
-        "--size", type=api.positive_int, default=256, metavar="BYTES"
+        "--size", type=positive_int, default=256, metavar="BYTES"
     )
 
     trace = commands.add_parser(
@@ -170,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[cluster.value for cluster in api.ClusterKind],
         default="webserver",
     )
-    trace.add_argument("--count", type=api.positive_int, default=1000)
+    trace.add_argument("--count", type=positive_int, default=1000)
     trace.add_argument("--seed", type=int, default=2019)
     trace.add_argument("--out", default="-", help="output file ('-' = stdout)")
 
@@ -180,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--jobs",
-            type=api.positive_int,
+            type=positive_int,
             default=1,
             metavar="N",
             help="worker processes (1 = run inline)",
@@ -271,11 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend (workers = resumable/distributed)",
     )
     sweep.add_argument(
-        "--jobs", type=api.positive_int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="process-pool width (pool backend)",
     )
     sweep.add_argument(
-        "--workers", type=api.positive_int, default=2, metavar="N",
+        "--workers", type=positive_int, default=2, metavar="N",
         help="worker-process count (workers backend)",
     )
     sweep.add_argument(
@@ -302,9 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--backend", choices=sorted(api.BACKENDS), default="local"
     )
-    resume.add_argument("--jobs", type=api.positive_int, default=1, metavar="N")
+    resume.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     resume.add_argument(
-        "--workers", type=api.positive_int, default=2, metavar="N"
+        "--workers", type=positive_int, default=2, metavar="N"
     )
     resume.add_argument(
         "--retry-failed", action="store_true",
@@ -323,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("run_dir", metavar="RUNDIR")
     worker.add_argument(
-        "--max-tasks", type=api.positive_int, default=None, metavar="N"
+        "--max-tasks", type=positive_int, default=None, metavar="N"
     )
 
     calibrate = commands.add_parser(
@@ -340,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: fig4 fig11)",
     )
     calibrate.add_argument(
-        "--budget", type=api.positive_int, default=16, metavar="N",
+        "--budget", type=positive_int, default=16, metavar="N",
         help="maximum number of evaluated trials",
     )
     calibrate.add_argument(
@@ -353,11 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep backend for the trial shards",
     )
     calibrate.add_argument(
-        "--jobs", type=api.positive_int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="process-pool width (pool backend)",
     )
     calibrate.add_argument(
-        "--workers", type=api.positive_int, default=2, metavar="N",
+        "--workers", type=positive_int, default=2, metavar="N",
         help="worker-process count (workers backend)",
     )
     calibrate.add_argument(
@@ -392,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> str:
     width = max(len(name) for name in api.EXPERIMENTS)
     return "\n".join(
-        f"{name:<{width}}  {EXPERIMENT_BLURBS.get(name, '')}"
-        for name in api.EXPERIMENTS
+        f"{name:<{width}}  {module.SUMMARY}"
+        for name, module in api.EXPERIMENTS.items()
     )
 
 

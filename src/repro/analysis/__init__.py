@@ -1,7 +1,10 @@
-"""Analysis utilities: table rendering and paper-target checking.
+"""Analysis utilities: report charts, stats dumps and paper-target checking.
 
-* :mod:`repro.analysis.tables` — plain-text table building shared by
-  the experiment reports.
+* :mod:`repro.analysis.charts` — the stacked bar chart of the Fig. 11
+  report.
+* :mod:`repro.analysis.statsdump` — gem5-style whole-system stats
+  collection (:func:`collect`, :func:`dump`) and the kernel event
+  profile table behind ``experiments --profile``.
 * :mod:`repro.analysis.targets` — the paper's quoted quantitative
   results as a machine-readable registry, with tolerance-banded
   checking.  The reproduction's integration tests assert against these
@@ -9,20 +12,16 @@
   truth.
 """
 
-from repro.analysis.charts import bar_chart, series_chart, stacked_bar_chart
+from repro.analysis.charts import stacked_bar_chart
 from repro.analysis.statsdump import collect, dump, find_components
-from repro.analysis.tables import Table
 from repro.analysis.targets import PAPER_TARGETS, Target, check_value
 
 __all__ = [
     "PAPER_TARGETS",
-    "Table",
     "Target",
-    "bar_chart",
     "check_value",
     "collect",
     "dump",
     "find_components",
-    "series_chart",
     "stacked_bar_chart",
 ]

@@ -1,39 +1,13 @@
 """Terminal-friendly charts for experiment reports.
 
-The experiment reports are plain text; these helpers add horizontal bar
-charts and grouped series so the figure *shapes* (who wins, crossovers,
-stacking) are visible straight from ``python -m repro experiments``
-without any plotting dependency.
+The experiment reports are plain text; a stacked bar chart makes a
+figure's *shape* (who wins, what the stack is made of) visible straight
+from ``python -m repro experiments`` without any plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-def bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    width: int = 40,
-    unit: str = "",
-    fill: str = "#",
-) -> str:
-    """Horizontal bars scaled to the largest value.
-
-    ``rows`` is a sequence of (label, value); values must be >= 0.
-    """
-    if not rows:
-        return "(no data)"
-    peak = max(value for _label, value in rows)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _value in rows)
-    lines = []
-    for label, value in rows:
-        if value < 0:
-            raise ValueError(f"bar values must be non-negative: {label}={value}")
-        bar = fill * max(1 if value > 0 else 0, round(value / peak * width))
-        lines.append(f"{label:<{label_width}}  {value:>8.2f}{unit}  {bar}")
-    return "\n".join(lines)
+from typing import Dict, Sequence
 
 
 def stacked_bar_chart(
@@ -76,25 +50,3 @@ def stacked_bar_chart(
     )
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
-
-
-def series_chart(
-    x_labels: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Several named series over common x labels, one block per x.
-
-    Good for "latency vs. packet size per configuration" comparisons.
-    """
-    flat: List[Tuple[str, float]] = []
-    for index, x_label in enumerate(x_labels):
-        for name, values in series.items():
-            if len(values) != len(x_labels):
-                raise ValueError(
-                    f"series {name!r} has {len(values)} values for "
-                    f"{len(x_labels)} x labels"
-                )
-            flat.append((f"{x_label} {name}", values[index]))
-    return bar_chart(flat, width=width, unit=unit)

@@ -9,9 +9,7 @@ their reports into one ``component.stat -> value`` mapping.
 
 from __future__ import annotations
 
-import json
-import math
-from typing import Any, Dict, Iterable, List, Set
+from typing import Any, Dict, List, Set
 
 from repro.sim.component import Component
 
@@ -59,33 +57,6 @@ def collect(root: Any) -> Dict[str, float]:
         for stat, value in component.stats.report().items():
             flat[f"{component.name}.{stat}"] = value
     return flat
-
-
-def collect_json(root: Any, only: str = "") -> Dict[str, float]:
-    """Like :func:`collect`, but guaranteed JSON-serializable.
-
-    Non-finite floats (a histogram of no samples used to surface NaN
-    before the schema was made total; a runaway rate could surface inf)
-    are mapped to ``None`` so ``json.dump`` emits ``null`` instead of
-    the non-standard ``NaN``/``Infinity`` tokens, and the mapping is
-    key-sorted so dumps diff stably.
-    """
-    flat = collect(root)
-    safe: Dict[str, float] = {}
-    for key in sorted(flat):
-        if only and only not in key:
-            continue
-        value = flat[key]
-        if isinstance(value, float) and not math.isfinite(value):
-            safe[key] = None
-        else:
-            safe[key] = value
-    return safe
-
-
-def dump_json(root: Any, only: str = "") -> str:
-    """The stats dump as a JSON document (machine-readable artifact)."""
-    return json.dumps(collect_json(root, only=only), indent=2)
 
 
 def format_profile(counts: Dict[str, int], top: int = 0) -> str:

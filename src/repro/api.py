@@ -81,7 +81,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.harness import load_artifact
 from repro.experiments.oneway import OneWayResult, measure_one_way
-from repro.experiments.runner import EXPERIMENTS, positive_int
+from repro.experiments.runner import EXPERIMENTS
 from repro.faults import (
     FAULT_SWITCH_MODES,
     FaultInjector,
@@ -198,7 +198,6 @@ __all__ = [
     "OneWayResult",
     "load_artifact",
     "measure_one_way",
-    "positive_int",
     # params / registry / workloads
     "DEFAULT",
     "NIC_KINDS",
@@ -359,7 +358,6 @@ def calibrate(
     run_dir: Optional[str] = None,
     base_seed: int = 0,
     out_dir: Optional[str] = None,
-    strategy: Optional[Any] = None,
 ) -> CalibrationReport:
     """Fit the *Calibrated* constants to paper targets; see
     ``docs/calibration.md``.
@@ -397,7 +395,6 @@ def calibrate(
         budget=budget,
         base_seed=base_seed,
         config=config,
-        strategy=strategy,
     )
     if out_dir is not None:
         write_calibration(report, out_dir)

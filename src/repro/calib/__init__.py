@@ -9,13 +9,13 @@ bands.  This package closes that loop mechanically:
 - :mod:`repro.calib.space` — the whitelist of calibratable constants
   (:data:`CALIBRATABLE`) and the :class:`SearchSpace`/:class:`Axis`
   declaration of what a run may move;
-- :mod:`repro.calib.evaluate` — one candidate → experiments →
-  per-target normalized losses, registered as the ``"calib"`` sweep
-  task kind;
+- :mod:`repro.calib.evaluate` — one candidate → the registry's
+  experiments → per-target normalized losses, registered as the
+  ``"calib"`` sweep task kind;
 - :mod:`repro.calib.search` — the budgeted search
-  (:class:`CoordinateDescent` by default, :class:`Strategy` is
-  pluggable) run through the distributed sweep runtime, so trials
-  shard across processes/machines and resume after SIGKILL;
+  (:class:`CoordinateDescent`, a pattern search) run through the
+  distributed sweep runtime, so trials shard across processes/machines
+  and resume after SIGKILL;
 - :mod:`repro.calib.artifact` — the versioned
   ``netdimm-repro/calibrated-params`` artifact plus sidecar manifest.
 
@@ -40,7 +40,6 @@ from repro.calib.artifact import (
 )
 from repro.calib.evaluate import (
     DEFAULT_TARGET_SELECTORS,
-    SUPPORTED_FIGURES,
     _calib_assembler,
     _calib_executor,
     evaluate_candidate,
@@ -50,7 +49,6 @@ from repro.calib.evaluate import (
 from repro.calib.search import (
     CalibrationReport,
     CoordinateDescent,
-    Strategy,
     Trial,
     calibrate,
 )
@@ -72,13 +70,11 @@ __all__ = [
     "SearchSpace",
     "param_id",
     "nested_overrides",
-    "SUPPORTED_FIGURES",
     "DEFAULT_TARGET_SELECTORS",
     "select_targets",
     "experiments_for",
     "evaluate_candidate",
     "Trial",
-    "Strategy",
     "CoordinateDescent",
     "CalibrationReport",
     "calibrate",

@@ -6,10 +6,12 @@ the candidate's overrides), scored against the selected subset of the
 ``PAPER_TARGETS`` registry with :meth:`Target.loss` — normalized so 0
 is the paper's value, 1 the band edge.
 
-Only experiments that (a) take a ``params`` argument and (b) publish
-registry-named metrics can constrain a fit; :data:`SUPPORTED_FIGURES`
-lists them.  Target selection is by full registry name or by figure
-prefix (``"fig11"`` selects every ``fig11.*`` target); the default
+A target's figure prefix names the experiment that measures it: a
+trial looks the prefix up in the experiment registry
+(:data:`repro.experiments.runner.EXPERIMENTS`) and runs that module's
+``run(params=...)``, so every ``PAPER_TARGETS`` figure can constrain a
+fit.  Target selection is by full registry name or by figure prefix
+(``"fig11"`` selects every ``fig11.*`` target); the default
 set — ``fig4`` + ``fig11`` — is the same pair of figures the shipped
 constants were hand-calibrated against (``docs/calibration.md``).
 
@@ -22,31 +24,19 @@ fabricated ``inf`` loss.
 
 from __future__ import annotations
 
-import importlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.targets import PAPER_TARGETS, aggregate_loss
 from repro.calib.space import nested_overrides
+from repro.experiments.runner import EXPERIMENTS
 from repro.params import DEFAULT, apply_overrides
 
 __all__ = [
-    "SUPPORTED_FIGURES",
     "DEFAULT_TARGET_SELECTORS",
     "select_targets",
     "experiments_for",
     "evaluate_candidate",
 ]
-
-SUPPORTED_FIGURES = (
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig11",
-    "fig12a",
-    "fig12b",
-    "bandwidth",
-)
-"""Target-name prefixes whose owning experiments accept ``params``."""
 
 DEFAULT_TARGET_SELECTORS = ("fig4", "fig11")
 """The figures the shipped constants were calibrated against."""
@@ -59,9 +49,7 @@ def select_targets(
 
     Each selector is either a full ``PAPER_TARGETS`` name or a figure
     prefix (everything before the first ``.``).  ``None`` selects the
-    default ``fig4`` + ``fig11`` set.  Unknown selectors — and
-    selectors whose experiment cannot be re-run under candidate
-    params (e.g. a name outside :data:`SUPPORTED_FIGURES`) — raise.
+    default ``fig4`` + ``fig11`` set.  Unknown selectors raise.
 
     >>> select_targets(["fig7"])
     ['fig7.lines_per_burst', 'fig7.third_burst_ns']
@@ -84,12 +72,6 @@ def select_targets(
                 f"name or a figure prefix from {figures}"
             )
         for name in matches:
-            if name.split(".", 1)[0] not in SUPPORTED_FIGURES:
-                raise ValueError(
-                    f"target {name!r} cannot constrain a calibration: "
-                    f"its experiment does not take candidate params "
-                    f"(supported figures: {list(SUPPORTED_FIGURES)})"
-                )
             if name not in names:
                 names.append(name)
     return names
@@ -122,8 +104,7 @@ def evaluate_candidate(
     params = apply_overrides(DEFAULT, nested_overrides(overrides))
     metrics: Dict[str, float] = {}
     for figure in experiments_for(target_names):
-        module = importlib.import_module(f"repro.experiments.{figure}")
-        metrics.update(module.run(params=params).metrics())
+        metrics.update(EXPERIMENTS[figure].run(params=params).metrics())
     loss, per_target = aggregate_loss(metrics, names=target_names)
     return {
         "overrides": {name: int(overrides[name]) for name in sorted(overrides)},

@@ -12,13 +12,13 @@ replays completed rounds from their checkpoints (the search is a
 deterministic function of the trial results) and resumes the
 interrupted one.
 
-The strategy is pluggable (:class:`Strategy`); the default
-:class:`CoordinateDescent` is a pattern search with grid refinement:
-evaluate the ± one-step neighbors of the incumbent along every axis,
-move to the best trial seen so far, and halve the step when no
-neighbor improves.  Crude, but the loss surface here is a handful of
-monotone timing knobs — and the point of the design is that a better
-strategy slots in without touching the trial plumbing.
+The search is :class:`CoordinateDescent`, a pattern search with grid
+refinement: evaluate the ± one-step neighbors of the incumbent along
+every axis, move to the best trial seen so far, and halve the step
+when no neighbor improves.  Crude, but the loss surface here is a
+handful of monotone timing knobs.  Its proposals are a deterministic
+function of the trials so far, which is what makes a killed-and-rerun
+calibration replay to the same answer.
 
 A trial that raises — a candidate that breaks the simulation, a
 missing metric — becomes a *failed* :class:`Trial` carrying the
@@ -43,7 +43,6 @@ from repro.runtime.tasks import Outcome, ShardResult, Task
 
 __all__ = [
     "Trial",
-    "Strategy",
     "CoordinateDescent",
     "CalibrationReport",
     "REPORT_SCHEMA",
@@ -138,25 +137,14 @@ def _best_trial(trials: Sequence[Trial]) -> Optional[Trial]:
     )
 
 
-class Strategy:
-    """A search strategy: trials so far in, next candidate batch out.
+class CoordinateDescent:
+    """Pattern search with grid refinement.
 
     :meth:`propose` is called once per round with *every* trial
     evaluated so far (in evaluation order) and returns the next
     round's candidates as flat ``{"section.field": ticks}`` points —
-    or ``[]`` to end the search.  Implementations must be
-    deterministic functions of the trial sequence: that is what makes
-    a killed-and-rerun calibration replay to the same answer.
+    or ``[]`` to end the search.
     """
-
-    def propose(
-        self, space: SearchSpace, trials: Sequence[Trial]
-    ) -> List[Dict[str, int]]:
-        raise NotImplementedError
-
-
-class CoordinateDescent(Strategy):
-    """Pattern search with grid refinement (the default strategy)."""
 
     def __init__(self, shrink: float = 2.0, min_scale: float = 0.05):
         if shrink <= 1:
@@ -329,7 +317,6 @@ def calibrate(
     budget: int = 16,
     base_seed: int = 0,
     config: Optional[SweepConfig] = None,
-    strategy: Optional[Strategy] = None,
 ) -> CalibrationReport:
     """Fit the whitelisted constants to paper targets; return the report.
 
@@ -352,7 +339,7 @@ def calibrate(
         raise ValueError(f"budget must be >= 1, got {budget}")
     config = config or SweepConfig()
     target_names = select_targets(targets)
-    strategy = strategy or CoordinateDescent()
+    strategy = CoordinateDescent()
 
     start = space.defaults()
     first_round: List[Dict[str, int]] = []

@@ -33,6 +33,8 @@ from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 from repro.units import CACHELINE, cachelines
 
+SUMMARY = "design-choice ablations"
+
 SIZES = (64, 1514)
 VARIANTS = ("baseline", "no_ncache", "no_prefetch", "no_hint", "no_alloccache")
 

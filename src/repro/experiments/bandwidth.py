@@ -18,10 +18,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.experiments.oneway import make_node
+from repro.driver.registry import make_node
 from repro.net import EthernetWire, Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
+from repro.units import transfer_time
+
+SUMMARY = "line-rate check, TX and RX (Sec. 5.2)"
 
 CONFIGS = ("dnic", "inic", "netdimm")
 STREAM_PACKETS = 300
@@ -107,9 +110,9 @@ def _stream_rx(config: str, params: SystemParams, packets: int) -> float:
     node = make_node(sim, "rx", config, params)
     if hasattr(node, "warm_up"):
         node.warm_up()
-    mtu = params.network.mtu_bytes
-    framed = mtu + params.network.ethernet_overhead_bytes
-    interarrival = max(1, round(framed / params.network.link_bytes_per_ps))
+    network = params.network
+    mtu = network.mtu_bytes
+    interarrival = transfer_time(network.framed_bytes(mtu), network.link_bytes_per_ps)
     delivered = {"bytes": 0, "last": 0}
 
     def pump():

@@ -25,6 +25,8 @@ from repro.faults.spec import FaultSpec, LinkFaultSpec, RecoverySpec
 from repro.scenario.builder import build_scenario
 from repro.scenario.spec import ScenarioSpec
 
+SUMMARY = "tail latency vs. drop rate under retransmission"
+
 DROP_RATES = (0.0, 0.02, 0.05)
 """Per-link drop probabilities swept (0 pins the no-loss baseline)."""
 

@@ -15,6 +15,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.power import PowerModel, PowerParams
 
+SUMMARY = "TDP budget + per-packet energy (Sec. 4.3)"
+
 SIZES = (64, 256, 1514)
 CONFIGS = ("dnic", "inic", "netdimm")
 

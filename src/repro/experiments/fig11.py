@@ -21,6 +21,8 @@ from repro.experiments.oneway import OneWayResult, measure_one_way
 from repro.net.packet import FIG11_SEGMENTS
 from repro.params import DEFAULT, SystemParams
 
+SUMMARY = "latency breakdown: dNIC/iNIC/NetDIMM (Fig. 11)"
+
 PACKET_SIZES = (10, 60, 200, 500, 1000, 2000, 4000, 8000)
 QUOTED_SIZES = (64, 256, 1024)
 CONFIGS = ("dnic", "inic", "netdimm")

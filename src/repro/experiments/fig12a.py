@@ -42,8 +42,10 @@ from repro.net.topology import ClosTopology, Locality
 from repro.params import DEFAULT, SystemParams
 from repro.scenario.builder import build_scenario
 from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
-from repro.units import CACHELINE, ns
+from repro.units import CACHELINE, ns, transfer_time
 from repro.workloads.traces import ClusterKind, TraceGenerator
+
+SUMMARY = "Facebook-trace replay, normalized latency (Fig. 12a)"
 
 SWITCH_LATENCIES_NS = (25, 50, 100, 200)
 CONFIGS = ("dnic", "inic", "netdimm")
@@ -215,7 +217,8 @@ def run_cell(cell: Fig12aCell, params: SystemParams) -> float:
     )
     # End-host MAC/PHY + first-link propagation (with the serialization
     # below, the "wire" pieces the fabric path model does not include).
-    endhost_wire = 2 * params.network.mac_phy_latency + fabric.params.propagation
+    network = params.network
+    endhost_wire = 2 * network.mac_phy_latency + fabric.params.propagation
     # Every term is an integer tick count, so summing per distinct
     # (size, locality) pair gives the per-packet total exactly.
     total = sum(
@@ -223,7 +226,7 @@ def run_cell(cell: Fig12aCell, params: SystemParams) -> float:
         * (
             host[_size_bucket(size)]
             + endhost_wire
-            + _serialization(size, params)
+            + transfer_time(network.framed_bytes(size), network.link_bytes_per_ps)
             + fabric.path_latency(size, locality)
         )
         for (size, locality), count in mix
@@ -263,83 +266,26 @@ def run(
     seed: int = 2019,
     mode: str = "analytical",
     mean_interarrival_ns: float = 1000.0,
+    **spec_options: Any,
 ) -> Fig12aResult:
-    """Replay every cluster trace under every configuration and sweep."""
-    points = cells(
-        packets_per_cluster, switch_latencies_ns, seed, mode, mean_interarrival_ns
-    )
-    return _replay(params, points)
+    """Replay every cluster trace under every configuration and sweep.
 
-
-def _replay(
-    params: Optional[SystemParams], points: List[Fig12aCell]
-) -> Fig12aResult:
-    """Run every cell serially and merge."""
+    ``mode`` and ``spec_options`` pick the replay as for :func:`cells`:
+    ``mode="fabric"`` replays each trace live over the instantiated
+    fabric (a large ``mean_interarrival_ns`` gives a zero-load
+    cross-check of the analytical mode), and ``mode="hybrid"`` adds
+    flow-level background cross traffic to that replay.
+    """
     params = params or DEFAULT
+    points = cells(
+        packets_per_cluster,
+        switch_latencies_ns,
+        seed,
+        mode,
+        mean_interarrival_ns,
+        **spec_options,
+    )
     return merge(points, [run_cell(cell, params) for cell in points])
-
-
-def run_fabric(
-    params: Optional[SystemParams] = None,
-    packets_per_cluster: int = PACKETS_PER_CLUSTER,
-    switch_latencies_ns: Tuple[int, ...] = SWITCH_LATENCIES_NS,
-    seed: int = 2019,
-    mean_interarrival_ns: float = 1000.0,
-    queue_depth: Optional[int] = 16,
-) -> Fig12aResult:
-    """Replay every cluster trace live over the instantiated fabric.
-
-    Per (cluster, switch latency, config) cell, a scenario places one
-    detailed host pair per locality class on the default clos shape and
-    replays the same seeded trace the analytical mode uses, live.  Use
-    a large ``mean_interarrival_ns`` for a zero-load cross-check of the
-    analytical mode; the 1 us default carries the trace's nominal load.
-    """
-    return _replay(
-        params,
-        cells(
-            packets_per_cluster,
-            switch_latencies_ns,
-            seed,
-            "fabric",
-            mean_interarrival_ns,
-            queue_depth=queue_depth,
-        ),
-    )
-
-
-def run_hybrid(
-    params: Optional[SystemParams] = None,
-    packets_per_cluster: int = PACKETS_PER_CLUSTER,
-    switch_latencies_ns: Tuple[int, ...] = SWITCH_LATENCIES_NS,
-    seed: int = 2019,
-    mean_interarrival_ns: float = 1000.0,
-    queue_depth: Optional[int] = 16,
-    background_nodes: int = 8,
-    background_load: float = 0.2,
-) -> Fig12aResult:
-    """The fabric replay under flow-level background cross traffic.
-
-    Same cells as :func:`run_fabric`, but each scenario adds
-    ``background_nodes`` extra hosts driving uniform traffic at
-    ``fidelity="flow"``, sized so each background source offers
-    ``background_load`` of a link's capacity in aggregate.  The
-    background costs O(sources) events total, so the loaded figure
-    runs at essentially unloaded-replay speed.
-    """
-    return _replay(
-        params,
-        cells(
-            packets_per_cluster,
-            switch_latencies_ns,
-            seed,
-            "hybrid",
-            mean_interarrival_ns,
-            queue_depth=queue_depth,
-            background_nodes=background_nodes,
-            background_load=background_load,
-        ),
-    )
 
 
 def hybrid_replay_spec(
@@ -448,13 +394,6 @@ def fabric_replay_spec(
             ),
         ),
     )
-
-
-def _serialization(size_bytes: int, params: SystemParams) -> int:
-    framed = max(size_bytes, params.network.min_frame_bytes) + (
-        params.network.ethernet_overhead_bytes
-    )
-    return max(1, round(framed / params.network.link_bytes_per_ps))
 
 
 def format_report(result: Fig12aResult) -> str:

@@ -40,6 +40,8 @@ from repro.units import CACHELINE, cachelines, ns
 from repro.workloads.netfuncs import CoRunnerProbe, NetworkFunction
 from repro.workloads.traces import ClusterKind, TraceGenerator
 
+SUMMARY = "co-runner memory latency under DPI/L3F (Fig. 12b)"
+
 PACKETS_PER_RUN = 1200
 TARGET_LOAD_GBPS = 24.0
 CONFIGS = ("inic", "netdimm")

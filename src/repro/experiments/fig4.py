@@ -22,6 +22,8 @@ from repro.experiments.oneway import OneWayResult, measure_one_way
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 
+SUMMARY = "baseline NIC comparison + pcie.overh (Fig. 4)"
+
 PACKET_SIZES = (10, 60, 200, 500, 1000, 2000)
 CONFIGS = ("dnic", "dnic.zcpy", "inic", "inic.zcpy")
 

@@ -24,6 +24,8 @@ from repro.units import ns
 from repro.workloads.iperf import IperfModel
 from repro.workloads.mlc import MLCInjector
 
+SUMMARY = "iperf bandwidth vs. memory pressure (Fig. 5)"
+
 INJECT_DELAYS_NS: Tuple[Optional[int], ...] = (0, 20, 50, 100, 200, 500, 1000, None)
 """Per-thread delay between injected requests; None = injector off."""
 
@@ -88,13 +90,7 @@ def run_cell(cell: Tuple[Optional[int], int, int], params: SystemParams) -> floa
             sim, "mlc", controller, delay=ns(delay_ns), threads=threads, outstanding=40
         )
         injector.start()
-    iperf = IperfModel(
-        sim,
-        "iperf",
-        controller,
-        mtu_bytes=params.network.mtu_bytes,
-        link_bytes_per_ps=params.network.link_bytes_per_ps,
-    )
+    iperf = IperfModel(sim, "iperf", controller, network=params.network)
     done = iperf.run(packets)
     bandwidth_bps = sim.run_until(done, max_events=20_000_000)
     if injector is not None:

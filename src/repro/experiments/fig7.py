@@ -16,6 +16,8 @@ from repro.nic.dma import DMABurstTrace, dma_burst_trace
 from repro.params import DEFAULT, SystemParams
 from repro.units import ns
 
+SUMMARY = "NIC DMA burst locality (Fig. 7)"
+
 PACKET_COUNT = 6
 PACKET_BYTES = 1514
 BURST_GAP_THRESHOLD = ns(60)
@@ -68,9 +70,7 @@ def run(params: Optional[SystemParams] = None) -> Fig7Result:
     """Generate the six-packet RX DMA trace."""
     params = params or DEFAULT
     trace = dma_burst_trace(
-        packet_sizes=[PACKET_BYTES] * PACKET_COUNT,
-        link_bytes_per_ps=params.network.link_bytes_per_ps,
-        ethernet_overhead_bytes=params.network.ethernet_overhead_bytes,
+        packet_sizes=[PACKET_BYTES] * PACKET_COUNT, network=params.network
     )
     return Fig7Result(trace=trace, bursts=trace.bursts(BURST_GAP_THRESHOLD))
 

@@ -9,14 +9,14 @@ diffable* object:
   pool (``SweepConfig(backend="pool", jobs=N)``), or a detached worker
   pool over a shared run directory (``backend="workers"``, which is
   also the resumable/distributed path);
-* the sweep-heavy experiments (:data:`SWEEPS`: ``fig5``, ``fig11``,
-  ``fig12a``, ``loaded_latency``) additionally shard *inside* the
-  experiment, one task per sweep point.  Each such module declares its
-  sweep once — ``cells()`` (the ordered points), ``run_cell(cell,
-  params)`` (one point in a fresh simulator), ``merge(cells,
-  payloads)`` (the result object) — and its serial ``run()`` is that
-  same loop, so the merged shards are the object ``run()`` builds by
-  construction;
+* an experiment module that exports ``cells`` (today ``fig5``,
+  ``fig11``, ``fig12a``, ``loaded_latency``) additionally shards
+  *inside* the experiment, one task per sweep point.  Such a module
+  declares its sweep once — ``cells()`` (the ordered points),
+  ``run_cell(cell, params)`` (one point in a fresh simulator),
+  ``merge(cells, payloads)`` (the result object) — and its serial
+  ``run()`` is that same loop, so the merged shards are the object
+  ``run()`` builds by construction;
 * a completed job assembles (``Job.result()``) into a versioned JSON
   artifact (:data:`SCHEMA_VERSION`) holding only deterministic
   content — wall-clock seconds and simulator events per shard live in
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.targets import PAPER_TARGETS
-from repro.experiments import fig5, fig11, fig12a, loaded_latency
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime.backends import SweepConfig
@@ -51,19 +50,6 @@ from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
 
 SCHEMA = "netdimm-repro/experiment-artifact"
 SCHEMA_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# Sweep experiments: one task per cell, merged by the module itself.
-# ---------------------------------------------------------------------------
-
-SWEEPS = {
-    "fig5": fig5,
-    "fig11": fig11,
-    "fig12a": fig12a,
-    "loaded_latency": loaded_latency,
-}
-"""Experiments sharded one task per sweep point (``cells()`` order)."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +65,10 @@ def _experiment_executor(args: Dict[str, Any]) -> Any:
     (:func:`repro.runtime.tasks.execute`); this only maps JSON args
     onto experiment code.
     """
-    name = args["name"]
+    module = EXPERIMENTS[args["name"]]
     shard = args.get("shard")
     if shard is None:
-        run, _format = EXPERIMENTS[name]
-        return run()
-    module = SWEEPS[name]
+        return module.run()
     return module.run_cell(module.cells()[int(shard)], DEFAULT)
 
 
@@ -103,8 +87,9 @@ def plan_tasks(
     """
     tasks: List[Task] = []
     for name in names:
-        if name in SWEEPS:
-            for shard in range(len(SWEEPS[name].cells())):
+        module = EXPERIMENTS[name]
+        if hasattr(module, "cells"):
+            for shard in range(len(module.cells())):
                 tasks.append(
                     Task(
                         kind="experiment",
@@ -164,12 +149,12 @@ def _merged_results(
         payloads = grouped.get(name)
         if not payloads:
             raise ValueError(f"no shard results for experiment {name!r}")
-        if name in SWEEPS:
-            result = SWEEPS[name].merge(SWEEPS[name].cells(), payloads)
+        module = EXPERIMENTS[name]
+        if hasattr(module, "cells"):
+            result = module.merge(module.cells(), payloads)
         else:
             result = payloads[0]
-        _run, format_report = EXPERIMENTS[name]
-        merged[name] = (result, format_report(result))
+        merged[name] = (result, module.format_report(result))
     return merged
 
 

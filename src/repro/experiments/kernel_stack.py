@@ -17,6 +17,8 @@ from repro.driver.stack import KernelStackModel, KernelStackParams
 from repro.experiments.oneway import measure_one_way
 from repro.params import DEFAULT, SystemParams
 
+SUMMARY = "kernel-stack dilution (Sec. 5.1)"
+
 CONFIGS = ("dnic", "inic", "netdimm")
 SIZES = (64, 256, 1024)
 

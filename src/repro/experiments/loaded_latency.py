@@ -36,6 +36,8 @@ from repro.units import cachelines, ns, us
 from repro.workloads.mlc import MLCInjector
 from repro.workloads.netfuncs import CoRunnerProbe
 
+SUMMARY = "packet latency under host-memory pressure"
+
 CONFIGS = ("dnic", "inic", "netdimm")
 SIZES = (256, 1514)
 PRESSURES = ("idle", "moderate", "max")

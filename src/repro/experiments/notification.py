@@ -17,6 +17,8 @@ from typing import Dict, Optional, Tuple
 from repro.experiments.oneway import measure_one_way
 from repro.params import DEFAULT, SystemParams
 
+SUMMARY = "polling vs. interrupts (Sec. 2.1)"
+
 MODES = ("polling", "interrupt")
 CONFIGS = ("dnic", "inic", "netdimm")
 SIZES = (64, 1024)

@@ -17,9 +17,6 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-# Re-exported for backwards compatibility: the registry is the single
-# source of truth for NIC kinds (also used by the CLI and scenarios).
-from repro.driver.registry import NIC_KINDS, make_node
 from repro.params import DEFAULT, SystemParams
 from repro.scenario.builder import build_scenario
 from repro.scenario.spec import ScenarioSpec

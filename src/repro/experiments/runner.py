@@ -1,16 +1,20 @@
 """The experiment registry.
 
-:data:`EXPERIMENTS` maps every experiment name to its ``(run,
-format_report)`` pair; :func:`normalize_names` validates a selection
-against it.  The harness (:mod:`repro.experiments.harness`) runs a
-selection as a sweep job, and ``python -m repro experiments`` is that
-job's command-line front-end.
+:data:`EXPERIMENTS` maps every experiment name to its module; it is the
+one place that lists the experiments.  Every module exports
+``run(params=None)``, ``format_report(result)`` and a one-line
+``SUMMARY``; a module that also exports ``cells`` (with ``run_cell`` and
+``merge``) is sharded one task per sweep point.  The harness
+(:mod:`repro.experiments.harness`), calibration
+(:mod:`repro.calib.evaluate`) and ``python -m repro list`` all read this
+map, so adding an experiment is one module plus one line here.
+:func:`normalize_names` validates a selection against it.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import ModuleType
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import (
     ablation,
@@ -30,22 +34,22 @@ from repro.experiments import (
     transactions,
 )
 
-EXPERIMENTS: Dict[str, Tuple[Callable[[], object], Callable[[object], str]]] = {
-    "table1": (table1.run, table1.format_report),
-    "fig4": (fig4.run, fig4.format_report),
-    "fig5": (fig5.run, fig5.format_report),
-    "fig7": (fig7.run, fig7.format_report),
-    "fig11": (fig11.run, fig11.format_report),
-    "fig12a": (fig12a.run, fig12a.format_report),
-    "fig12b": (fig12b.run, fig12b.format_report),
-    "bandwidth": (bandwidth.run, bandwidth.format_report),
-    "ablation": (ablation.run, ablation.format_report),
-    "transactions": (transactions.run, transactions.format_report),
-    "notification": (notification.run, notification.format_report),
-    "kernel_stack": (kernel_stack.run, kernel_stack.format_report),
-    "loaded_latency": (loaded_latency.run, loaded_latency.format_report),
-    "feasibility": (feasibility.run, feasibility.format_report),
-    "faults": (faults.run, faults.format_report),
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "table1": table1,
+    "fig4": fig4,
+    "fig5": fig5,
+    "fig7": fig7,
+    "fig11": fig11,
+    "fig12a": fig12a,
+    "fig12b": fig12b,
+    "bandwidth": bandwidth,
+    "ablation": ablation,
+    "transactions": transactions,
+    "notification": notification,
+    "kernel_stack": kernel_stack,
+    "loaded_latency": loaded_latency,
+    "feasibility": feasibility,
+    "faults": faults,
 }
 
 
@@ -67,14 +71,3 @@ def normalize_names(names: Optional[Sequence[str]]) -> List[str]:
         if name not in seen:
             seen.append(name)
     return seen
-
-
-def positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value

@@ -11,6 +11,8 @@ from typing import Dict, Optional
 
 from repro.params import DEFAULT, SystemParams, table1_report
 
+SUMMARY = "system configuration (Table 1)"
+
 
 @dataclass(frozen=True)
 class Table1Result:

@@ -20,6 +20,8 @@ from repro.net import EthernetWire, Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 
+SUMMARY = "PCIe transaction census (Sec. 3)"
+
 PAPER_COUNT = 16
 REQUEST_BYTES = 128
 RESPONSE_BYTES = 512

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.units import CACHELINE, Gbps, cachelines, ns, transfer_time
+from repro.params import DEFAULT, NetworkParams
+from repro.units import CACHELINE, cachelines, ns, transfer_time
 
 
 @dataclass(frozen=True)
@@ -55,16 +56,16 @@ class DMABurstTrace:
 
 def dma_burst_trace(
     packet_sizes: List[int],
-    link_bytes_per_ps: float = Gbps(40),
+    network: NetworkParams = DEFAULT.network,
     base_address: int = 0,
     start_time: int = 0,
     per_line_interval: int = ns(6),
-    ethernet_overhead_bytes: int = 24,
 ) -> DMABurstTrace:
     """Generate the DMA write trace for a sequence of received packets.
 
-    Packets arrive back-to-back at line rate (the paper receives six
-    1514 B packets at 40 Gb/s).  Each packet triggers a burst of
+    Packets arrive back-to-back at ``network``'s line rate, each frame
+    priced with its Ethernet framing (the paper receives six 1514 B
+    packets at 40 Gb/s).  Each packet triggers a burst of
     cacheline writes to consecutive addresses in its freshly-allocated
     DMA buffer; within a burst, lines issue every ``per_line_interval``
     (the DMA engine's internal pipelining — 24 lines over ~143 ns is
@@ -80,6 +81,7 @@ def dma_burst_trace(
             address += CACHELINE
         # Buffers are line-granular; the next packet's buffer starts on
         # the next cacheline boundary.
-        wire_time = transfer_time(size + ethernet_overhead_bytes, link_bytes_per_ps)
-        arrival += wire_time
+        arrival += transfer_time(
+            network.framed_bytes(size), network.link_bytes_per_ps
+        )
     return DMABurstTrace(accesses=tuple(accesses))

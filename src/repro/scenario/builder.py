@@ -45,7 +45,6 @@ __all__ = [
     "DeliveredPacket",
     "Scenario",
     "ScenarioResult",
-    "apply_overrides",  # canonical home is repro.params; re-exported for callers
     "build_scenario",
     "dump_artifact",
     "format_report",

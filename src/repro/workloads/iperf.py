@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import deque
 
 from repro.dram.controller import MemoryController
+from repro.params import DEFAULT, NetworkParams
 from repro.sim import Component, Future, Simulator
-from repro.units import Gbps, transfer_time
+from repro.units import transfer_time
 
 
 class IperfModel(Component):
@@ -33,18 +34,17 @@ class IperfModel(Component):
         sim: Simulator,
         name: str,
         controller: MemoryController,
-        mtu_bytes: int = 1514,
+        network: NetworkParams = DEFAULT.network,
         window: int = 8,
-        link_bytes_per_ps: float = Gbps(40),
         per_packet_sw_cost: int = 150_000,
         buffer_base: int = 0,
         buffer_span: int = 8 * 1024 * 1024,
     ):
         super().__init__(sim, name)
         self.controller = controller
-        self.mtu_bytes = mtu_bytes
+        self.network = network
+        self.mtu_bytes = network.mtu_bytes
         self.window = window
-        self.link_bytes_per_ps = link_bytes_per_ps
         self.per_packet_sw_cost = per_packet_sw_cost
         self.buffer_base = buffer_base
         self.buffer_span = buffer_span
@@ -68,6 +68,10 @@ class IperfModel(Component):
         inflight = 0
         wire_free = start
         completions = deque()
+        serialization = transfer_time(
+            self.network.framed_bytes(self.mtu_bytes),
+            self.network.link_bytes_per_ps,
+        )
 
         def packet_pipeline(buffer: int):
             # NIC DMA write of the payload into the DMA buffer.
@@ -82,9 +86,6 @@ class IperfModel(Component):
         # memory system bounds drain rate, the window couples them.
         while remaining > 0 or inflight > 0:
             while remaining > 0 and inflight < self.window:
-                serialization = transfer_time(
-                    self.mtu_bytes + 24, self.link_bytes_per_ps
-                )
                 wire_free = max(wire_free, self.sim.now) + serialization
                 arrival_delay = max(0, wire_free - self.sim.now)
                 remaining -= 1

@@ -1,37 +1,8 @@
-"""Analysis utilities: tables and the paper-target registry."""
+"""Analysis utilities: the paper-target registry."""
 
 import pytest
 
-from repro.analysis import PAPER_TARGETS, Table, Target, check_value
-
-
-class TestTable:
-    def test_render_alignment(self):
-        table = Table(["name", "value"])
-        table.add_row("alpha", 1)
-        table.add_row("beta", 22)
-        lines = Table.render(table).splitlines()
-        assert lines[0].startswith("name")
-        assert all(len(line) <= len(max(lines, key=len)) for line in lines)
-
-    def test_row_arity_checked(self):
-        table = Table(["a", "b"])
-        with pytest.raises(ValueError):
-            table.add_row("only-one")
-
-    def test_cells_stringified(self):
-        table = Table(["x"])
-        table.add_row(3.14159)
-        assert "3.14159" in table.render()
-
-    def test_right_alignment_of_numeric_columns(self):
-        table = Table(["k", "v"])
-        table.add_row("a", 1)
-        table.add_row("bb", 100)
-        lines = table.render().splitlines()
-        # Values end-align.
-        assert lines[1].rstrip().endswith("1")
-        assert lines[2].rstrip().endswith("100")
+from repro.analysis import PAPER_TARGETS, Target, check_value
 
 
 class TestTargetRegistry:

@@ -1,44 +1,13 @@
-"""ASCII chart helpers and whole-system stats dump."""
+"""The stacked bar chart and the whole-system stats dump."""
 
 import pytest
 
-from repro.analysis.charts import bar_chart, series_chart, stacked_bar_chart
+from repro.analysis.charts import stacked_bar_chart
 from repro.analysis.statsdump import collect, dump, find_components
 from repro.dram.controller import MemoryController
 from repro.driver import NetDIMMNode
 from repro.params import ddr4_2400
 from repro.sim import Component, Simulator
-
-
-class TestBarChart:
-    def test_scales_to_peak(self):
-        chart = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_zero_value_no_bar(self):
-        chart = bar_chart([("a", 1.0), ("b", 0.0)])
-        assert chart.splitlines()[1].count("#") == 0
-
-    def test_all_zero_does_not_crash(self):
-        assert "0.00" in bar_chart([("a", 0.0)])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart([("a", -1.0)])
-
-    def test_empty_rows(self):
-        assert bar_chart([]) == "(no data)"
-
-    def test_unit_rendered(self):
-        assert "us" in bar_chart([("a", 1.0)], unit="us")
-
-    def test_labels_aligned(self):
-        chart = bar_chart([("short", 1.0), ("much-longer-label", 2.0)])
-        first, second = chart.splitlines()
-        # The value column starts at the same offset on every row.
-        assert first.index("1.00") == second.index("2.00")
 
 
 class TestStackedBarChart:
@@ -69,21 +38,6 @@ class TestStackedBarChart:
         )
         lines = chart.splitlines()
         assert lines[0].count("#") > lines[1].count("#")
-
-
-class TestSeriesChart:
-    def test_rows_per_x_and_series(self):
-        chart = series_chart(
-            x_labels=["64B", "256B"],
-            series={"dnic": [2.0, 2.5], "netdimm": [1.1, 1.2]},
-        )
-        assert chart.count("\n") == 3  # 4 rows
-        assert "64B dnic" in chart
-        assert "256B netdimm" in chart
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            series_chart(x_labels=["a"], series={"s": [1.0, 2.0]})
 
 
 class TestStatsDump:

@@ -185,6 +185,12 @@ class TestEvaluation:
         assert entry["ok"] is True  # shipped defaults are in band
         assert payload["loss"] == pytest.approx(entry["loss"])
 
+    def test_unsharded_experiment_scores_through_the_registry(self):
+        """fig7 exports no ``cells``: calibration runs its ``run``."""
+        payload = evaluate_candidate({}, ["fig7.lines_per_burst"])
+        assert payload["targets_total"] == 1
+        assert payload["targets"]["fig7.lines_per_burst"]["ok"] is True
+
     def test_crashing_candidate_becomes_structured_failure(self):
         """A candidate that breaks the simulator is a failed trial.
 

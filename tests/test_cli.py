@@ -2,10 +2,11 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.__main__ import EXPERIMENT_BLURBS, main
+from repro.__main__ import main
 from repro.experiments.runner import EXPERIMENTS
 from repro.workloads.trace_io import load_trace
 
@@ -18,7 +19,8 @@ class TestList:
             assert name in out
 
     def test_blurbs_cover_registry(self):
-        assert set(EXPERIMENT_BLURBS) == set(EXPERIMENTS)
+        for module in EXPERIMENTS.values():
+            assert isinstance(module.SUMMARY, str) and module.SUMMARY
 
 
 class TestOneway:
@@ -109,7 +111,9 @@ class TestExperiments:
         def explode():
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(EXPERIMENTS, "exploding", (explode, str))
+        monkeypatch.setitem(
+            EXPERIMENTS, "exploding", SimpleNamespace(run=explode, format_report=str)
+        )
         assert main(["experiments", "exploding"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: 1 experiment shard(s) failed")

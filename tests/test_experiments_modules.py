@@ -5,8 +5,12 @@ check the *machinery* — result accessors, report structure, sweep
 parameters, determinism.
 """
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments import (
     ablation,
     bandwidth,
@@ -20,6 +24,7 @@ from repro.experiments import (
 )
 from repro.experiments.harness import submit_experiments
 from repro.experiments.runner import EXPERIMENTS
+from repro.params import DEFAULT
 from repro.workloads.netfuncs import NetworkFunction
 from repro.workloads.traces import ClusterKind
 
@@ -75,6 +80,15 @@ class TestFig5Module:
     def test_report_marks_off_point(self):
         result = fig5.run(delays_ns=(0, None), packets=100)
         assert "off" in fig5.format_report(result)
+
+    def test_ethernet_framing_lowers_bandwidth(self):
+        """iperf prices each frame with the configured framing overhead."""
+        cell = (None, 60, 16)
+        heavy = replace(
+            DEFAULT,
+            network=replace(DEFAULT.network, ethernet_overhead_bytes=500),
+        )
+        assert fig5.run_cell(cell, heavy) < fig5.run_cell(cell, DEFAULT)
 
 
 class TestFig7Module:
@@ -167,6 +181,20 @@ class TestRunner:
         for name in ("table1", "fig4", "fig5", "fig7", "fig11", "fig12a",
                      "fig12b", "bandwidth", "ablation"):
             assert name in EXPERIMENTS
+
+    def test_every_target_figure_is_a_calibratable_experiment(self):
+        """Calibration runs a target's figure prefix as a registry
+        module under candidate params."""
+        for figure in sorted({name.split(".", 1)[0] for name in PAPER_TARGETS}):
+            assert figure in EXPERIMENTS
+            assert "params" in inspect.signature(EXPERIMENTS[figure].run).parameters
+
+    def test_sharded_modules_declare_the_whole_sweep(self):
+        sharded = [n for n, m in EXPERIMENTS.items() if hasattr(m, "cells")]
+        assert sharded == ["fig5", "fig11", "fig12a", "loaded_latency"]
+        for name in sharded:
+            assert callable(EXPERIMENTS[name].run_cell)
+            assert callable(EXPERIMENTS[name].merge)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="fig99"):

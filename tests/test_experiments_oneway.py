@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.oneway import NIC_KINDS, cached_one_way, make_node, measure_one_way
+from repro.driver.registry import NIC_KINDS, make_node
+from repro.experiments.oneway import cached_one_way, measure_one_way
 from repro.net.packet import FIG11_SEGMENTS
 from repro.params import DEFAULT
 from repro.sim import Simulator

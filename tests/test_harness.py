@@ -47,8 +47,8 @@ class TestHarnessRun:
         own serial ``run()`` + ``format_report`` would print them."""
         sections = []
         for name in FAST_NAMES:
-            run, format_report = EXPERIMENTS[name]
-            sections.append(f"{'=' * 72}\n{format_report(run())}\n")
+            module = EXPERIMENTS[name]
+            sections.append(f"{'=' * 72}\n{module.format_report(module.run())}\n")
         assert harness.format_job_report(serial) == "\n".join(sections)
 
     def test_metadata_present(self, serial):

@@ -3,7 +3,8 @@ structural relations the paper's argument depends on."""
 
 import pytest
 
-from repro.experiments.oneway import make_node, measure_one_way
+from repro.driver.registry import make_node
+from repro.experiments.oneway import measure_one_way
 from repro.net import EthernetWire, Packet
 from repro.sim import Simulator
 

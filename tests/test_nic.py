@@ -14,7 +14,7 @@ from repro.nic import (
 )
 from repro.params import NVDIMMPParams, NetDIMMParams, PCIeParams, ddr5_4800
 from repro.pcie import PCIeLink
-from repro.units import ns, to_ns
+from repro.units import Gbps, ns, to_ns, transfer_time
 from tests.conftest import run_process
 
 
@@ -201,6 +201,13 @@ class TestDMABurstTrace:
         trace = dma_burst_trace([64, 1514, 256])
         bursts = trace.bursts(gap_threshold=ns(10))
         assert [len(burst) for burst in bursts] == [1, 24, 4]
+
+    def test_small_frames_pad_to_minimum(self):
+        # A 10 B packet occupies the wire as a 64 B minimum frame plus
+        # 24 B of framing.
+        trace = dma_burst_trace([10, 10])
+        gap = trace.accesses[1][0] - trace.accesses[0][0]
+        assert gap == transfer_time(64 + 24, Gbps(40))
 
     def test_interarrival_matches_wire_rate(self):
         trace = dma_burst_trace([1514, 1514])

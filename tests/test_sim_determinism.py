@@ -246,13 +246,7 @@ def dram_fig5_cell_stream():
         sim, "mlc", controller, delay=ns(50), threads=16, outstanding=40
     )
     injector.start()
-    iperf = IperfModel(
-        sim,
-        "iperf",
-        controller,
-        mtu_bytes=DEFAULT.network.mtu_bytes,
-        link_bytes_per_ps=DEFAULT.network.link_bytes_per_ps,
-    )
+    iperf = IperfModel(sim, "iperf", controller, network=DEFAULT.network)
     sim.run_until(iperf.run(40), max_events=5_000_000)
     injector.stop()
     return json.dumps(events).encode(), sim.events_fired
