@@ -17,7 +17,8 @@ Five artifacts are produced:
 * ``golden_dram_stream.json`` — the sha256 and event count of the
   traced memory-controller streams (a short fig5 cell and a refreshing
   idle/busy/idle run), traced from simulator birth so the scheduler
-  process appears under its own name.
+  process appears under its own name, plus the sha256 of each run's
+  stats reports (``stats_sha256``).
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few
   seconds; skip with ``--no-fig5`` when only the kernel golden moved).
 
@@ -98,10 +99,11 @@ def record_golden_dram_stream() -> pathlib.Path:
 
     streams = {}
     for name, stream_fn in sorted(DRAM_STREAMS.items()):
-        stream, fired = stream_fn()
+        stream, fired, stats_sha256 = stream_fn()
         streams[name] = {
             "sha256": hashlib.sha256(stream).hexdigest(),
             "events_fired": fired,
+            "stats_sha256": stats_sha256,
         }
     document = {
         "schema": "netdimm-repro/golden-dram-stream",

@@ -20,8 +20,8 @@ never change which event fires when.  These tests pin that promise:
 * ``test_dram_stream_matches_golden`` traces the memory controller
   from simulator birth (so its scheduler process is named) through a
   short fig5 cell and through a refreshing idle/busy/idle run, and
-  compares each stream's digest against
-  ``tests/data/golden_dram_stream.json``.
+  compares each stream's digest, and the digest of the components'
+  stats reports, against ``tests/data/golden_dram_stream.json``.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
   through the harness and diffs its artifact against a baseline written
   by the pre-optimization kernel — metric-for-metric equality, not just
@@ -227,6 +227,16 @@ class TestFig5ArtifactEquality:
         )
 
 
+def stats_digest(*components):
+    """sha256 of the components' ``stats.report()`` as sorted-key JSON.
+
+    The event stream cannot see what a model counts or samples between
+    events; this digest pins the counters and histogram summaries.
+    """
+    reports = {component.name: component.stats.report() for component in components}
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
 def dram_fig5_cell_stream():
     """A short fig5 cell under trace: MLC pressure plus a 40-packet iperf.
 
@@ -249,7 +259,11 @@ def dram_fig5_cell_stream():
     iperf = IperfModel(sim, "iperf", controller, network=DEFAULT.network)
     sim.run_until(iperf.run(40), max_events=5_000_000)
     injector.stop()
-    return json.dumps(events).encode(), sim.events_fired
+    return (
+        json.dumps(events).encode(),
+        sim.events_fired,
+        stats_digest(controller, injector, iperf),
+    )
 
 
 def dram_refresh_stream():
@@ -286,7 +300,7 @@ def dram_refresh_stream():
 
     sim.spawn(trickle(), name="trickle")
     sim.run(until=us(60))
-    return json.dumps(events).encode(), sim.events_fired
+    return json.dumps(events).encode(), sim.events_fired, stats_digest(controller)
 
 
 DRAM_STREAMS = {
@@ -296,15 +310,17 @@ DRAM_STREAMS = {
 
 
 class TestDramStreamGolden:
-    """The DRAM controller's own event stream, scheduler included, pinned
-    by digest in ``tests/data/golden_dram_stream.json``."""
+    """The DRAM controller's own event stream, scheduler included, and
+    its components' stats reports, pinned by digest in
+    ``tests/data/golden_dram_stream.json``."""
 
     @pytest.mark.parametrize("name", sorted(DRAM_STREAMS))
     def test_dram_stream_matches_golden(self, name):
         golden = json.loads(DRAM_GOLDEN_PATH.read_text())["streams"][name]
-        stream, fired = DRAM_STREAMS[name]()
+        stream, fired, stats_sha256 = DRAM_STREAMS[name]()
         assert fired == golden["events_fired"]
         assert hashlib.sha256(stream).hexdigest() == golden["sha256"]
+        assert stats_sha256 == golden["stats_sha256"]
 
 
 def sweep_digests(names=SWEEP_NAMES):
