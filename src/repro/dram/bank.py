@@ -38,41 +38,38 @@ class Bank:
         self.row_misses = 0
         self.row_conflicts = 0
 
-    def is_open(self, row: int) -> bool:
-        """Whether ``row`` is currently in the row buffer."""
-        return self.open_row == row
-
-    def classify(self, row: int) -> str:
-        """'hit' (row open), 'miss' (bank idle), or 'conflict' (other row)."""
-        if self.open_row is None:
-            return "miss"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
-
     def access_ready_time(self, now: int, row: int, is_write: bool) -> int:
         """Tick at which the data for an access to ``row`` is available.
 
         This *simulates* issuing the necessary PRE/ACT/CAS sequence and
-        updates bank state; call it once per scheduled access.
+        updates bank state; call it once per scheduled access.  The
+        access counts as a row hit (``row`` open), a miss (bank idle) or
+        a conflict (another row open) in ``row_hits``, ``row_misses`` or
+        ``row_conflicts``.
         """
         timing = self.timing
-        start = max(now, self._ready_time)
-        kind = self.classify(row)
-        if kind == "hit":
+        ready = self._ready_time
+        # The maxima here are spelled as branches (a max() call costs
+        # more than the rest of a row hit); each keeps max()'s pick of
+        # the first largest value.
+        start = ready if ready > now else now
+        open_row = self.open_row
+        if open_row == row:
             self.row_hits += 1
-        elif kind == "miss":
+        elif open_row is None:
             self.row_misses += 1
+            self._activate_time = start
             start = start + timing.tRCD  # ACT then CAS
-            self._activate_time = max(now, self._ready_time)
             self.open_row = row
         else:  # conflict: PRE (honoring tRAS and write recovery), then ACT
             self.row_conflicts += 1
-            precharge_at = max(
-                start,
-                self._activate_time + timing.tRAS,
-                self._write_recovery_until,
-            )
+            precharge_at = start
+            ras_done = self._activate_time + timing.tRAS
+            if ras_done > precharge_at:
+                precharge_at = ras_done
+            recovered = self._write_recovery_until
+            if recovered > precharge_at:
+                precharge_at = recovered
             start = precharge_at + timing.tRP + timing.tRCD
             self._activate_time = precharge_at + timing.tRP
             self.open_row = row
@@ -96,7 +93,7 @@ class Bank:
         hit/miss/conflict classification, and every follow-up is by
         construction a row hit (the first access left ``row`` open), so
         it collapses to the pipelined tCCD/tCL arithmetic with no
-        classification, no attribute churn, and one write-recovery
+        row-state test, no attribute churn, and one write-recovery
         update at the end.  The controller calls it once per same-row
         run instead of once per cacheline.
         """
@@ -134,15 +131,3 @@ class Bank:
         self.precharge(now)
         self._ready_time = max(self._ready_time, now) + self.timing.tRFC
         return self._ready_time
-
-    @property
-    def total_accesses(self) -> int:
-        """All classified accesses so far."""
-        return self.row_hits + self.row_misses + self.row_conflicts
-
-    def hit_rate(self) -> float:
-        """Row-buffer hit rate (0.0 when no accesses yet)."""
-        total = self.total_accesses
-        if total == 0:
-            return 0.0
-        return self.row_hits / total

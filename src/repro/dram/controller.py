@@ -20,14 +20,29 @@ The wake is one ring entry for the scheduler's step, queued in the same
 ``seq`` slot and under the same owner label as the ``spawn`` a
 run-to-exit scheduler would need there, so the executed event stream is
 the same either way (``tests/data/golden_dram_stream.json`` pins it).
-One-cacheline requests — nearly all of an MLC injector's traffic — skip
-the same-row run split and the batched bank timing call.
+
+The per-request host work is kept small for the saturated fig5 cells,
+where an MLC injector issues one-cacheline requests back to back:
+
+* every request carries its head ``(bank, row)`` — the first same-row
+  run's coordinates — in two slots.  A one-line request takes them
+  straight from the page-coordinate cache and builds no run list;
+  only multi-line requests carry ``runs``.  The cache decodes each
+  page once, through ``DRAMGeometry.bank_row_of``;
+* ``_pick`` reads the head coordinates for its row-hit test, and when
+  the chosen queue holds one request it pops it without building the
+  FR-FCFS key tuples (the hit streak moves exactly as the general loop
+  would move it);
+* the queue-depth and latency histograms take their first sample
+  through ``stats.sample`` (so they are created lazily, in first-use
+  order) and every later one through the histogram's bound
+  ``append``.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.dram.bank import Bank
 from repro.dram.geometry import PAGE_OFFSET_BITS, DRAMGeometry
@@ -47,6 +62,8 @@ class MemRequest:
         "arrival",
         "completion",
         "num_lines",
+        "bank",
+        "row",
         "runs",
     )
 
@@ -65,16 +82,17 @@ class MemRequest:
         self.priority = priority
         self.arrival = arrival
         self.completion = completion
-        self.num_lines = max(1, -(-size_bytes // CACHELINE))
-        """Cachelines touched (requests are line-aligned in this model)."""
+        num_lines = -(-size_bytes // CACHELINE)
+        self.num_lines = num_lines if num_lines > 1 else 1
+        """Cachelines touched, at least one (requests are line-aligned in
+        this model)."""
+        self.bank: Optional[Bank] = None
+        self.row: Optional[int] = None
+        """The head ``(bank, global_row)``: where the first line lands,
+        set once at :meth:`MemoryController.access`."""
         self.runs: Optional[list] = None
-        """``(bank, global_row, line_count)`` per same-row run, precomputed
-        once at :meth:`MemoryController.access`."""
-
-    def line_addresses(self) -> List[int]:
-        """The line-aligned addresses this request touches."""
-        base = self.address - (self.address % CACHELINE)
-        return [base + i * CACHELINE for i in range(self.num_lines)]
+        """``(bank, global_row, line_count)`` per same-row run, for
+        multi-line requests only (set at :meth:`MemoryController.access`)."""
 
 
 class MemoryController(Component):
@@ -126,9 +144,14 @@ class MemoryController(Component):
         self._wake: Optional[Future] = None
         """The future the parked scheduler waits on; None while it runs."""
         self._counters = self.stats.counters
-        self._busy_until = 0
+        # Bound ``append`` of each per-request histogram, cached after
+        # its first sample (see ``_first_sample``).
+        self._read_depth_append: Optional[Callable[[float], None]] = None
+        self._write_depth_append: Optional[Callable[[float], None]] = None
+        self._latency_append: Optional[Callable[[float], None]] = None
         self._hit_streak = 0
-        # Requests carry precomputed (bank, row, count) runs, so the
+        # Requests carry their precomputed head (bank, row), and
+        # multi-line ones their (bank, row, count) runs, so the
         # scheduler never decodes an address per line.  The page-level
         # coords cache is valid because every DRAM coordinate above the
         # cacheline sits above the 4 KB page offset, so one page maps to
@@ -169,22 +192,47 @@ class MemoryController(Component):
             coords = self._coords_cache.get(address >> PAGE_OFFSET_BITS)
             if coords is None:
                 coords = self._coords(address)
-            request.runs = [(coords[0], coords[1], 1)]
+            request.bank, request.row = coords
         else:
-            request.runs = self._request_runs(request)
+            runs = request.runs = self._request_runs(request)
+            request.bank, request.row, _count = runs[0]
         counters = self._counters
         if is_write:
             queue = self._write_queue
             queue.append(request)
             counters["writes"] = counters.get("writes", 0) + 1
-            self.stats.sample("write_queue_depth", len(queue))
+            append = self._write_depth_append
+            if append is None:
+                self._write_depth_append = self._first_sample(
+                    "write_queue_depth", len(queue)
+                )
+            else:
+                append(len(queue))
         else:
             queue = self._read_queue
             queue.append(request)
             counters["reads"] = counters.get("reads", 0) + 1
-            self.stats.sample("read_queue_depth", len(queue))
+            append = self._read_depth_append
+            if append is None:
+                self._read_depth_append = self._first_sample(
+                    "read_queue_depth", len(queue)
+                )
+            else:
+                append(len(queue))
         if not self._scheduler_running:
-            self._ensure_scheduler()
+            # Start the idle scheduler: spawn it on first use, wake it
+            # after.  Either way exactly one ring entry for its step is
+            # queued, with the next ``seq``.  The controller drops its
+            # reference to the wake future before completing it, so once
+            # the scheduler resumes nothing holds the future and
+            # ``Process._step`` returns it to the simulator's pool.
+            self._scheduler_running = True
+            wake = self._wake
+            if wake is None:
+                sim.spawn(self._scheduler(), name=f"{self.name}.sched" if sim.named else "")
+            else:
+                self._wake = None
+                wake.set_result(None)
         return completion
 
     def read(self, address: int, size_bytes: int = CACHELINE, priority: int = 0) -> Future:
@@ -208,13 +256,12 @@ class MemoryController(Component):
         page = address >> PAGE_OFFSET_BITS
         entry = self._coords_cache.get(page)
         if entry is None:
-            decoded = self.geometry.decode(address)
-            key = decoded.global_bank
+            key, row = self.geometry.bank_row_of(address)
             bank = self._banks.get(key)
             if bank is None:
                 bank = Bank(self.timing)
                 self._banks[key] = bank
-            entry = (bank, decoded.global_row)
+            entry = (bank, row)
             self._coords_cache[page] = entry
         return entry
 
@@ -236,39 +283,17 @@ class MemoryController(Component):
             remaining -= take
         return runs
 
-    def busy_fraction(self, since: int = 0) -> float:
-        """Fraction of [since, now] during which the data bus was busy.
+    def _first_sample(self, name: str, value: float) -> Callable[[float], None]:
+        """Record histogram ``name``'s first sample; return its bound append.
 
-        A coarse utilization proxy: data-bus busy ticks divided by
-        elapsed ticks.
+        The first sample goes through ``stats.sample``, which creates the
+        histogram, so histograms appear in the recorder in first-use
+        order.  Later samples go straight to the returned append.
         """
-        elapsed = self.now - since
-        if elapsed <= 0:
-            return 0.0
-        busy = self.stats.get_counter("bus_busy_ticks")
-        return min(1.0, busy / elapsed)
+        self.stats.sample(name, value)
+        return self.stats.histograms[name]._samples.append
 
     # -- scheduling ------------------------------------------------------------
-
-    def _ensure_scheduler(self) -> None:
-        """Start the idle scheduler: spawn it on first use, wake it after.
-
-        Called only while ``_scheduler_running`` is False, which after
-        the first spawn means the scheduler is parked on ``_wake``.
-        Either way exactly one ring entry for the scheduler's step is
-        queued, with the next ``seq``.  The controller drops its
-        reference to the wake future before completing it, so once the
-        scheduler resumes nothing holds the future and
-        ``Process._step`` returns it to the simulator's pool.
-        """
-        self._scheduler_running = True
-        wake = self._wake
-        if wake is None:
-            sim = self.sim
-            sim.spawn(self._scheduler(), name=f"{self.name}.sched" if sim.named else "")
-        else:
-            self._wake = None
-            wake.set_result(None)
 
     def _scheduler(self):
         sim = self.sim
@@ -300,6 +325,15 @@ class MemoryController(Component):
             len(self._write_queue) > self.write_watermark or not self._read_queue
         )
         queue = self._write_queue if drain_writes else self._read_queue
+        if len(queue) == 1:
+            # The only candidate wins; the streak moves exactly as in
+            # the general loop below.
+            request = queue.pop()
+            if request.bank.open_row == request.row:
+                self._hit_streak += request.num_lines
+            else:
+                self._hit_streak = 0
+            return request
 
         # Starvation guard: past the streak limit, fall back to pure
         # (priority, age) order so open-row streams cannot monopolize.
@@ -308,11 +342,10 @@ class MemoryController(Component):
         best_index = 0
         best_key = None
         best_was_hit = False
-        # The row-hit test is two attribute loads on the precomputed
-        # head run — no decode, no bank lookup.
+        # The row-hit test reads the precomputed head coordinates — no
+        # decode, no bank lookup.
         for index, request in enumerate(queue):
-            bank, row, _count = request.runs[0]
-            row_hit = bank.open_row == row
+            row_hit = request.bank.open_row == request.row
             hit_rank = 0 if (row_hit and honor_row_hits) else 1
             key = (hit_rank, request.priority, request.arrival, index)
             if best_key is None or key < best_key:
@@ -343,9 +376,8 @@ class MemoryController(Component):
         is_write = request.is_write
         num_lines = request.num_lines
         if num_lines == 1:
-            bank, row, _count = request.runs[0]
             transfer_end = bus_free + tBURST
-            data_time = bank.access_ready_time(now, row, is_write)
+            data_time = request.bank.access_ready_time(now, request.row, is_write)
             if data_time > transfer_end:
                 transfer_end = data_time
         else:
@@ -359,10 +391,13 @@ class MemoryController(Component):
         finish = transfer_end if transfer_end > now else now
         counters = self._counters
         counters["bus_busy_ticks"] = counters.get("bus_busy_ticks", 0) + tBURST * num_lines
-        self.stats.sample("request_latency_ns", (finish - request.arrival) / 1000)
+        latency_ns = (finish - request.arrival) / 1000
+        append = self._latency_append
+        if append is None:
+            self._latency_append = self._first_sample("request_latency_ns", latency_ns)
+        else:
+            append(latency_ns)
         counters["lines_transferred"] = counters.get("lines_transferred", 0) + num_lines
-        if finish > self._busy_until:
-            self._busy_until = finish
         # Inlined sim.schedule_at(finish, completion.set_result, finish).
         seq = sim._seq + 1
         sim._seq = seq

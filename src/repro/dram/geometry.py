@@ -39,6 +39,7 @@ spacing of Fig. 9(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.units import KB, PAGE
 
@@ -205,6 +206,27 @@ class DRAMGeometry:
         rank = address >> RANK_ADDRESS_BITS
         subarray = (subarray_high << SUBARRAY_LOW_BITS) | subarray_low
         return (rank * BANKS_PER_RANK + bank) * SUBARRAYS_PER_BANK + subarray
+
+    def bank_row_of(self, address: int) -> Tuple[int, int]:
+        """``(global_bank, global_row)`` of ``decode(address)`` without
+        building the object.
+
+        The memory controller decodes each 4 KB page it touches once,
+        and an MLC injector touches nearly every page of its 64 MB footprint,
+        so this is the hottest full decode.
+        """
+        self.check(address)
+        rest = address >> PAGE_OFFSET_BITS
+        bank = rest & (BANKS_PER_RANK - 1)
+        rest >>= BANK_BITS
+        subarray_low = rest & 1
+        rest >>= SUBARRAY_LOW_BITS + ROW_HALF_BITS
+        row = rest & (ROWS_PER_SUBARRAY - 1)
+        rest >>= ROW_BITS
+        subarray_high = rest & ((1 << SUBARRAY_HIGH_BITS) - 1)
+        rank = rest >> SUBARRAY_HIGH_BITS
+        subarray = (subarray_high << SUBARRAY_LOW_BITS) | subarray_low
+        return rank * BANKS_PER_RANK + bank, subarray * ROWS_PER_SUBARRAY + row
 
     def same_subarray(self, address_a: int, address_b: int) -> bool:
         """Whether two addresses share a (rank, bank, sub-array).

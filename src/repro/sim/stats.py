@@ -25,23 +25,23 @@ class Histogram:
 
     Keeps every sample (the experiments here run at most a few hundred
     thousand samples, so exactness is cheap and avoids binning decisions).
+
+    A sample is one list append, so hot callers may bind
+    ``_samples.append`` and call it directly.  :meth:`percentile` sorts
+    the list in place on every call (a linear timsort pass when it is
+    already ordered) instead of tracking a sorted flag that such a
+    caller would bypass.
     """
 
-    __slots__ = ("name", "_samples", "_sorted")
+    __slots__ = ("name", "_samples")
 
     def __init__(self, name: str = "histogram"):
         self.name = name
         self._samples: List[float] = []
-        self._sorted = True
 
     def record(self, value: float) -> None:
         """Add one sample."""
-        # Unconditionally clear the sorted flag instead of comparing
-        # against the tail: record is the hot path, and re-sorting an
-        # already-ordered list at percentile time is a linear timsort
-        # pass — cheaper overall than a branch per sample.
         self._samples.append(value)
-        self._sorted = False
 
     def extend(self, values: Iterable[float]) -> None:
         """Add many samples."""
@@ -93,9 +93,7 @@ class Histogram:
             raise ValueError("percentile of empty histogram")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile out of range: {p}")
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
+        self._samples.sort()
         if len(self._samples) == 1:
             return self._samples[0]
         rank = (p / 100) * (len(self._samples) - 1)
@@ -207,7 +205,6 @@ class StatRecorder:
         # Inlined Histogram.record — one attribute hop less on the
         # hottest sampling path.
         histogram._samples.append(value)
-        histogram._sorted = False
 
     def get_counter(self, name: str) -> int:
         """Counter value (0 if never incremented)."""

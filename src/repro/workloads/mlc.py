@@ -41,6 +41,10 @@ class MLCInjector(Component):
         parallelism (MLC's bandwidth mode keeps many loads in flight);
         ``read_write_ratio`` is the fraction of reads (the paper sets
         reads:writes to 1, i.e. 0.5)."""
+        if footprint_bytes < CACHELINE:
+            raise ValueError(
+                f"footprint_bytes must cover one cacheline, got {footprint_bytes}"
+            )
         super().__init__(sim, name)
         self.controller = controller
         self.delay = delay
@@ -52,7 +56,11 @@ class MLCInjector(Component):
         self._stop = False
 
     def start(self) -> None:
-        """Launch the injector threads."""
+        """Launch the injector threads.
+
+        Each thread reads ``delay``, ``outstanding``, ``footprint_bytes``
+        and ``read_write_ratio`` once, when it starts.
+        """
         self._stop = False
         for thread in range(self.threads):
             self.sim.spawn(self._thread_body(thread), name=f"{self.name}.t{thread}")
@@ -63,21 +71,34 @@ class MLCInjector(Component):
 
     def _thread_body(self, thread: int):
         rng = random.Random(self._rng.random())
-        lines = self.footprint_bytes // CACHELINE
+        getrandbits = rng.getrandbits
+        uniform = rng.random
+        access = self.controller.access
+        counters = self.stats.counters
+        footprint = self.footprint_bytes
+        read_write_ratio = self.read_write_ratio
+        outstanding = self.outstanding
+        delay = self.delay
+        lines = footprint // CACHELINE
+        line_bits = lines.bit_length()
         inflight = deque()
         while not self._stop:
             # Random line within the footprint: page-strided so requests
-            # spread over banks like MLC's buffer walk.
-            line = rng.randrange(lines)
-            address = (line * PAGE) % self.footprint_bytes + (line % 64) * CACHELINE
-            is_write = rng.random() >= self.read_write_ratio
-            request = self.controller.access(address % self.footprint_bytes, is_write)
-            self.stats.count("requests")
-            inflight.append(request)
-            if len(inflight) >= self.outstanding:
+            # spread over banks like MLC's buffer walk.  The draw is
+            # rng.randrange(lines) spelled out as CPython's
+            # _randbelow_with_getrandbits rejection loop, so it consumes
+            # the generator exactly as randrange does (tests pin this).
+            line = getrandbits(line_bits)
+            while line >= lines:
+                line = getrandbits(line_bits)
+            address = ((line * PAGE) % footprint + (line % 64) * CACHELINE) % footprint
+            is_write = uniform() >= read_write_ratio
+            inflight.append(access(address, is_write))
+            counters["requests"] = counters.get("requests", 0) + 1
+            if len(inflight) >= outstanding:
                 yield inflight.popleft()
-            if self.delay:
-                yield self.delay
+            if delay:
+                yield delay
 
     def issued(self) -> int:
         """Requests issued so far."""

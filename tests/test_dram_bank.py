@@ -16,19 +16,24 @@ class TestRowBufferState:
         assert bank.open_row is None
 
     def test_classify_miss_when_closed(self, bank):
-        assert bank.classify(5) == "miss"
+        bank.access_ready_time(0, row=5, is_write=False)
+        assert (bank.row_hits, bank.row_misses, bank.row_conflicts) == (0, 1, 0)
 
     def test_first_access_opens_row(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
-        assert bank.is_open(5)
+        assert bank.open_row == 5
 
     def test_classify_hit_when_open(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
-        assert bank.classify(5) == "hit"
+        bank.access_ready_time(0, row=5, is_write=False)
+        assert (bank.row_hits, bank.row_misses, bank.row_conflicts) == (1, 1, 0)
+        assert bank.open_row == 5
 
     def test_classify_conflict_other_row(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
-        assert bank.classify(6) == "conflict"
+        bank.access_ready_time(0, row=6, is_write=False)
+        assert (bank.row_hits, bank.row_misses, bank.row_conflicts) == (0, 1, 1)
+        assert bank.open_row == 6
 
     def test_precharge_closes_row(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
@@ -98,11 +103,3 @@ class TestCounters:
         assert bank.row_misses == 1
         assert bank.row_hits == 1
         assert bank.row_conflicts == 1
-        assert bank.total_accesses == 3
-
-    def test_hit_rate(self, bank):
-        assert bank.hit_rate() == 0.0
-        bank.access_ready_time(0, row=1, is_write=False)
-        for _ in range(3):
-            bank.access_ready_time(0, row=1, is_write=False)
-        assert bank.hit_rate() == pytest.approx(0.75)

@@ -17,20 +17,10 @@ class TestMemRequest:
     def test_single_line(self):
         request = MemRequest(address=0, is_write=False)
         assert request.num_lines == 1
-        assert request.line_addresses() == [0]
 
     def test_mtu_spans_24_lines(self):
         request = MemRequest(address=0, is_write=False, size_bytes=1514)
         assert request.num_lines == 24
-
-    def test_line_addresses_aligned(self):
-        request = MemRequest(address=100, is_write=False, size_bytes=128)
-        assert all(address % CACHELINE == 0 for address in request.line_addresses())
-
-    def test_line_addresses_consecutive(self):
-        request = MemRequest(address=0, is_write=False, size_bytes=256)
-        addresses = request.line_addresses()
-        assert addresses == [0, 64, 128, 192]
 
     @pytest.mark.parametrize(
         "size_bytes, lines", [(0, 1), (1, 1), (64, 1), (65, 2), (1514, 24)]
@@ -97,11 +87,6 @@ class TestBandwidth:
     def test_bus_busy_ticks_accumulate(self, sim, mc):
         sim.run_until(mc.read(0x0, size_bytes=1514))
         assert mc.stats.get_counter("bus_busy_ticks") == 24 * mc.timing.tBURST
-
-    def test_busy_fraction_bounded(self, sim, mc):
-        futures = [mc.read(i * CACHELINE) for i in range(100)]
-        sim.run_until(sim.all_of(futures))
-        assert 0.0 < mc.busy_fraction() <= 1.0
 
 
 class TestScheduling:
@@ -172,6 +157,51 @@ class TestScheduling:
         assert mc.queued_requests == 2
         sim.run()
         assert mc.queued_requests == 0
+
+
+class TestPickOneEntryQueue:
+    """A one-entry queue is popped without the FR-FCFS key tuples; the
+    row-hit streak must move exactly as the general loop moves it."""
+
+    OPEN = 0x100000
+    """The warm-up read opens this address's row."""
+    DECOY = 0x3000
+    """A low-priority request on an idle bank that the general loop
+    never picks over the request under test."""
+
+    def _streak_after_pick(self, address, size_bytes, streak, decoy):
+        sim = Simulator()
+        mc = MemoryController(sim, "mc", ddr4_2400())
+        sim.run_until(mc.read(self.OPEN))
+        sim.run()
+        mc._hit_streak = streak
+        mc.read(address, size_bytes=size_bytes)
+        request = mc._read_queue[-1]
+        if decoy:
+            mc.read(self.DECOY, priority=1)
+            other = mc._read_queue[-1]
+            assert other.bank.open_row != other.row
+        assert mc._pick() is request
+        return mc._hit_streak, request.bank.open_row == request.row
+
+    @pytest.mark.parametrize(
+        "address, size_bytes, streak, expected, row_hit",
+        [
+            (OPEN + CACHELINE, CACHELINE, 2, 3, True),
+            (OPEN + CACHELINE, 4 * CACHELINE, 2, 6, True),
+            (0x40 << 21, CACHELINE, 2, 0, False),
+            # At the cap, row hits no longer win the pick, but a picked
+            # hit still extends the streak.
+            (OPEN + CACHELINE, CACHELINE, 4, 5, True),
+        ],
+        ids=["hit", "multi_line_hit", "miss", "at_cap"],
+    )
+    def test_streak_matches_general_loop(
+        self, address, size_bytes, streak, expected, row_hit
+    ):
+        alone = self._streak_after_pick(address, size_bytes, streak, decoy=False)
+        general = self._streak_after_pick(address, size_bytes, streak, decoy=True)
+        assert alone == general == (expected, row_hit)
 
 
 class TestSchedulerLifecycle:

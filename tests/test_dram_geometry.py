@@ -106,6 +106,19 @@ class TestDecodeEncode:
         assert decoded.row_half in (0, 1)
         assert 0 <= decoded.page_offset < PAGE
 
+    @given(st.integers(min_value=0, max_value=2 * RANK_BYTES - 1))
+    def test_bank_row_of_matches_decode(self, address):
+        decoded = self.geometry.decode(address)
+        assert self.geometry.bank_row_of(address) == (
+            decoded.global_bank,
+            decoded.global_row,
+        )
+
+    @pytest.mark.parametrize("address", [-1, 2 * RANK_BYTES])
+    def test_bank_row_of_rejects_outside_dimm(self, address):
+        with pytest.raises(ValueError):
+            self.geometry.bank_row_of(address)
+
 
 class TestFig9cSpacing:
     """Fig. 9(c): same (bank, sub-array) pages are spaced every 32 pages."""

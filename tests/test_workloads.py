@@ -114,6 +114,72 @@ class TestMLCInjector:
         assert controller.stats.get_counter("writes") > 0
 
 
+class _RecordingController:
+    """Stands in for a memory controller: records each access."""
+
+    def __init__(self):
+        self.accesses = []
+
+    def access(self, address, is_write):
+        self.accesses.append((address, is_write))
+
+
+class TestMLCDraw:
+    """The injector inlines ``randrange`` as CPython's
+    ``_randbelow_with_getrandbits`` loop; it must stay the stdlib draw."""
+
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize(
+        "footprint_bytes",
+        [64 * 1024 * 1024, 3 * 1024 * 1024 + 1000],
+        ids=["64MiB", "unaligned"],
+    )
+    def test_draw_matches_stdlib_randrange(self, footprint_bytes):
+        import random
+
+        from repro.units import CACHELINE, PAGE
+
+        seed, ratio = 2019, 0.5
+        sim = Simulator()
+        controller = _RecordingController()
+        injector = MLCInjector(
+            sim,
+            "mlc",
+            controller,
+            delay=1,
+            threads=1,
+            outstanding=self.DRAWS + 1,
+            footprint_bytes=footprint_bytes,
+            read_write_ratio=ratio,
+            seed=seed,
+        )
+        injector.start()
+        sim.run(until=self.DRAWS)
+        injector.stop()
+        assert len(controller.accesses) >= self.DRAWS
+
+        rng = random.Random(random.Random(seed).random())
+        lines = footprint_bytes // CACHELINE
+        expected = []
+        for _ in range(self.DRAWS):
+            line = rng.randrange(lines)
+            is_write = rng.random() >= ratio
+            address = (
+                (line * PAGE) % footprint_bytes + (line % 64) * CACHELINE
+            ) % footprint_bytes
+            expected.append((address, is_write))
+        assert controller.accesses[: self.DRAWS] == expected
+        assert all(
+            0 <= address < footprint_bytes for address, _ in controller.accesses
+        )
+
+    def test_footprint_below_one_line_rejected(self, sim):
+        # randrange(0) raises; the inlined draw would spin instead.
+        with pytest.raises(ValueError, match="footprint_bytes"):
+            MLCInjector(sim, "mlc", _RecordingController(), delay=1, footprint_bytes=63)
+
+
 class TestIperfModel:
     def test_unloaded_near_line_rate(self, sim):
         controller = MemoryController(sim, "mc", ddr4_2400())
