@@ -1,16 +1,11 @@
 """A latency model of the host cache hierarchy for co-running applications.
 
 Used by the Fig. 12(b) experiment: the co-runner's *memory access
-latency* is the average over its loads of (L1 hit | LLC hit | DRAM round
-trip), where the DRAM round trip is measured live from the shared
+latency* is the average over its L1-missing loads of (LLC hit | DRAM
+round trip), where the DRAM round trip is measured live from the shared
 :class:`~repro.dram.controller.MemoryController` and the LLC hit rate is
-degraded by cache pollution from network-packet processing.
-
-Pollution model: each packet line the CPU pulls *through* the LLC
-displaces application working-set lines.  We model the application as
-owning an LLC working set of ``app_ways / total_ways`` of capacity and
-apply the classic occupancy argument: effective LLC hit rate scales
-with the fraction of the application's working set still resident.
+degraded by capacity competition with network-packet processing (and,
+with an iNIC, by the DDIO partition's capacity loss).
 """
 
 from __future__ import annotations
@@ -23,54 +18,21 @@ from repro.units import CACHELINE
 
 @dataclass
 class CacheHierarchyModel:
-    """Closed-form average-memory-access-time model for a co-runner.
+    """Closed-form beyond-L1 access-latency model for a co-runner.
 
     Parameters
     ----------
     params:
         Host cache latencies/sizes (Table 1).
-    l1_hit_rate:
-        The co-runner's L1 hit rate (fixed property of the workload).
     llc_hit_rate_clean:
-        Its LLC hit rate with no interference.
+        The co-runner's LLC hit rate with no interference.
     working_set_bytes:
         The co-runner's LLC-resident working set.
     """
 
     params: CacheParams
-    l1_hit_rate: float = 0.90
     llc_hit_rate_clean: float = 0.60
     working_set_bytes: int = 1_600_000
-
-    def __post_init__(self):
-        self._polluting_lines = 0
-
-    def pollute(self, size_bytes: int) -> None:
-        """Account packet data pulled through the LLC by the CPU."""
-        self._polluting_lines += max(1, -(-size_bytes // CACHELINE))
-
-    def reset_pollution(self) -> None:
-        """Clear accumulated pollution (new measurement window)."""
-        self._polluting_lines = 0
-
-    def resident_fraction(self, window_lines: int) -> float:
-        """Fraction of the app working set still LLC-resident.
-
-        With ``p`` polluting lines injected into an LLC of ``C`` lines
-        during the measurement window, random placement leaves the app
-        roughly ``max(0, 1 - p / C)`` of its lines (linear displacement,
-        saturating at full eviction).
-        """
-        llc_lines = self.params.l2_size // CACHELINE
-        if window_lines <= 0:
-            pollution = self._polluting_lines
-        else:
-            pollution = min(self._polluting_lines, window_lines)
-        return max(0.0, 1.0 - pollution / llc_lines)
-
-    def effective_llc_hit_rate(self, window_lines: int = 0) -> float:
-        """LLC hit rate after pollution in the current window."""
-        return self.llc_hit_rate_clean * self.resident_fraction(window_lines)
 
     def competition_hit_rate(
         self,
@@ -118,16 +80,3 @@ class CacheHierarchyModel:
             pollution_lines_per_second, reuse_seconds, capacity_fraction
         )
         return llc_rate * self.params.l2_latency + (1 - llc_rate) * dram_latency
-
-    def average_latency(self, dram_latency: int, window_lines: int = 0) -> float:
-        """Average memory access latency (ticks) for the co-runner.
-
-        ``dram_latency`` is the measured average DRAM round trip on the
-        co-runner's channel (queueing included), taken from the live
-        memory-controller statistics.
-        """
-        llc_rate = self.effective_llc_hit_rate(window_lines)
-        l1 = self.l1_hit_rate * self.params.l1_latency
-        llc = (1 - self.l1_hit_rate) * llc_rate * self.params.l2_latency
-        dram = (1 - self.l1_hit_rate) * (1 - llc_rate) * dram_latency
-        return l1 + llc + dram

@@ -1,4 +1,4 @@
-"""DRAM subsystem: geometry, banks, memory controllers, interleaving.
+"""DRAM subsystem: geometry, banks, memory controllers, NVDIMM-P.
 
 This package is the memory substrate of the reproduction:
 
@@ -8,8 +8,6 @@ This package is the memory substrate of the reproduction:
 * :mod:`repro.dram.controller` — an FR-FCFS memory controller with
   read/write queues and a shared data bus, in the style of the gem5
   DRAM controller model the paper cites [37].
-* :mod:`repro.dram.mapping` — channel interleaving modes (single,
-  multi, flex) from Sec. 2.3.
 * :mod:`repro.dram.nvdimmp` — the DDR5/NVDIMM-P asynchronous
   transaction protocol (XRD / RDY / SEND) from Sec. 2.2.
 """
@@ -17,21 +15,13 @@ This package is the memory substrate of the reproduction:
 from repro.dram.bank import Bank
 from repro.dram.controller import MemoryController, MemRequest
 from repro.dram.geometry import DecodedAddress, DRAMGeometry
-from repro.dram.mapping import (
-    AddressMapping,
-    FlexRegion,
-    InterleaveMode,
-)
 from repro.dram.nvdimmp import AsyncMemoryPort
 
 __all__ = [
-    "AddressMapping",
     "AsyncMemoryPort",
     "Bank",
     "DecodedAddress",
     "DRAMGeometry",
-    "FlexRegion",
-    "InterleaveMode",
     "MemoryController",
     "MemRequest",
 ]

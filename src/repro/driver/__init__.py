@@ -9,7 +9,7 @@ models, charging each operation to its Fig. 11 breakdown segment.
 
 * :mod:`repro.driver.skb` — socket buffers, sockets, and the
   COPY_NEEDED / skb_zone mechanics of Sec. 4.2.2.
-* :mod:`repro.driver.polling` — the polling agent.
+* :mod:`repro.driver.polling` — the poll-detection cost.
 * :mod:`repro.driver.node` — the abstract server-node interface.
 * :mod:`repro.driver.dnic_node` — discrete PCIe NIC (dNIC), with
   optional zero-copy.
@@ -22,7 +22,6 @@ from repro.driver.dnic_node import DiscreteNICNode
 from repro.driver.inic_node import IntegratedNICNode
 from repro.driver.netdimm_node import NetDIMMNode
 from repro.driver.node import ServerNode
-from repro.driver.polling import PollingAgent
 from repro.driver.registry import NIC_KINDS, NIC_REGISTRY, make_node
 from repro.driver.skb import SKB, Socket
 
@@ -32,7 +31,6 @@ __all__ = [
     "NIC_KINDS",
     "NIC_REGISTRY",
     "NetDIMMNode",
-    "PollingAgent",
     "ServerNode",
     "SKB",
     "Socket",

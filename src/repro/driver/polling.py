@@ -1,29 +1,20 @@
-"""The polling agent (Sec. 2.1 / Alg. 1 lines 16–19).
+"""Poll-detection cost (Sec. 2.1 / Alg. 1 lines 16–19).
 
 Ultra-low-latency deployments poll instead of taking interrupts:
 interrupt handling and moderation can delay packet processing by
-microseconds.  The polling agent spins on the RX descriptor ring's
-status word; the cost of each probe depends on where that word lives —
-host memory for a dNIC/iNIC (the NIC DMA-writes status into the ring),
-or a NetDIMM asynchronous read ("polling NetDIMM is more efficient than
+microseconds.  The driver spins on the RX descriptor ring's status
+word; the cost of each probe depends on where that word lives — host
+memory for a dNIC/iNIC (the NIC DMA-writes status into the ring), or a
+NetDIMM asynchronous read ("polling NetDIMM is more efficient than
 polling a PCIe NIC as accessing I/O registers on a NetDIMM is much
 faster").
 
-Two uses:
-
-* :func:`detection_cost` — the closed-form expected latency between a
-  packet's status landing and the driver noticing it (used by the
-  latency experiments, which charge it to the ``ioreg`` segment).
-* :class:`PollingAgent` — a live polling process for the streaming /
-  bandwidth experiments, dispatching an RX callback per detected
-  packet.
+:func:`detection_cost` is the closed-form expected latency between a
+packet's status landing and the driver noticing it; the latency
+experiments charge it to the ``ioreg`` segment.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
-
-from repro.sim import Component, Future, Queue, Simulator
 
 
 def detection_cost(probe_cost: int, loop_cost: int) -> int:
@@ -35,59 +26,3 @@ def detection_cost(probe_cost: int, loop_cost: int) -> int:
     """
     period = probe_cost + loop_cost
     return period // 2 + probe_cost
-
-
-class PollingAgent(Component):
-    """A live polling loop: probe, dispatch, repeat.
-
-    ``probe`` is a generator function performing one timed status read
-    and returning the number of packets now ready; ``dispatch`` is
-    called once per ready packet.  The agent also drains completed TX
-    buffers via ``reap_tx`` when provided (Alg. 1 line 17).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        probe: Callable[[], object],
-        dispatch: Callable[[], object],
-        loop_cost: int,
-        reap_tx: Optional[Callable[[], None]] = None,
-    ):
-        super().__init__(sim, name)
-        self.probe = probe
-        self.dispatch = dispatch
-        self.loop_cost = loop_cost
-        self.reap_tx = reap_tx
-        self._running = False
-        self._stop_requested = False
-
-    @property
-    def running(self) -> bool:
-        """Whether the loop is active."""
-        return self._running
-
-    def start(self) -> None:
-        """Begin polling (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._stop_requested = False
-        self.sim.spawn(self._loop(), name=f"{self.name}.loop")
-
-    def stop(self) -> None:
-        """Request the loop to exit after the current iteration."""
-        self._stop_requested = True
-
-    def _loop(self):
-        while not self._stop_requested:
-            if self.reap_tx is not None:
-                self.reap_tx()
-            ready = yield from self.probe()
-            self.stats.count("probes")
-            for _ in range(ready):
-                self.stats.count("dispatched")
-                yield from self.dispatch()
-            yield self.loop_cost
-        self._running = False

@@ -1,8 +1,8 @@
 """Linux kernel memory-management model (Sec. 2.3, 4.2.1, 4.2.2).
 
 * :mod:`repro.mem.zones` — memory zones (ZONE_DMA / ZONE_NORMAL / the
-  new NET*i* zones NetDIMM introduces) laid out over the flex-mode
-  unified address space of Fig. 10.
+  new NET*i* zones NetDIMM introduces); the NetDIMM driver allocates
+  from its NET zone.
 * :mod:`repro.mem.allocator` — a page allocator with the
   ``__alloc_netdimm_pages(zone, hint)`` API: best-effort allocation on
   the same (bank, sub-array) as a hint address, which is what makes
@@ -14,7 +14,7 @@
 
 from repro.mem.alloc_cache import AllocCache
 from repro.mem.allocator import OutOfMemoryError, PageAllocator
-from repro.mem.zones import MemoryZone, ZoneKind, ZoneSet
+from repro.mem.zones import MemoryZone, ZoneKind
 
 __all__ = [
     "AllocCache",
@@ -22,5 +22,4 @@ __all__ = [
     "OutOfMemoryError",
     "PageAllocator",
     "ZoneKind",
-    "ZoneSet",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.units import PAGE
 
@@ -59,69 +59,3 @@ class MemoryZone:
     def contains(self, address: int) -> bool:
         """Whether ``address`` falls in this zone."""
         return self.base <= address < self.end
-
-
-class ZoneSet:
-    """The system's zones, keyed by name, with range lookup."""
-
-    def __init__(self, zones: List[MemoryZone]):
-        ordered = sorted(zones, key=lambda zone: zone.base)
-        for previous, current in zip(ordered, ordered[1:]):
-            if previous.end > current.base:
-                raise ValueError(f"zones {previous.name} and {current.name} overlap")
-        self._zones = ordered
-        self._by_name: Dict[str, MemoryZone] = {zone.name: zone for zone in ordered}
-        if len(self._by_name) != len(ordered):
-            raise ValueError("duplicate zone names")
-
-    def __iter__(self):
-        return iter(self._zones)
-
-    def __len__(self) -> int:
-        return len(self._zones)
-
-    def by_name(self, name: str) -> MemoryZone:
-        """Zone with the given name (raises KeyError if absent)."""
-        return self._by_name[name]
-
-    def zone_of(self, address: int) -> MemoryZone:
-        """The zone containing ``address`` (raises if unmapped)."""
-        for zone in self._zones:
-            if zone.contains(address):
-                return zone
-        raise ValueError(f"address {address:#x} is not in any zone")
-
-    def net_zones(self) -> List[MemoryZone]:
-        """All NET zones, ordered by NetDIMM index."""
-        nets = [zone for zone in self._zones if zone.kind is ZoneKind.NET]
-        return sorted(nets, key=lambda zone: zone.netdimm_index or 0)
-
-    def net_zone(self, netdimm_index: int) -> MemoryZone:
-        """The NET zone of NetDIMM ``netdimm_index``."""
-        for zone in self.net_zones():
-            if zone.netdimm_index == netdimm_index:
-                return zone
-        raise KeyError(f"no NET zone for NetDIMM {netdimm_index}")
-
-
-def standard_layout(normal_size: int, netdimm_sizes: List[int]) -> ZoneSet:
-    """The Fig. 10 layout: ZONE_NORMAL at the bottom, NET zones above.
-
-    ``netdimm_sizes[i]`` becomes zone ``NET{i}`` for NetDIMM *i*.
-    """
-    zones = [
-        MemoryZone(name="ZONE_NORMAL", kind=ZoneKind.NORMAL, base=0, size=normal_size)
-    ]
-    cursor = normal_size
-    for index, size in enumerate(netdimm_sizes):
-        zones.append(
-            MemoryZone(
-                name=f"NET{index}",
-                kind=ZoneKind.NET,
-                base=cursor,
-                size=size,
-                netdimm_index=index,
-            )
-        )
-        cursor += size
-    return ZoneSet(zones)

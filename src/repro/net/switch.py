@@ -83,23 +83,14 @@ class Switch(Component):
             + self.params.propagation
         )
 
-    def forward(self, size_bytes: int, egress_port: str) -> Future:
-        """Event-driven forwarding through a (possibly contended) port."""
-        done = self.sim.future()
-        self.sim.spawn(
-            self._forward_body(size_bytes, egress_port, done),
-            name=f"{self.name}.fwd",
-        )
-        return done
-
     def forward_transit(
         self, size_bytes: int, egress_port: str, tracer=None, uid=None
     ):
-        """Inline (``yield from``) form of :meth:`forward`.
+        """Forward one frame through a (possibly contended) egress port.
 
-        Same event sequence without spawning a process per hop — the
-        fabric transit path runs one of these per switch per packet.
-        Returns True when the frame was forwarded; False when a full
+        A generator run inline (``yield from``) by the fabric transit
+        path, one per switch per packet, so no process is spawned per
+        hop.  Returns True when the frame was forwarded; False when a full
         output queue in ``lossy`` drop mode ate it (cut-through: the
         overflow is decided at ingress, before any time is charged).
 
@@ -184,10 +175,6 @@ class Switch(Component):
         if tracer is not None:
             tracer.add(uid, self.name, "switch", xmit_start, self.now)
         return True
-
-    def _forward_body(self, size_bytes: int, egress_port: str, done: Future):
-        forwarded = yield from self.forward_transit(size_bytes, egress_port)
-        done.set_result(forwarded)
 
     # -- finite output queue --------------------------------------------------
 

@@ -15,8 +15,8 @@ built on.  It provides:
   point-to-point channel.
 * :class:`~repro.sim.component.Component` — a named owner of statistics
   attached to a simulator.
-* :class:`~repro.sim.stats.StatRecorder` — counters, histograms, and
-  time-weighted averages.
+* :class:`~repro.sim.stats.StatRecorder` — counters, scalars, and
+  histograms.
 
 The kernel is deliberately small and fully deterministic: events at the
 same tick fire in scheduling order, and no wall-clock or OS state leaks

@@ -17,7 +17,7 @@ reach for which.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 
 class Histogram:
@@ -129,38 +129,6 @@ class Histogram:
         }
 
 
-class TimeWeighted:
-    """A time-weighted average of a piecewise-constant signal.
-
-    Used for utilization-style statistics (queue depth over time, channel
-    busy fraction).  Call :meth:`update` whenever the value changes.
-    """
-
-    __slots__ = ("_value", "_last_time", "_weighted_sum", "_start_time")
-
-    def __init__(self, initial: float = 0.0, start_time: int = 0):
-        self._value = initial
-        self._last_time = start_time
-        self._start_time = start_time
-        self._weighted_sum = 0.0
-
-    def update(self, now: int, value: float) -> None:
-        """Record that the signal becomes ``value`` at tick ``now``."""
-        if now < self._last_time:
-            raise ValueError("time went backwards")
-        self._weighted_sum += self._value * (now - self._last_time)
-        self._value = value
-        self._last_time = now
-
-    def average(self, now: int) -> float:
-        """Time-weighted mean over [start, now]."""
-        elapsed = now - self._start_time
-        if elapsed <= 0:
-            return self._value
-        pending = self._value * (now - self._last_time)
-        return (self._weighted_sum + pending) / elapsed
-
-
 class StatRecorder:
     """A named bag of counters, scalars, and histograms.
 
@@ -229,15 +197,3 @@ class StatRecorder:
             for stat, value in histogram.summary().items():
                 flat[f"{name}.{stat}"] = value
         return flat
-
-
-def weighted_mean(pairs: Iterable[Tuple[float, float]]) -> Optional[float]:
-    """Mean of ``(value, weight)`` pairs, or None if total weight is 0."""
-    total_value = 0.0
-    total_weight = 0.0
-    for value, weight in pairs:
-        total_value += value * weight
-        total_weight += weight
-    if total_weight == 0:
-        return None
-    return total_value / total_weight

@@ -6,7 +6,7 @@ resolving sub-nanosecond DRAM timing such as half-cycle DDR command slots.
 
 All sizes are kept in **bytes** as integers.
 
-The helpers here are thin, explicit constructors and formatters so that
+The helpers here are thin, explicit constructors and converters so that
 calling code reads like the paper: ``us(1.3)`` is the RoCE round trip,
 ``GBps(12.8)`` is a DDR4 channel.
 """
@@ -61,19 +61,6 @@ def to_us(ticks: int) -> float:
     return ticks / US
 
 
-def fmt_time(ticks: int) -> str:
-    """Human-readable rendering of a tick count, picking a natural unit."""
-    if ticks >= S:
-        return f"{ticks / S:.3f}s"
-    if ticks >= MS:
-        return f"{ticks / MS:.3f}ms"
-    if ticks >= US:
-        return f"{ticks / US:.3f}us"
-    if ticks >= NS:
-        return f"{ticks / NS:.3f}ns"
-    return f"{ticks}ps"
-
-
 # ---------------------------------------------------------------------------
 # Size: base unit is the byte.
 # ---------------------------------------------------------------------------
@@ -117,17 +104,6 @@ def pages(size_bytes: int) -> int:
     if size_bytes < 0:
         raise ValueError(f"negative size: {size_bytes}")
     return -(-size_bytes // PAGE)
-
-
-def fmt_size(size_bytes: int) -> str:
-    """Human-readable rendering of a byte count."""
-    if size_bytes >= GB:
-        return f"{size_bytes / GB:.2f}GB"
-    if size_bytes >= MB:
-        return f"{size_bytes / MB:.2f}MB"
-    if size_bytes >= KB:
-        return f"{size_bytes / KB:.2f}KB"
-    return f"{size_bytes}B"
 
 
 # ---------------------------------------------------------------------------

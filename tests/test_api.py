@@ -1,7 +1,9 @@
 """The ``repro.api`` facade: its verbs, the job surface every sweep
 runs through, and the lazy top-level re-exports."""
 
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 
 import pytest
@@ -151,3 +153,14 @@ class TestTopLevelExports:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.warp_drive
+
+    @pytest.mark.parametrize(
+        "package",
+        sorted(info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg),
+    )
+    def test_package_exports_resolve(self, package):
+        """A name left in ``__all__`` after its definition is deleted
+        breaks only ``from repro.<package> import *``; catch it here."""
+        module = importlib.import_module(f"repro.{package}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"repro.{package}.__all__ names undefined {missing}"

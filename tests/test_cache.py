@@ -176,29 +176,6 @@ class TestCacheHierarchyModel:
     def make(self, **kwargs):
         return CacheHierarchyModel(CacheParams(), **kwargs)
 
-    def test_clean_latency_below_dram(self):
-        model = self.make()
-        latency = model.average_latency(dram_latency=70_000)
-        assert latency < 70_000
-
-    def test_pollution_raises_latency(self):
-        model = self.make()
-        clean = model.average_latency(dram_latency=70_000)
-        model.pollute(1024 * 1024)
-        polluted = model.average_latency(dram_latency=70_000)
-        assert polluted > clean
-
-    def test_reset_pollution(self):
-        model = self.make()
-        model.pollute(1024 * 1024)
-        model.reset_pollution()
-        assert model.resident_fraction(0) == 1.0
-
-    def test_resident_fraction_saturates_at_zero(self):
-        model = self.make()
-        model.pollute(100 * 1024 * 1024)
-        assert model.resident_fraction(0) == 0.0
-
     def test_competition_hit_rate_clean_fit(self):
         model = self.make(working_set_bytes=1024 * 1024)  # fits in 2 MB LLC
         assert model.competition_hit_rate(0.0) == pytest.approx(

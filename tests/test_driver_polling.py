@@ -1,9 +1,6 @@
-"""The polling agent and detection-cost model."""
+"""The poll-detection cost model."""
 
-import pytest
-
-from repro.driver.polling import PollingAgent, detection_cost
-from repro.sim import Queue
+from repro.driver.polling import detection_cost
 from repro.units import ns
 
 
@@ -17,86 +14,3 @@ class TestDetectionCost:
         pcie = detection_cost(probe_cost=ns(390), loop_cost=ns(30))
         netdimm = detection_cost(probe_cost=ns(60), loop_cost=ns(30))
         assert netdimm < pcie
-
-
-class TestPollingAgent:
-    def make_agent(self, sim, mailbox, dispatched, probe_cost=ns(50)):
-        def probe():
-            yield probe_cost
-            return len(mailbox)
-
-        def dispatch():
-            yield ns(10)
-            dispatched.append((mailbox.pop(0), sim.now))
-
-        return PollingAgent(
-            sim, "poll", probe=probe, dispatch=dispatch, loop_cost=ns(30)
-        )
-
-    def test_detects_and_dispatches(self, sim):
-        mailbox = ["pkt0"]
-        dispatched = []
-        agent = self.make_agent(sim, mailbox, dispatched)
-        agent.start()
-        sim.run(until=ns(500))
-        agent.stop()
-        sim.run()
-        assert [packet for packet, _t in dispatched] == ["pkt0"]
-
-    def test_dispatches_every_arrival(self, sim):
-        mailbox = []
-        dispatched = []
-        agent = self.make_agent(sim, mailbox, dispatched)
-        for arrival in (ns(100), ns(400), ns(700)):
-            sim.schedule(arrival, mailbox.append, f"pkt@{arrival}")
-        agent.start()
-        sim.run(until=ns(2000))
-        agent.stop()
-        sim.run()
-        assert len(dispatched) == 3
-
-    def test_start_idempotent(self, sim):
-        agent = self.make_agent(sim, [], [])
-        agent.start()
-        agent.start()
-        assert agent.running
-        agent.stop()
-        sim.run(until=ns(200))
-        assert not agent.running
-
-    def test_probe_counter(self, sim):
-        agent = self.make_agent(sim, [], [])
-        agent.start()
-        sim.run(until=ns(800))
-        agent.stop()
-        sim.run()
-        # Each iteration costs probe (50) + loop (30) = 80 ns.
-        assert agent.stats.get_counter("probes") == pytest.approx(10, abs=2)
-
-    def test_reap_tx_called(self, sim):
-        reaped = []
-        agent = PollingAgent(
-            sim,
-            "poll",
-            probe=lambda: iter(()) or self._zero(),
-            dispatch=lambda: self._zero(),
-            loop_cost=ns(30),
-            reap_tx=lambda: reaped.append(sim.now),
-        )
-
-        agent.probe = self._zero_probe
-        agent.start()
-        sim.run(until=ns(200))
-        agent.stop()
-        sim.run()
-        assert len(reaped) >= 2
-
-    @staticmethod
-    def _zero():
-        yield 0
-        return 0
-
-    @staticmethod
-    def _zero_probe():
-        yield ns(10)
-        return 0

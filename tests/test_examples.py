@@ -36,11 +36,6 @@ class TestExamples:
         assert "FPM" in out and "PSM" in out and "GCM" in out
         assert "1 nCache miss" in out
 
-    def test_multi_netdimm(self, capsys):
-        out = run_example("multi_netdimm", capsys)
-        assert "NET0" in out and "NET1" in out
-        assert "balance: [4, 4]" in out
-
     def test_trace_replay(self, capsys):
         out = run_example("trace_replay", capsys)
         assert "webserver" in out

@@ -1,9 +1,9 @@
-"""Memory zones and the Fig. 10 layout."""
+"""Memory zones."""
 
 import pytest
 
-from repro.mem.zones import MemoryZone, ZoneKind, ZoneSet, standard_layout
-from repro.units import GB, MB, PAGE
+from repro.mem.zones import MemoryZone, ZoneKind
+from repro.units import MB, PAGE
 
 
 class TestMemoryZone:
@@ -36,82 +36,3 @@ class TestMemoryZone:
             name="NET0", kind=ZoneKind.NET, base=0, size=4096, netdimm_index=0
         )
         assert zone.netdimm_index == 0
-
-
-class TestZoneSet:
-    def make(self):
-        return ZoneSet(
-            [
-                MemoryZone(name="ZONE_NORMAL", kind=ZoneKind.NORMAL, base=0, size=8 * MB),
-                MemoryZone(
-                    name="NET0", kind=ZoneKind.NET, base=8 * MB, size=8 * MB,
-                    netdimm_index=0,
-                ),
-            ]
-        )
-
-    def test_lookup_by_name(self):
-        zones = self.make()
-        assert zones.by_name("NET0").kind is ZoneKind.NET
-
-    def test_zone_of_address(self):
-        zones = self.make()
-        assert zones.zone_of(0).name == "ZONE_NORMAL"
-        assert zones.zone_of(8 * MB).name == "NET0"
-
-    def test_unmapped_address_rejected(self):
-        with pytest.raises(ValueError):
-            self.make().zone_of(100 * MB)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            ZoneSet(
-                [
-                    MemoryZone(name="a", kind=ZoneKind.NORMAL, base=0, size=8 * MB),
-                    MemoryZone(name="b", kind=ZoneKind.NORMAL, base=4 * MB, size=8 * MB),
-                ]
-            )
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ZoneSet(
-                [
-                    MemoryZone(name="a", kind=ZoneKind.NORMAL, base=0, size=4096),
-                    MemoryZone(name="a", kind=ZoneKind.NORMAL, base=4096, size=4096),
-                ]
-            )
-
-    def test_net_zones_filtered_and_ordered(self):
-        zones = ZoneSet(
-            [
-                MemoryZone(name="ZONE_NORMAL", kind=ZoneKind.NORMAL, base=0, size=4096),
-                MemoryZone(name="NET1", kind=ZoneKind.NET, base=8192, size=4096,
-                           netdimm_index=1),
-                MemoryZone(name="NET0", kind=ZoneKind.NET, base=4096, size=4096,
-                           netdimm_index=0),
-            ]
-        )
-        assert [zone.name for zone in zones.net_zones()] == ["NET0", "NET1"]
-        assert zones.net_zone(1).name == "NET1"
-
-    def test_missing_net_zone_raises(self):
-        with pytest.raises(KeyError):
-            self.make().net_zone(5)
-
-    def test_iteration_sorted_by_base(self):
-        zones = self.make()
-        bases = [zone.base for zone in zones]
-        assert bases == sorted(bases)
-        assert len(zones) == 2
-
-
-class TestStandardLayout:
-    def test_fig10_shape(self):
-        zones = standard_layout(normal_size=16 * MB, netdimm_sizes=[16 * GB, 16 * GB])
-        assert zones.by_name("ZONE_NORMAL").base == 0
-        assert zones.by_name("NET0").base == 16 * MB
-        assert zones.by_name("NET1").base == 16 * MB + 16 * GB
-
-    def test_net_indices_assigned(self):
-        zones = standard_layout(normal_size=4 * MB, netdimm_sizes=[8 * MB])
-        assert zones.net_zone(0).size == 8 * MB

@@ -111,30 +111,24 @@ class TestEthernetWire:
 
 
 class TestSwitch:
-    def test_hop_latency_composition(self, sim):
-        switch = Switch(sim, "s")
-        params = switch.params
-        expected = (
-            params.switch_latency
-            + switch.hop_latency(64)
-            - params.switch_latency
-        )
-        assert switch.hop_latency(64) == expected  # self-consistency
-
     def test_hop_latency_includes_switch_pipeline(self, sim):
         fast = Switch(sim, "fast", params=NetworkParams(switch_latency=ns(25)))
         slow = Switch(sim, "slow", params=NetworkParams(switch_latency=ns(200)))
         assert slow.hop_latency(64) - fast.hop_latency(64) == ns(175)
 
-    def test_event_forward_matches_closed_form(self, sim):
+    @pytest.mark.parametrize("size", [64, 256, 1514])
+    def test_event_forward_matches_closed_form(self, sim, size):
         switch = Switch(sim, "s")
-        sim.run_until(switch.forward(256, egress_port="p0"))
-        assert sim.now == switch.hop_latency(256)
+        assert sim.run_until(sim.spawn(switch.forward_transit(size, "p0")).done)
+        assert sim.now == switch.hop_latency(size)
 
     def test_egress_contention(self, sim):
         switch = Switch(sim, "s")
         both = sim.all_of(
-            [switch.forward(1514, "p0"), switch.forward(1514, "p0")]
+            [
+                sim.spawn(switch.forward_transit(1514, "p0")).done,
+                sim.spawn(switch.forward_transit(1514, "p0")).done,
+            ]
         )
         sim.run_until(both)
         assert sim.now > switch.hop_latency(1514)
@@ -142,7 +136,10 @@ class TestSwitch:
     def test_different_ports_no_contention(self, sim):
         switch = Switch(sim, "s")
         both = sim.all_of(
-            [switch.forward(1514, "p0"), switch.forward(1514, "p1")]
+            [
+                sim.spawn(switch.forward_transit(1514, "p0")).done,
+                sim.spawn(switch.forward_transit(1514, "p1")).done,
+            ]
         )
         sim.run_until(both)
         assert sim.now == switch.hop_latency(1514)

@@ -1,11 +1,11 @@
-"""Statistics primitives: Histogram, TimeWeighted, StatRecorder."""
+"""Statistics primitives: Histogram, StatRecorder."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Histogram, StatRecorder, TimeWeighted, weighted_mean
+from repro.sim.stats import Histogram, StatRecorder
 
 
 class TestHistogram:
@@ -104,35 +104,6 @@ class TestHistogram:
         assert histogram.percentile(25) <= histogram.percentile(75)
 
 
-class TestTimeWeighted:
-    def test_constant_signal(self):
-        signal = TimeWeighted(initial=5.0)
-        assert signal.average(100) == 5.0
-
-    def test_step_change(self):
-        signal = TimeWeighted(initial=0.0)
-        signal.update(50, 10.0)
-        # 0 for 50 ticks, 10 for 50 ticks -> average 5.
-        assert signal.average(100) == pytest.approx(5.0)
-
-    def test_multiple_steps(self):
-        signal = TimeWeighted(initial=1.0)
-        signal.update(10, 2.0)
-        signal.update(20, 3.0)
-        # 1*10 + 2*10 + 3*10 over 30.
-        assert signal.average(30) == pytest.approx(2.0)
-
-    def test_time_backwards_raises(self):
-        signal = TimeWeighted()
-        signal.update(10, 1.0)
-        with pytest.raises(ValueError):
-            signal.update(5, 2.0)
-
-    def test_zero_elapsed_returns_current(self):
-        signal = TimeWeighted(initial=7.0)
-        assert signal.average(0) == 7.0
-
-
 class TestStatRecorder:
     def test_counter_increments(self):
         stats = StatRecorder("x")
@@ -170,15 +141,3 @@ class TestStatRecorder:
         stats = StatRecorder("mc0")
         stats.sample("latency", 1)
         assert stats.histograms["latency"].name == "mc0.latency"
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([(1, 1), (3, 1)]) == 2.0
-
-    def test_weights_matter(self):
-        assert weighted_mean([(1, 3), (5, 1)]) == 2.0
-
-    def test_zero_weight_returns_none(self):
-        assert weighted_mean([]) is None
-        assert weighted_mean([(5, 0)]) is None

@@ -34,23 +34,6 @@ class TestTimeConversions:
         assert abs(units.to_ns(units.ns(value)) - value) <= 0.0005
 
 
-class TestFmtTime:
-    def test_picoseconds(self):
-        assert units.fmt_time(500) == "500ps"
-
-    def test_nanoseconds(self):
-        assert units.fmt_time(units.ns(5)) == "5.000ns"
-
-    def test_microseconds(self):
-        assert units.fmt_time(units.us(1.5)) == "1.500us"
-
-    def test_milliseconds(self):
-        assert units.fmt_time(units.ms(2)) == "2.000ms"
-
-    def test_seconds(self):
-        assert units.fmt_time(units.seconds(3)) == "3.000s"
-
-
 class TestSizes:
     def test_cacheline_is_64(self):
         assert units.CACHELINE == 64
@@ -66,15 +49,6 @@ class TestSizes:
 
     def test_gib(self):
         assert units.gib(1) == 1024**3
-
-    def test_fmt_size_bytes(self):
-        assert units.fmt_size(100) == "100B"
-
-    def test_fmt_size_kb(self):
-        assert units.fmt_size(2048) == "2.00KB"
-
-    def test_fmt_size_gb(self):
-        assert units.fmt_size(units.gib(8)) == "8.00GB"
 
 
 class TestCachelines:
