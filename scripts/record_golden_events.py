@@ -5,13 +5,17 @@ pin the kernel's ``(time, seq, owner)`` execution order, and rewriting
 them silently would defeat the determinism tests in
 ``tests/test_sim_determinism.py``.
 
-Five artifacts are produced:
+Six artifacts are produced:
 
 * ``golden_event_order.json`` — the traced event stream of the mixed
   kernel workload, recorded through ``Simulator(trace=...)``.
 * ``golden_cluster_streams.json`` — the sha256 of the traced event
   stream of a seeded four-node incast cluster, plus its delivery
   summary, per seed.
+* ``golden_host_nic_streams.json`` — the sha256 and summary of the
+  traced event streams of the dNIC and iNIC kinds (plain and
+  zero-copy): the four-node incast at two seeds, and a one-node burst
+  that overflows a 16 KiB LLC's DDIO slice.
 * ``golden_sweep_results.json`` — the sha256 of the ``fig11``,
   ``fig12a`` and ``loaded_latency`` experiment artifact entries.
 * ``golden_dram_stream.json`` — the sha256 and event count of the
@@ -80,6 +84,33 @@ def record_golden_cluster_streams() -> pathlib.Path:
     return out
 
 
+def record_golden_host_nic_streams() -> pathlib.Path:
+    from tests.test_sim_determinism import (
+        HOST_NIC_KINDS,
+        HOST_NIC_SEEDS,
+        host_nic_burst_stream,
+        host_nic_incast_stream,
+    )
+
+    runs = {}
+    for nic_kind in HOST_NIC_KINDS:
+        for seed in HOST_NIC_SEEDS:
+            runs[f"{nic_kind}/incast-{seed}"] = host_nic_incast_stream(nic_kind, seed)
+        runs[f"{nic_kind}/burst"] = host_nic_burst_stream(nic_kind)
+    document = {
+        "schema": "netdimm-repro/golden-host-nic-streams",
+        "schema_version": 1,
+        "runs": {
+            name: {"sha256": hashlib.sha256(stream).hexdigest(), "summary": summary}
+            for name, (stream, summary) in runs.items()
+        },
+    }
+    out = DATA_DIR / "golden_host_nic_streams.json"
+    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(runs)} host-NIC stream digests -> {out}")
+    return out
+
+
 def record_golden_sweep_results() -> pathlib.Path:
     from tests.test_sim_determinism import sweep_digests
 
@@ -135,6 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record_golden_event_order()
     record_golden_cluster_streams()
+    record_golden_host_nic_streams()
     record_golden_sweep_results()
     record_golden_dram_stream()
     if not args.no_fig5:

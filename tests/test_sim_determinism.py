@@ -13,6 +13,12 @@ never change which event fires when.  These tests pin that promise:
 * ``test_event_streams_byte_identical_across_seeds`` runs a seeded
   four-node incast cluster under trace and compares its stream digest
   against ``tests/data/golden_cluster_streams.json``.
+* ``test_incast_stream_matches_golden`` and
+  ``test_burst_stream_matches_golden`` trace the dNIC and iNIC driver
+  paths, with and without zero-copy: the four-node incast on each kind,
+  and a burst on one node with a 16 KiB LLC that overflows the DDIO
+  slice.  Digests and summaries live in
+  ``tests/data/golden_host_nic_streams.json``.
 * ``test_sweep_result_matches_golden`` runs the other sharded sweeps
   (``fig11``, ``fig12a``, ``loaded_latency``) through the harness and
   compares the sha256 of each ``experiments[name]`` artifact entry
@@ -47,6 +53,9 @@ FIG5_BASELINE_PATH = DATA_DIR / "fig5_baseline.json"
 SWEEP_GOLDEN_PATH = DATA_DIR / "golden_sweep_results.json"
 SWEEP_NAMES = ("fig11", "fig12a", "loaded_latency")
 DRAM_GOLDEN_PATH = DATA_DIR / "golden_dram_stream.json"
+HOST_NIC_GOLDEN_PATH = DATA_DIR / "golden_host_nic_streams.json"
+HOST_NIC_KINDS = ("dnic", "dnic.zcpy", "inic", "inic.zcpy")
+HOST_NIC_SEEDS = (1, 2019)
 
 
 def mixed_workload(sim: Simulator):
@@ -145,12 +154,20 @@ class TestGoldenEventOrder:
         assert record_stream() == record_stream()
 
 
-def scenario_stream(seed: int):
+def scenario_stream(
+    seed: int,
+    nic_kind: str = "netdimm",
+    packets: int = 8,
+    mean_interarrival_ns: float = 2000.0,
+):
     """Run a small seeded incast; return its traced event stream as bytes
     plus a ``packets_delivered``/``events_fired``/``flows`` summary dict.
 
-    The cluster exercises every hot model — switch, fabric uplink, DRAM
-    controller, NVDIMM-P port, PCIe link.
+    Four ``nic_kind`` nodes under one ToR; three of them send ``packets``
+    frames of 1024 B each to ``h0``.  With the default ``netdimm`` nodes
+    the cluster exercises the switch, the fabric uplink, the DRAM
+    controllers, the NVDIMM-P port and the NetDIMM device; the host-NIC
+    kinds trade the last two for the PCIe link or the on-die fabric.
     """
     from repro.scenario import (
         FabricSpec,
@@ -164,16 +181,16 @@ def scenario_stream(seed: int):
         name=f"cluster-stream-{seed}",
         seed=seed,
         nodes=tuple(
-            NodeSpec(name=f"h{index}", nic_kind="netdimm") for index in range(4)
+            NodeSpec(name=f"h{index}", nic_kind=nic_kind) for index in range(4)
         ),
         fabric=FabricSpec(kind="clos", hosts_per_rack=4, queue_depth=8),
         traffic=(
             TrafficSpec(
                 kind="incast",
                 dst="h0",
-                packets=8,
+                packets=packets,
                 size_bytes=1024,
-                mean_interarrival_ns=2000.0,
+                mean_interarrival_ns=mean_interarrival_ns,
                 label="incast",
             ),
         ),
@@ -206,6 +223,73 @@ class TestBatchFallbackParity:
         stream, summary = scenario_stream(seed)
         assert hashlib.sha256(stream).hexdigest() == golden["sha256"]
         assert summary == golden["summary"]
+
+
+def host_nic_burst_stream(nic_kind: str):
+    """A same-tick burst on one host-NIC node whose LLC is 16 KiB.
+
+    40 RX frames of 1514 B arrive before the driver copies any of them
+    out, so the DDIO slice overflows: spilled lines are written to host
+    DRAM and, on the iNIC, read back before the RX copy.  10 TX frames
+    of 700 B run beside them.  The simulator traces from birth.
+    Returns the stream as bytes plus a summary dict.
+    """
+    from dataclasses import replace
+
+    from repro.driver import make_node
+    from repro.net import Packet
+    from repro.params import DEFAULT
+    from repro.units import kib
+
+    params = replace(DEFAULT, cache=replace(DEFAULT.cache, l2_size=kib(16)))
+    sim, events = _traced_sim()
+    node = make_node(sim, "n", nic_kind, params)
+    packets = [Packet(size_bytes=1514) for _ in range(40)]
+    done = [node.receive(packet) for packet in packets]
+    outbound = [Packet(size_bytes=700) for _ in range(10)]
+    done += [node.transmit(packet) for packet in outbound]
+    sim.run_until(sim.all_of(done), max_events=1_000_000)
+    segments = {}
+    for packet in packets + outbound:
+        for segment, ticks in packet.breakdown.segments.items():
+            segments[segment] = segments.get(segment, 0) + ticks
+    summary = {
+        "events_fired": sim.events_fired,
+        "final_now": sim.now,
+        "ddio_spilled_lines": node.stats.get_counter("ddio_spilled_lines"),
+        "segments": segments,
+        "stats_sha256": stats_digest(node, node.host_mc),
+    }
+    return json.dumps(events).encode(), summary
+
+
+def host_nic_incast_stream(nic_kind: str, seed: int):
+    """The four-node incast on host-NIC nodes: 30 frames per sender,
+    300 ns mean gap, so the receiver's rings and DDIO slice stay busy."""
+    return scenario_stream(seed, nic_kind, packets=30, mean_interarrival_ns=300.0)
+
+
+class TestHostNICStreamGolden:
+    """The dNIC and iNIC driver paths (plain and zero-copy), pinned by
+    stream digest and summary in ``tests/data/golden_host_nic_streams.json``."""
+
+    @pytest.mark.parametrize("seed", HOST_NIC_SEEDS)
+    @pytest.mark.parametrize("nic_kind", HOST_NIC_KINDS)
+    def test_incast_stream_matches_golden(self, nic_kind, seed):
+        golden = json.loads(HOST_NIC_GOLDEN_PATH.read_text())["runs"]
+        expected = golden[f"{nic_kind}/incast-{seed}"]
+        stream, summary = host_nic_incast_stream(nic_kind, seed)
+        assert hashlib.sha256(stream).hexdigest() == expected["sha256"]
+        assert summary == expected["summary"]
+
+    @pytest.mark.parametrize("nic_kind", HOST_NIC_KINDS)
+    def test_burst_stream_matches_golden(self, nic_kind):
+        golden = json.loads(HOST_NIC_GOLDEN_PATH.read_text())["runs"]
+        expected = golden[f"{nic_kind}/burst"]
+        stream, summary = host_nic_burst_stream(nic_kind)
+        assert summary["ddio_spilled_lines"] > 0
+        assert hashlib.sha256(stream).hexdigest() == expected["sha256"]
+        assert summary == expected["summary"]
 
 
 class TestFig5ArtifactEquality:
