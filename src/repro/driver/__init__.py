@@ -11,15 +11,14 @@ models, charging each operation to its Fig. 11 breakdown segment.
   COPY_NEEDED / skb_zone mechanics of Sec. 4.2.2.
 * :mod:`repro.driver.polling` — the poll-detection cost.
 * :mod:`repro.driver.node` — the abstract server-node interface.
-* :mod:`repro.driver.dnic_node` — discrete PCIe NIC (dNIC), with
-  optional zero-copy.
-* :mod:`repro.driver.inic_node` — CPU-integrated NIC (iNIC) with DDIO,
-  with optional zero-copy.
+* :mod:`repro.driver.host_nic` — the host-memory driver both baselines
+  run (``HostNICNode``: SKB copy or zero-copy pinning, status read and
+  tail doorbells, RX into the DDIO slice), with the discrete PCIe NIC
+  (dNIC) and the CPU-integrated NIC (iNIC) as its interconnect hooks.
 * :mod:`repro.driver.netdimm_node` — the NetDIMM driver (Alg. 1).
 """
 
-from repro.driver.dnic_node import DiscreteNICNode
-from repro.driver.inic_node import IntegratedNICNode
+from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
 from repro.driver.netdimm_node import NetDIMMNode
 from repro.driver.node import ServerNode
 from repro.driver.registry import NIC_KINDS, NIC_REGISTRY, make_node

@@ -39,7 +39,7 @@ from repro.net.packet import Packet
 from repro.nic.descriptor import DescriptorRing
 from repro.nic.registers import MemoryChannelRegisterFile
 from repro.params import SystemParams
-from repro.sim import Future, Simulator
+from repro.sim import Simulator
 from repro.units import CACHELINE, mib
 
 
@@ -54,14 +54,10 @@ class NetDIMMNode(ServerNode):
         name: str,
         *,
         params: Optional[SystemParams] = None,
-        overrides: Optional[dict] = None,
-        normal_zone_bytes: int = mib(64),
-        netdimm_index: int = 0,
         use_subarray_hint: bool = True,
         use_alloc_cache: bool = True,
     ):
-        super().__init__(sim, name, params=params, overrides=overrides)
-        self.netdimm_index = netdimm_index
+        super().__init__(sim, name, params=params)
         self.use_subarray_hint = use_subarray_hint
         """Ablation switch: pass the DMA-buffer hint to allocations (off
         means clones degrade from FPM to PSM/GCM)."""
@@ -70,12 +66,13 @@ class NetDIMMNode(ServerNode):
         buffer allocation walks the slow page-allocator path)."""
         geometry = DRAMGeometry()
         self.host_mc = MemoryController(sim, f"{name}.mc0", self.params.host_dram)
+        # The NET zone sits above the host's 64 MiB ZONE_NORMAL.
         net_zone = MemoryZone(
-            name=f"NET{netdimm_index}",
+            name="NET0",
             kind=ZoneKind.NET,
-            base=normal_zone_bytes,
+            base=mib(64),
             size=geometry.capacity_bytes,
-            netdimm_index=netdimm_index,
+            netdimm_index=0,
         )
         self.net_zone = net_zone
         self.device = NetDIMMDevice(
@@ -131,7 +128,7 @@ class NetDIMMNode(ServerNode):
 
     # -- TX path (Alg. 1 lines 1–10) -----------------------------------------------
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         software = self.params.software
         watch = Stopwatch(self.sim, packet)
         socket = self._socket_for(packet)
@@ -197,11 +194,11 @@ class NetDIMMNode(ServerNode):
             self.allocator.free_page(skb.data_address)
         socket.packets_sent += 1
         self.stats.count("tx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- RX path (Alg. 1 lines 11–15) --------------------------------------------------
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         software = self.params.software
         netdimm = self.params.netdimm
         watch = Stopwatch(self.sim, packet)
@@ -266,7 +263,7 @@ class NetDIMMNode(ServerNode):
         self._release_dma_page(dma_buffer)
         self._release_dma_page(app_page)
         self.stats.count("rx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- helpers --------------------------------------------------------------------
 

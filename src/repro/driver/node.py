@@ -35,7 +35,7 @@ from repro.driver.polling import detection_cost
 from repro.faults.engine import stall_delay
 from repro.faults.spec import RecoverySpec
 from repro.net.packet import Packet
-from repro.params import SystemParams, apply_overrides
+from repro.params import SystemParams
 from repro.sim import Component, Future, Simulator
 from repro.units import cachelines, ns
 
@@ -113,36 +113,34 @@ class ServerNode(Component):
         name: str,
         *,
         params: Optional[SystemParams] = None,
-        overrides: Optional[dict] = None,
     ):
         super().__init__(sim, name)
-        base = params if params is not None else SystemParams()
-        self.params = apply_overrides(base, overrides) if overrides else base
+        self.params = params if params is not None else SystemParams()
         self.fault_stalls: Tuple[Tuple[int, int], ...] = ()
         """Stall windows as (start, end) ticks — set by the scenario
         builder from the fault spec; empty means no gating at all."""
 
     # -- the two path processes (subclasses implement the bodies) -------------
+    #
+    # Each returns the path process's own ``done`` future: it completes
+    # with the packet the body returns, or fails with the exception the
+    # body raised, so a model error reaches whoever waits on the path.
 
     def transmit(self, packet: Packet) -> Future:
         """Run the TX path; future completes when the MAC takes the frame."""
-        done = self.sim.future()
-        body = self._transmit_body(packet, done)
+        body = self._transmit_body(packet)
         if self.fault_stalls:
             body = self._stall_gate(body)
         sim = self.sim
-        sim.spawn(body, name=f"{self.name}.tx" if sim.named else "")
-        return done
+        return sim.spawn(body, name=f"{self.name}.tx" if sim.named else "").done
 
     def receive(self, packet: Packet) -> Future:
         """Run the RX path; future completes at delivery to upper layers."""
-        done = self.sim.future()
-        body = self._receive_body(packet, done)
+        body = self._receive_body(packet)
         if self.fault_stalls:
             body = self._stall_gate(body)
         sim = self.sim
-        sim.spawn(body, name=f"{self.name}.rx" if sim.named else "")
-        return done
+        return sim.spawn(body, name=f"{self.name}.rx" if sim.named else "").done
 
     def _stall_gate(self, body):
         """Delay ``body`` until the current stall window (if any) ends."""
@@ -150,7 +148,7 @@ class ServerNode(Component):
         if delay:
             self.stats.count("stall_waits")
             yield delay
-        yield from body
+        return (yield from body)
 
     # -- driver-level loss recovery -------------------------------------------
 
@@ -173,7 +171,8 @@ class ServerNode(Component):
 
         ``transit`` is called per attempt and must return a fresh
         transit generator that itself returns True/False (the fabric
-        ``transit`` protocol).
+        ``transit`` protocol).  A model exception inside an attempt is
+        raised here, unless that attempt's timer had already fired.
         """
         timeout = int(ns(recovery.timeout_ns))
         tracer = self.sim.tracer if packet.uid is not None else None
@@ -221,25 +220,31 @@ class ServerNode(Component):
         timer,
         counters: FlowRecovery,
     ):
-        yield self.transmit(packet)
-        arrived = yield from transit(packet)
-        if not arrived:
-            # The frame vanished mid-fabric: nobody tells the sender —
-            # the retransmission timer is the only way it finds out.
-            counters.drops += 1
+        try:
+            yield self.transmit(packet)
+            arrived = yield from transit(packet)
+            if not arrived:
+                # The frame vanished mid-fabric: nobody tells the sender —
+                # the retransmission timer is the only way it finds out.
+                counters.drops += 1
+                return
+            yield receiver.receive(packet)
+        except Exception as exc:
+            # A model error, not a loss: hand it to send_reliably unless
+            # the timer already settled this attempt.
+            if verdict.done:
+                raise
+            verdict.set_exception(exc)
             return
-        yield receiver.receive(packet)
         if not verdict.done:
             timer.cancel()
             verdict.set_result("delivered")
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         raise NotImplementedError
-        yield  # pragma: no cover
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         raise NotImplementedError
-        yield  # pragma: no cover
 
     # -- shared software-cost helpers -------------------------------------------
 

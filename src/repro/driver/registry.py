@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.driver.dnic_node import DiscreteNICNode
-from repro.driver.inic_node import IntegratedNICNode
+from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
 from repro.driver.netdimm_node import NetDIMMNode
 from repro.driver.node import ServerNode
 from repro.params import DEFAULT, SystemParams

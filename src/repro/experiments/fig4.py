@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.driver.dnic_node import DiscreteNICNode
+from repro.driver.host_nic import DiscreteNICNode
 from repro.experiments.oneway import OneWayResult, measure_one_way
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator

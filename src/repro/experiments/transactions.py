@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.driver.dnic_node import DiscreteNICNode
+from repro.driver.host_nic import DiscreteNICNode
 from repro.net import EthernetWire, Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator

@@ -457,7 +457,6 @@ class CacheParams:
 
     l1d_size: int = 64 * 1024
     l1_assoc: int = 2
-    l1_latency: int = ns(0.6)  # 2 cycles @ 3.4 GHz
     l2_size: int = 2 * 1024 * 1024
     l2_assoc: int = 16
     l2_latency: int = ns(3.5)  # 12 cycles

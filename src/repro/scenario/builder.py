@@ -400,7 +400,11 @@ class Scenario:
         if tracer is not None:
             tracer.track(uid, f"{label} #{uid}")
         start = self.sim.now
-        yield from self._flow_steps(flow, packet)
+        try:
+            yield from self._flow_steps(flow, packet)
+        except Exception as exc:
+            self._fail(exc)
+            return
         if tracer is not None:
             # The flow root span: every segment/wire/notify span of this
             # packet nests inside it by time containment.
@@ -441,13 +445,17 @@ class Scenario:
         if tracer is not None:
             tracer.track(uid, f"{label} #{uid}")
         start = self.sim.now
-        arrived = yield from self.nodes[flow.src].send_reliably(
-            packet,
-            transit,
-            self.nodes[flow.dst],
-            self.spec.faults.recovery,
-            counters,
-        )
+        try:
+            arrived = yield from self.nodes[flow.src].send_reliably(
+                packet,
+                transit,
+                self.nodes[flow.dst],
+                self.spec.faults.recovery,
+                counters,
+            )
+        except Exception as exc:
+            self._fail(exc)
+            return
         if tracer is not None:
             # Root span over every retransmission attempt; lost packets
             # carry the verdict so the timeline shows abandonments.
@@ -466,6 +474,16 @@ class Scenario:
         self._remaining -= 1
         if self._remaining == 0:
             self._all_done.set_result(None)
+
+    def _fail(self, exc: Exception) -> None:
+        """A measured flow raised: end the run with the first such error.
+
+        Nobody waits on a flow's process, so without this the error
+        would die with it and the run would stop on the kernel's
+        "drained" error instead.
+        """
+        if not self._all_done.done:
+            self._all_done.set_exception(exc)
 
     def _launch(self, flow: FlowPacket, uid: int) -> None:
         if self.injector is None:

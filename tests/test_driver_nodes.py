@@ -20,18 +20,45 @@ def receive(node, size):
     return packet
 
 
-class TestDiscreteNICNode:
+class HostNICCases:
+    """The driver steps both host-NIC kinds share (``HostNICNode``),
+    written once and run by each subclass for its ``node_class``."""
+
+    node_class = None
+    label = ""
+
     def test_tx_segments_charged(self, sim):
-        node = DiscreteNICNode(sim, "n")
-        packet = transmit(node, 256)
+        packet = transmit(self.node_class(sim, "n"), 256)
         for segment in ("txCopy", "ioreg", "txDMA"):
             assert packet.breakdown.get(segment) > 0
 
     def test_rx_segments_charged(self, sim):
-        node = DiscreteNICNode(sim, "n")
-        packet = receive(node, 256)
+        packet = receive(self.node_class(sim, "n"), 256)
         for segment in ("rxDMA", "ioreg", "rxCopy"):
             assert packet.breakdown.get(segment) > 0
+
+    def test_zero_copy_shares_buffer(self, sim):
+        packet = receive(self.node_class(sim, "n", zero_copy=True), 256)
+        assert packet.app_address == packet.dma_address
+
+    def test_allocator_steady_state(self, sim):
+        node = self.node_class(sim, "n")
+        baseline = node.allocator.allocated_pages
+        for size in (700, 1514):
+            for _ in range(20):
+                transmit(node, size)
+                receive(node, size)
+        assert node.allocator.allocated_pages == baseline
+
+    def test_nic_label(self, sim):
+        assert self.node_class(sim, "a").nic_label == self.label
+        zero_copy = self.node_class(sim, "b", zero_copy=True)
+        assert zero_copy.nic_label == f"{self.label}.zcpy"
+
+
+class TestDiscreteNICNode(HostNICCases):
+    node_class = DiscreteNICNode
+    label = "dNIC"
 
     def test_no_flush_segments(self, sim):
         """Flush/invalidate are NetDIMM-specific costs."""
@@ -47,29 +74,12 @@ class TestDiscreteNICNode:
             transmit(plain, 2000).breakdown.get("txCopy")
         )
 
-    def test_zero_copy_shares_buffer(self, sim):
-        node = DiscreteNICNode(sim, "n", zero_copy=True)
-        packet = receive(node, 256)
-        assert packet.app_address == packet.dma_address
-
-    def test_allocator_steady_state(self, sim):
-        node = DiscreteNICNode(sim, "n")
-        baseline = node.allocator.allocated_pages
-        for _ in range(20):
-            transmit(node, 1514)
-            receive(node, 1514)
-        assert node.allocator.allocated_pages == baseline
-
     def test_pcie_overhead_estimate_positive_and_bounded(self, sim):
         node = DiscreteNICNode(sim, "n")
         packet = transmit(node, 64)
         overhead = node.pcie_overhead_estimate(64)
         assert 0 < overhead
         assert overhead < 2 * packet.breakdown.total
-
-    def test_nic_label(self, sim):
-        assert DiscreteNICNode(sim, "a").nic_label == "dNIC"
-        assert DiscreteNICNode(sim, "b", zero_copy=True).nic_label == "dNIC.zcpy"
 
     def test_larger_packets_slower(self, sim):
         node = DiscreteNICNode(sim, "n")
@@ -78,7 +88,10 @@ class TestDiscreteNICNode:
         assert large > small
 
 
-class TestIntegratedNICNode:
+class TestIntegratedNICNode(HostNICCases):
+    node_class = IntegratedNICNode
+    label = "iNIC"
+
     def test_ioreg_cheaper_than_dnic(self, sim):
         dnic = DiscreteNICNode(sim, "d")
         inic = IntegratedNICNode(sim, "i")
@@ -96,22 +109,10 @@ class TestIntegratedNICNode:
         receive(node, 1514)
         assert node.ddio.consumed_lines == 24  # no spills at this rate
 
-    def test_nic_label(self, sim):
-        assert IntegratedNICNode(sim, "a").nic_label == "iNIC"
-        assert IntegratedNICNode(sim, "b", zero_copy=True).nic_label == "iNIC.zcpy"
-
     def test_zero_copy_tx_reads_dram(self, sim):
         node = IntegratedNICNode(sim, "i", zero_copy=True)
         transmit(node, 1514)
         assert node.host_mc.stats.get_counter("reads") >= 1
-
-    def test_allocator_steady_state(self, sim):
-        node = IntegratedNICNode(sim, "i")
-        baseline = node.allocator.allocated_pages
-        for _ in range(20):
-            transmit(node, 700)
-            receive(node, 700)
-        assert node.allocator.allocated_pages == baseline
 
 
 class TestNetDIMMNode:

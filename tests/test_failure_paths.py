@@ -58,9 +58,11 @@ class TestRingBackpressure:
             node.tx_ring.produce(0x1000, 64)
         done = node.transmit(Packet(size_bytes=64))
         sim.run(max_events=2_000_000)
-        # The transmit process died on RingFullError; the node surfaces
-        # it rather than silently dropping the packet.
-        assert not done.done
+        # The transmit process died on RingFullError; the node's future
+        # fails with it rather than completing as if the frame went out.
+        assert done.done
+        with pytest.raises(RingFullError):
+            done.value
 
     def test_ring_full_error_type(self):
         from repro.nic.descriptor import DescriptorRing

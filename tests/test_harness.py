@@ -6,7 +6,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
-from benchmarks import trajectory
 from repro.experiments import fig11, fig12a, harness, loaded_latency, oneway
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
@@ -208,190 +207,6 @@ class TestArtifactTargetChecks:
         assert all(check.ok for check in checks)
         table = format_artifact_checks(checks)
         assert "ok" in table and "FAIL" not in table
-
-
-class TestBenchEmitter:
-    def test_append_creates_and_accumulates(self, tmp_path):
-        path = tmp_path / "BENCH_runner.json"
-        records = [
-            {
-                "test": "t1",
-                "wall_seconds": 0.5,
-                "events_fired": 100,
-                "events_per_sec": 200.0,
-            }
-        ]
-        first = trajectory.append_bench_run(str(path), records)
-        assert first["schema_version"] == 1
-        assert len(first["runs"]) == 1
-        second = trajectory.append_bench_run(str(path), records, meta={"tests": 1})
-        assert len(second["runs"]) == 2
-        assert second["runs"][1]["meta"] == {"tests": 1}
-
-    def test_corrupt_file_is_backed_up_not_silently_discarded(self, tmp_path):
-        path = tmp_path / "BENCH_runner.json"
-        path.write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            document = trajectory.append_bench_run(str(path), [])
-        assert len(document["runs"]) == 1
-        backup = tmp_path / "BENCH_runner.json.corrupt"
-        assert backup.read_text() == "{not json"
-
-    def test_wrong_shape_file_is_backed_up(self, tmp_path):
-        path = tmp_path / "BENCH_runner.json"
-        path.write_text('{"valid json": "but not a trajectory"}')
-        with pytest.warns(RuntimeWarning, match="not a bench-trajectory"):
-            document = trajectory.append_bench_run(str(path), [])
-        assert len(document["runs"]) == 1
-        assert (tmp_path / "BENCH_runner.json.corrupt").exists()
-
-    def test_timestamps_are_utc_iso8601(self, tmp_path):
-        from datetime import datetime, timezone
-
-        path = tmp_path / "BENCH_runner.json"
-        document = trajectory.append_bench_run(str(path), [])
-        stamp = document["runs"][0]["timestamp"]
-        parsed = datetime.fromisoformat(stamp)
-        assert parsed.utcoffset() is not None
-        assert parsed.utcoffset().total_seconds() == 0
-        assert abs((datetime.now(timezone.utc) - parsed).total_seconds()) < 60
-
-    def test_old_local_time_entries_remain_accepted(self, tmp_path):
-        # Trajectories written before the UTC switch carry strftime
-        # local-time stamps; appending must keep them untouched.
-        path = tmp_path / "BENCH_runner.json"
-        old = {
-            "schema": "netdimm-repro/bench-trajectory",
-            "schema_version": 1,
-            "runs": [{"timestamp": "2026-01-05T10:00:00+0100", "records": []}],
-        }
-        path.write_text(json.dumps(old))
-        document = trajectory.append_bench_run(str(path), [])
-        assert len(document["runs"]) == 2
-        assert document["runs"][0]["timestamp"] == "2026-01-05T10:00:00+0100"
-
-
-class TestBenchRegressionCheck:
-    @staticmethod
-    def _trajectory(*rates_per_run):
-        return {
-            "runs": [
-                {
-                    "records": [
-                        {"test": test, "events_per_sec": rate}
-                        for test, rate in rates.items()
-                    ]
-                }
-                for rates in rates_per_run
-            ]
-        }
-
-    def test_single_run_has_nothing_to_compare(self):
-        document = self._trajectory({"t1": 1000.0})
-        assert trajectory.check_bench_regression(document) == []
-
-    def test_within_threshold_passes(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 800.0})
-        assert trajectory.check_bench_regression(document) == []
-
-    def test_drop_past_threshold_fails(self):
-        document = self._trajectory({"t1": 1000.0, "t2": 500.0}, {"t1": 700.0, "t2": 500.0})
-        failures = trajectory.check_bench_regression(document)
-        assert len(failures) == 1
-        assert failures[0].startswith("t1:")
-        assert "30%" in failures[0]
-
-    def test_only_last_two_runs_are_compared(self):
-        document = self._trajectory({"t1": 9999.0}, {"t1": 1000.0}, {"t1": 900.0})
-        assert trajectory.check_bench_regression(document) == []
-
-    def test_new_tests_are_not_failures(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 1000.0, "new": 10.0})
-        assert trajectory.check_bench_regression(document) == []
-
-    def test_vanished_tests_are_failures(self):
-        document = self._trajectory({"old": 1000.0, "t1": 500.0}, {"t1": 500.0})
-        failures = trajectory.check_bench_regression(document)
-        assert len(failures) == 1
-        assert failures[0].startswith("old:")
-        assert "missing from newest run" in failures[0]
-
-    def test_expected_improvement_met_passes(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 1300.0})
-        assert (
-            trajectory.check_bench_regression(
-                document, expect_improvement={"t1": 1.25}
-            )
-            == []
-        )
-
-    def test_expected_improvement_missed_fails(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 1100.0})
-        failures = trajectory.check_bench_regression(
-            document, expect_improvement={"t1": 1.25}
-        )
-        assert len(failures) == 1
-        assert "expected >= 1.25x improvement, got 1.10x" in failures[0]
-
-    def test_expected_improvement_on_absent_test_fails(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 1000.0})
-        failures = trajectory.check_bench_regression(
-            document, expect_improvement={"ghost": 1.5}
-        )
-        assert len(failures) == 1
-        assert failures[0].startswith("ghost:")
-
-    def test_threshold_is_configurable(self):
-        document = self._trajectory({"t1": 1000.0}, {"t1": 940.0})
-        assert trajectory.check_bench_regression(document, threshold=0.05) != []
-
-    def test_cli_script_exit_codes(self, tmp_path):
-        import subprocess
-        import sys as _sys
-        from pathlib import Path
-
-        script = Path(__file__).resolve().parent.parent / "scripts" / "check_bench_regression.py"
-        path = tmp_path / "BENCH_runner.json"
-        path.write_text(json.dumps(self._trajectory({"t1": 1000.0}, {"t1": 990.0})))
-        ok = subprocess.run(
-            [_sys.executable, str(script), "--path", str(path)],
-            capture_output=True,
-            text=True,
-        )
-        assert ok.returncode == 0, ok.stdout + ok.stderr
-        assert "no bench regression" in ok.stdout
-        path.write_text(json.dumps(self._trajectory({"t1": 1000.0}, {"t1": 100.0})))
-        bad = subprocess.run(
-            [_sys.executable, str(script), "--path", str(path)],
-            capture_output=True,
-            text=True,
-        )
-        assert bad.returncode == 1
-        assert "t1:" in bad.stdout
-
-    def test_cli_expect_improvement_flag(self, tmp_path):
-        import subprocess
-        import sys as _sys
-        from pathlib import Path
-
-        script = Path(__file__).resolve().parent.parent / "scripts" / "check_bench_regression.py"
-        path = tmp_path / "BENCH_runner.json"
-        path.write_text(json.dumps(self._trajectory({"t1": 1000.0}, {"t1": 1100.0})))
-        bad = subprocess.run(
-            [_sys.executable, str(script), "--path", str(path),
-             "--expect-improvement", "t1=1.25"],
-            capture_output=True,
-            text=True,
-        )
-        assert bad.returncode == 1
-        assert "expected >= 1.25x" in bad.stdout
-        ok = subprocess.run(
-            [_sys.executable, str(script), "--path", str(path),
-             "--expect-improvement", "t1=1.05"],
-            capture_output=True,
-            text=True,
-        )
-        assert ok.returncode == 0, ok.stdout + ok.stderr
 
 
 class TestCLI:

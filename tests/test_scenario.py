@@ -15,6 +15,8 @@ from repro import api
 from repro.__main__ import main as cli_main
 from repro.driver.registry import NIC_KINDS, make_node
 from repro.experiments import fig12a
+from repro.faults import FaultSpec
+from repro.nic.descriptor import RingFullError
 from repro.params import DEFAULT, apply_overrides
 from repro.scenario import (
     FabricSpec,
@@ -188,6 +190,38 @@ class TestScenarioRun:
         document["nodes"][0]["host"] = name
         with pytest.raises(ValueError, match=f"binds to unknown host {name!r}"):
             build_scenario(ScenarioSpec.from_dict(document))
+
+
+def ring_full_spec(faults=None):
+    """400 back-to-back 1514 B frames per sender into one dNIC: the
+    receiver's 256-entry RX ring overflows."""
+    return ScenarioSpec(
+        name="ring-full",
+        seed=1,
+        nodes=tuple(NodeSpec(name=f"h{index}", nic_kind="dnic") for index in range(4)),
+        fabric=FabricSpec(kind="clos", hosts_per_rack=4, queue_depth=8),
+        traffic=(
+            TrafficSpec(kind="incast", dst="h0", packets=400, size_bytes=1514,
+                        mean_interarrival_ns=1.0),
+        ),
+        faults=faults,
+    )
+
+
+class TestFlowModelErrors:
+    """A model error inside a measured flow ends the run with that
+    error, not with the kernel's "event queue drained" complaint."""
+
+    @pytest.mark.parametrize("faults", [None, FaultSpec()],
+                             ids=["plain", "reliable"])
+    def test_run_raises_the_flow_error(self, faults):
+        with pytest.raises(RingFullError):
+            build_scenario(ring_full_spec(faults)).run()
+
+    def test_shard_failure_names_the_flow_error(self):
+        job = submit_scenarios([ring_full_spec()]).run()
+        [failure] = job.failures()
+        assert failure.exception_type == "RingFullError"
 
 
 class TestRunnerAndCli:
