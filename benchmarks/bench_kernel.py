@@ -2,12 +2,12 @@
 
 The experiment benches (``test_bench_fig*``) measure whole-model
 throughput, where per-event cost is dominated by model code.  These
-three benches isolate the DES kernel itself — the heap/ring loop,
+four benches isolate the DES kernel itself — the heap/ring loop,
 process stepping, future resume, and resource arbitration — so kernel
 optimizations show up undiluted.  Like every bench in this directory,
 each test appends a ``(wall_seconds, events_fired, events_per_sec)``
 record to ``BENCH_runner.json`` via the session fixture in
-``conftest.py``; the events/sec trajectory of these three tests is the
+``conftest.py``; the events/sec trajectory of these four tests is the
 acceptance metric for kernel-performance PRs.
 
 Workload shapes (all deterministic):
@@ -22,7 +22,13 @@ Workload shapes (all deterministic):
 * **contention** — many processes hammering one prioritized
   :class:`~repro.sim.resource.Resource` so the waiter queue stays deep
   (~200 entries), exercising waiter insertion and grant hand-off.
+* **spawn churn** — 20,000 short processes, each one sleep and one
+  future wait, run with the cyclic GC on: what a process costs from
+  spawn to being freed, the way the model layers spawn one per packet
+  hop or memory request.
 """
+
+import gc
 
 from repro.sim.engine import Simulator
 from repro.sim.resource import Queue, Resource
@@ -33,6 +39,8 @@ SCHEDULING_EVENTS = 300_000
 PINGPONG_ROUNDS = 60_000
 CONTENTION_WORKERS = 200
 CONTENTION_ITERATIONS = 120
+CHURN_PROCESSES = 20_000
+CHURN_BATCH = 100
 
 
 def test_bench_kernel_scheduling():
@@ -99,4 +107,32 @@ def test_bench_kernel_contention():
         "kernel microbenchmark: resource contention",
         f"{expected} acquisitions, {sim.events_fired} events, "
         f"total wait {bus.total_wait_ticks} ticks",
+    )
+
+
+def test_bench_kernel_spawn_churn():
+    """Spawn churn: short-lived processes, spawned in batches, GC on."""
+    assert gc.isenabled()
+    sim = Simulator()
+    finished = 0
+
+    def short(index):
+        nonlocal finished
+        yield 1 + (index & 7)
+        yield sim.timeout(index & 3)
+        finished += 1
+
+    def spawner():
+        for index in range(CHURN_PROCESSES):
+            sim.spawn(short(index))
+            if index % CHURN_BATCH == CHURN_BATCH - 1:
+                yield 4
+
+    sim.spawn(spawner(), name="spawner")
+    sim.run()
+    assert finished == CHURN_PROCESSES
+    report(
+        "kernel microbenchmark: spawn churn",
+        f"{CHURN_PROCESSES} processes, {sim.events_fired} events, "
+        f"final tick {sim.now}",
     )

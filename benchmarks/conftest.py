@@ -6,7 +6,9 @@ full evaluation run.  The printed reports are the reproduction
 deliverable; the timings tell you what each experiment costs.
 
 Every bench session also appends a machine-readable record per test —
-wall-clock seconds, simulator events fired, events/sec — to
+wall-clock seconds, simulator events fired, events/sec (or calls/sec,
+for a bench whose experiment fires no events; see
+:func:`pedantic_calls`) — to
 ``BENCH_runner.json`` at the repository root (via
 :func:`benchmarks.trajectory.append_bench_run`), accumulating the
 perf trajectory that future optimization PRs are measured against.
@@ -52,10 +54,35 @@ def report_rate(events: int, wall_seconds: float) -> None:
     _RATE_OVERRIDE["pending"] = (int(events), float(wall_seconds))
 
 
+def pedantic_calls(benchmark, target, rounds: int):
+    """``benchmark.pedantic(target, rounds=rounds)``, metered in calls/sec.
+
+    For experiments that fire no simulator events, where events/sec
+    would read 0 and the gate could never see it fall.  The test's
+    trajectory record carries ``calls`` and ``calls_per_sec`` (the calls
+    made over the wall time of the pedantic loop) in place of
+    ``events_per_sec``; ``rounds`` should keep that loop at 0.2 s or
+    more.  With ``--benchmark-disable`` pedantic calls ``target`` once,
+    and the rate is that one call's.
+    """
+    calls = 0
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return target()
+
+    start = time.perf_counter()
+    result = benchmark.pedantic(counted, rounds=rounds, iterations=1)
+    _RATE_OVERRIDE["calls"] = (calls, time.perf_counter() - start)
+    return result
+
+
 @pytest.fixture(autouse=True)
 def _bench_record(request):
-    """Meter every bench test: wall seconds, events fired, events/sec."""
+    """Meter every bench test: wall seconds, events fired, events/sec or calls/sec."""
     _RATE_OVERRIDE.pop("pending", None)
+    _RATE_OVERRIDE.pop("calls", None)
     # Collect leftovers from earlier tests before the timer starts, so
     # a short bench never pays GC debt run up by a big predecessor.
     gc.collect()
@@ -67,14 +94,19 @@ def _bench_record(request):
     override = _RATE_OVERRIDE.pop("pending", None)
     if override is not None:
         events, wall = override
-    _RECORDS.append(
-        {
-            "test": request.node.name,
-            "wall_seconds": round(wall, 6),
-            "events_fired": events,
-            "events_per_sec": round(events / wall, 3) if wall > 0 else 0.0,
-        }
-    )
+    record = {
+        "test": request.node.name,
+        "wall_seconds": round(wall, 6),
+        "events_fired": events,
+    }
+    metered = _RATE_OVERRIDE.pop("calls", None)
+    if metered is None:
+        record["events_per_sec"] = round(events / wall, 3) if wall > 0 else 0.0
+    else:
+        calls, calls_wall = metered
+        record["calls"] = calls
+        record["calls_per_sec"] = round(calls / calls_wall, 3)
+    _RECORDS.append(record)
 
 
 def machine_meta() -> dict:

@@ -97,16 +97,20 @@ def check_bench_regression(
     """Compare the newest bench run against the previous one.
 
     ``document`` is a bench-trajectory (the :func:`append_bench_run`
-    schema).  Each test present in the previous run must appear in the
-    newest run and keep ``events_per_sec`` within ``threshold``
+    schema).  Each test with a positive rate in the previous run must
+    appear in the newest run and keep that rate within ``threshold``
     (fractional drop) of the previous value; a test that *vanishes*
     from the newest run is itself a failure — a silently-dropped
-    benchmark is how regressions hide.  Violations come back as
-    human-readable strings; an empty list means the gate passes.
-    Fewer than two runs passes (a fresh trajectory has nothing to
-    regress against), as do tests that are *new* in the latest run.
+    benchmark is how regressions hide.  Two rates are gated this way,
+    each on its own: ``events_per_sec`` (simulator benches) and
+    ``calls_per_sec`` (benches of experiments that fire no events).
+    Violations come back as human-readable strings; an empty list
+    means the gate passes.  Fewer than two runs passes (a fresh
+    trajectory has nothing to regress against), as do tests that are
+    *new* in the latest run.
 
-    ``expect_improvement`` maps test name → required speedup.  A plain
+    ``expect_improvement`` maps test name → required speedup in
+    ``events_per_sec``.  A plain
     float ratio compares against the same test in the *previous* run:
     the newest ``events_per_sec`` must be at least ``ratio`` times the
     previous one.  A ``(ratio, baseline_test)`` tuple compares against
@@ -124,32 +128,35 @@ def check_bench_regression(
     if len(runs) < 2:
         return []
 
-    def by_test(run: Dict[str, Any]) -> Dict[str, float]:
+    def by_test(run: Dict[str, Any], key: str) -> Dict[str, float]:
         rates: Dict[str, float] = {}
         for record in run.get("records") or []:
-            rate = record.get("events_per_sec")
+            rate = record.get(key)
             test = record.get("test")
             if test and isinstance(rate, (int, float)) and rate > 0:
                 rates[test] = float(rate)
         return rates
 
-    previous, current = by_test(runs[-2]), by_test(runs[-1])
     failures: List[str] = []
-    for test, base_rate in sorted(previous.items()):
-        now_rate = current.get(test)
-        if now_rate is None:
-            failures.append(
-                f"{test}: present in previous run "
-                f"({base_rate:.0f} events/sec) but missing from newest run"
-            )
-            continue
-        drop = (base_rate - now_rate) / base_rate
-        if drop > threshold:
-            failures.append(
-                f"{test}: events/sec fell {drop:.0%} "
-                f"({base_rate:.0f} -> {now_rate:.0f}, "
-                f"threshold {threshold:.0%})"
-            )
+    for key, unit in (("events_per_sec", "events/sec"), ("calls_per_sec", "calls/sec")):
+        previous, current = by_test(runs[-2], key), by_test(runs[-1], key)
+        for test, base_rate in sorted(previous.items()):
+            now_rate = current.get(test)
+            if now_rate is None:
+                failures.append(
+                    f"{test}: present in previous run "
+                    f"({base_rate:.0f} {unit}) but missing from newest run"
+                )
+                continue
+            drop = (base_rate - now_rate) / base_rate
+            if drop > threshold:
+                failures.append(
+                    f"{test}: {unit} fell {drop:.0%} "
+                    f"({base_rate:.0f} -> {now_rate:.0f}, "
+                    f"threshold {threshold:.0%})"
+                )
+    previous = by_test(runs[-2], "events_per_sec")
+    current = by_test(runs[-1], "events_per_sec")
     for test, expectation in sorted((expect_improvement or {}).items()):
         if isinstance(expectation, tuple):
             ratio, baseline_test = expectation

@@ -2,8 +2,9 @@
 
 Reads ``BENCH_runner.json`` (appended to by ``pytest benchmarks/``),
 compares the newest run's ``events_per_sec`` per test against the
-previous run, and exits 1 if any test fell by more than the threshold
-(default 25%).  A trajectory with fewer than two runs passes — there
+previous run, and the same for ``calls_per_sec`` (the rate of benches
+that fire no simulator events), and exits 1 if any test fell by more
+than the threshold (default 25%).  A trajectory with fewer than two runs passes — there
 is nothing to regress against yet.
 
 Vanished tests (present in the previous run, missing from the newest)
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
         "--threshold",
         type=float,
         default=0.25,
-        help="maximum tolerated fractional events/sec drop (default 0.25)",
+        help="maximum tolerated fractional events/sec or calls/sec drop (default 0.25)",
     )
     parser.add_argument(
         "--expect-improvement",

@@ -25,6 +25,7 @@ why the DDR5 asynchronous protocol is the enabling mechanism.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.core.ncache import NCache
@@ -42,6 +43,21 @@ NNIC_PRIORITY = 0
 
 PHY_PRIORITY = 1
 """nMC priority for host-originated (PHY) requests."""
+
+
+def _zone_offset(address: int, zone_base: int) -> int:
+    """``address`` as an offset into the NetDIMM zone starting at ``zone_base``."""
+    local = address - zone_base
+    if local < 0:
+        raise ValueError(
+            f"address {address:#x} below NetDIMM zone base {zone_base:#x}"
+        )
+    return local
+
+
+def _phy_line_read(nmc: MemoryController, zone_base: int, address: int) -> Future:
+    """The nPrefetcher's line fetch: one PHY-priority nMC read."""
+    return nmc.read(_zone_offset(address, zone_base), CACHELINE, priority=PHY_PRIORITY)
 
 
 class NetDIMMDevice(Component):
@@ -71,7 +87,10 @@ class NetDIMMDevice(Component):
             sim,
             f"{name}.npf",
             self.ncache,
-            fetch_line=self._prefetch_fetch,
+            # Not a bound method of this device: the prefetcher is held
+            # by the device, and a back-reference to the device would
+            # make every NetDIMM a reference cycle.
+            fetch_line=partial(_phy_line_read, self.nmc, zone_base),
             degree=netdimm.nprefetch_degree,
         )
         self.clone_engine = CloneEngine(
@@ -81,15 +100,7 @@ class NetDIMMDevice(Component):
     # -- address handling -------------------------------------------------------
 
     def _local(self, address: int) -> int:
-        local = address - self.zone_base
-        if local < 0:
-            raise ValueError(
-                f"address {address:#x} below NetDIMM zone base {self.zone_base:#x}"
-            )
-        return local
-
-    def _prefetch_fetch(self, global_address: int) -> Future:
-        return self.nmc.read(self._local(global_address), CACHELINE, priority=PHY_PRIORITY)
+        return _zone_offset(address, self.zone_base)
 
     # -- host-side (PHY) interface: the AsyncDevice protocol ---------------------
 

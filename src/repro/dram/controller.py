@@ -127,15 +127,15 @@ class MemoryController(Component):
         self.geometry = geometry or DRAMGeometry()
         self.write_watermark = write_watermark
         self.hit_streak_limit = hit_streak_limit
+        """Starvation guard: after this many consecutive row-hit-first
+        picks, the scheduler serves the oldest request regardless of its
+        row state (standard FR-FCFS fairness cap)."""
         self.refresh_enabled = refresh_enabled
         """When enabled, an all-bank refresh blocks every bank for tRFC
         once per tREFI — the classic source of memory-latency tail
         spikes.  Off by default: the paper's latency experiments, like
         most point measurements, sit between refreshes; turn it on for
         tail-latency studies."""
-        """Starvation guard: after this many consecutive row-hit-first
-        picks, the scheduler serves the oldest request regardless of its
-        row state (standard FR-FCFS fairness cap)."""
         self._banks: dict[int, Bank] = {}
         self._read_queue: List[MemRequest] = []
         self._write_queue: List[MemRequest] = []

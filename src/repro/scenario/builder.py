@@ -201,6 +201,26 @@ def format_report(result: ScenarioResult) -> str:
     return "\n".join(lines)
 
 
+class _Countdown:
+    """Completes ``done`` on the ``remaining``-th call of :meth:`tick`.
+
+    The flow sources report each finished demand window here rather
+    than to a bound method of the :class:`Scenario` that holds them, so
+    a scenario is no reference cycle and frees by reference count.
+    """
+
+    __slots__ = ("remaining", "done")
+
+    def __init__(self) -> None:
+        self.remaining = 0
+        self.done = None
+
+    def tick(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.done.set_result(None)
+
+
 class Scenario:
     """A built (but not yet run) cluster: nodes + fabric + traffic plan."""
 
@@ -262,6 +282,7 @@ class Scenario:
             self.nodes[node_spec.name] = node
         self.fabric, self.placement = self._build_fabric()
         self.flow_sources: List[FlowSource] = []
+        self._flow_windows = _Countdown()
         if flow_entries:
             node_names = [node.name for node in spec.nodes]
             grid = max(1, int(ns(spec.flow_update_interval_ns)))
@@ -282,7 +303,7 @@ class Scenario:
                         # Mirrors traffic._flow_base, negated: flow
                         # spans can never collide with packet uids.
                         uid_base=-(index + 1) * 1_000_000,
-                        on_window_done=self._flow_window_done,
+                        on_window_done=self._flow_windows.tick,
                     )
                 )
         self.delivered: List[DeliveredPacket] = []
@@ -290,8 +311,6 @@ class Scenario:
         self.recovery: Dict[str, FlowRecovery] = {}
         self._remaining = 0
         self._all_done = None
-        self._flows_remaining = 0
-        self._flows_done = None
         self._ran = False
 
     # -- construction ---------------------------------------------------------
@@ -492,11 +511,6 @@ class Scenario:
             body = self._measured_flow_reliable(flow, uid)
         self.sim.spawn(body, name=f"flow.{flow.group}")
 
-    def _flow_window_done(self) -> None:
-        self._flows_remaining -= 1
-        if self._flows_remaining == 0:
-            self._flows_done.set_result(None)
-
     def run(self, max_events: Optional[int] = None) -> ScenarioResult:
         """Warm up, replay the plan (and flow windows), and summarize."""
         if self._ran:
@@ -511,9 +525,10 @@ class Scenario:
         start_tick = self.sim.now
         self._remaining = len(self.plan)
         self._all_done = self.sim.future()
+        windows = self._flow_windows
         if self.flow_sources:
-            self._flows_remaining = flow_windows
-            self._flows_done = self.sim.future()
+            windows.remaining = flow_windows
+            windows.done = self.sim.future()
             for source in self.flow_sources:
                 source.install(start_tick)
         for uid, flow in enumerate(self.plan):
@@ -522,11 +537,11 @@ class Scenario:
             )
         if self.plan:
             self.sim.run_until(self._all_done, max_events=max_events)
-        if self.flow_sources and self._flows_remaining > 0:
+        if self.flow_sources and windows.remaining > 0:
             # Flow windows can outlive the packet plan (long background
             # load under a short foreground burst); drain the remaining
             # window boundaries so summaries and load accounting close.
-            self.sim.run_until(self._flows_done, max_events=max_events)
+            self.sim.run_until(windows.done, max_events=max_events)
         return self._summarize()
 
     # -- results --------------------------------------------------------------

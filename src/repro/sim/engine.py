@@ -63,6 +63,14 @@ Besides the ring, three kernel fast paths matter for events/sec (see
   are returned with :meth:`Simulator.recycle` (see
   ``repro.sim.resource`` for the recycle points).
 
+The pre-bound ``Process._step``/``_resume`` make a live process a
+reference cycle.  Every exit path of ``_step`` and ``_throw`` (return or
+exception) drops them, and a failed process stores its exception
+without the kernel's catching frame (see :func:`_without_kernel_frame`),
+so a finished process is freed by reference count, not by the cyclic
+GC.  Model code keeps the same invariant: an object must not store its
+own bound method in an object it holds, or it becomes a cycle too.
+
 Instrumentation is opt-in: ``Simulator(profile=True)`` (or
 :func:`set_profile_default`) buckets executed events per callback
 owner into ``Simulator.profile_counts`` and a process-wide total, and
@@ -321,6 +329,17 @@ class Timer:
             fn()
 
 
+def _without_kernel_frame(exc: BaseException) -> BaseException:
+    """``exc`` with the catching kernel frame cut from its traceback.
+
+    That frame (``Process._step`` or ``_throw``) holds the process, whose
+    ``done`` future is about to hold ``exc``: left in, it would make
+    every failed process a reference cycle.  The model frames below it,
+    where the error was raised, stay.
+    """
+    return exc.with_traceback(exc.__traceback__.tb_next)
+
+
 class Process:
     """A generator-based cooperative process.
 
@@ -362,10 +381,12 @@ class Process:
         try:
             yielded = self._send(send_value)
         except StopIteration as stop:
+            self._step_bound = self._resume_bound = None
             self.done.set_result(stop.value)
             return
         except BaseException as exc:  # model bug: propagate through done
-            self.done.set_exception(exc)
+            self._step_bound = self._resume_bound = None
+            self.done.set_exception(_without_kernel_frame(exc))
             return
         # Refcount-checked recycle of the future this step consumed.
         # Once ``send`` has resumed the generator, the frame's reference
@@ -475,10 +496,12 @@ class Process:
         try:
             yielded = self.body.throw(exc)
         except StopIteration as stop:
+            self._step_bound = self._resume_bound = None
             self.done.set_result(stop.value)
             return
         except BaseException as raised:  # model bug: propagate through done
-            self.done.set_exception(raised)
+            self._step_bound = self._resume_bound = None
+            self.done.set_exception(_without_kernel_frame(raised))
             return
         self._dispatch_slow(yielded)
 

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import gc
 import os
 
 import pytest
@@ -13,6 +14,23 @@ from repro.sim import Simulator
 def sim() -> Simulator:
     """A fresh simulator."""
     return Simulator()
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic GC off for one test, so ``gc.collect()`` counts what it left.
+
+    Collects first, so earlier tests' garbage is not counted, and restores
+    the GC's previous state in ``finally``.
+    """
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

@@ -184,6 +184,54 @@ class TestMachineMeta:
         )
 
 
+class TestCallsPerSecGate:
+    """Benches that fire no events are gated on ``calls_per_sec``."""
+
+    TABLE1 = "test_bench_table1"
+
+    @staticmethod
+    def _document(*runs):
+        return {"runs": [{"records": list(records)} for records in runs]}
+
+    def _calls(self, rate, test=TABLE1):
+        return {"test": test, "events_fired": 0, "calls": 2000, "calls_per_sec": rate}
+
+    def test_calls_rate_drop_fails(self):
+        document = self._document([self._calls(5000.0)], [self._calls(3000.0)])
+        [failure] = check_bench_regression(document)
+        assert failure.startswith(f"{self.TABLE1}: calls/sec fell 40%")
+
+    def test_calls_rate_within_threshold_passes(self):
+        document = self._document([self._calls(5000.0)], [self._calls(4000.0)])
+        assert check_bench_regression(document) == []
+
+    def test_vanished_calls_bench_fails(self):
+        document = self._document(
+            [self._calls(5000.0), record(INCAST, 150_000.0)],
+            [record(INCAST, 150_000.0)],
+        )
+        [failure] = check_bench_regression(document)
+        assert failure.startswith(f"{self.TABLE1}: present in previous run")
+        assert "calls/sec" in failure
+
+    def test_first_calls_rate_after_zero_placeholder_passes(self):
+        placeholder = {"test": self.TABLE1, "events_fired": 0, "events_per_sec": 0.0}
+        document = self._document([placeholder], [self._calls(5000.0)])
+        assert check_bench_regression(document) == []
+
+    def test_pedantic_calls_meters_the_calls_made(self):
+        class Bench:
+            def pedantic(self, target, rounds, iterations):
+                for _ in range(rounds):
+                    result = target()
+                return result
+
+        made = []
+        assert bench_conftest.pedantic_calls(Bench(), lambda: made.append(1) or "r", 7) == "r"
+        calls, wall = bench_conftest._RATE_OVERRIDE.pop("calls")
+        assert calls == len(made) == 7 and wall > 0
+
+
 class TestGateCLI:
     def _run(self, path, *extra):
         return subprocess.run(

@@ -38,6 +38,13 @@ class TestAddressHandling:
         with pytest.raises(ValueError):
             device.device_write(0, CACHELINE)
 
+    def test_prefetch_fetch_checks_the_zone(self, sim):
+        device = NetDIMMDevice(sim, "nd", zone_base=1 << 26)
+        with pytest.raises(ValueError):
+            device.nprefetcher.fetch_line(0)
+        sim.run_until(device.nprefetcher.fetch_line((1 << 26) + CACHELINE))
+        assert device.nmc.stats.get_counter("reads") == 1
+
 
 class TestHostReads:
     def test_miss_goes_to_local_dram(self, sim, device):

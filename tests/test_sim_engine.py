@@ -1,5 +1,8 @@
 """The discrete-event kernel: events, futures, processes."""
 
+import gc
+import traceback
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -268,6 +271,86 @@ class TestProcess:
         process = sim.spawn(forever())
         with pytest.raises(SimulationError, match="max_events"):
             sim.run_until(process.done, max_events=100)
+
+
+def _failing(sim, delay):
+    future = sim.future()
+    sim.schedule(delay, future.set_exception, ValueError("failed future"))
+    return future
+
+
+def _returns(sim):
+    yield 5
+    value = yield sim.timeout(3, "payload")
+    child = yield sim.spawn(_child_returns(sim))
+    return (value, child)
+
+
+def _child_returns(sim):
+    yield None
+    return 7
+
+
+def _raises(sim):
+    yield 5
+    raise ValueError("model bug")
+
+
+def _throw_caught(sim):
+    try:
+        yield _failing(sim, 3)
+    except ValueError:
+        yield 2
+        return "caught"
+
+
+def _throw_raised(sim):
+    yield _failing(sim, 3)
+
+
+def _child_raised(sim):
+    try:
+        yield sim.spawn(_raises(sim))
+    except ValueError:
+        return "caught"
+
+
+class TestFinishedProcessFreesByRefcount:
+    """A finished process is no reference cycle, whatever way it ended.
+
+    The simulator stays referenced: its future pool (futures point back
+    at their simulator) is the kernel's one standing cycle, and this
+    checks what the processes leave behind.
+    """
+
+    @pytest.mark.parametrize(
+        "body, outcome",
+        [
+            (_returns, ("payload", 7)),
+            (_raises, ValueError),
+            (_throw_caught, "caught"),
+            (_throw_raised, ValueError),
+            (_child_raised, "caught"),
+        ],
+        ids=["return", "raise", "throw-caught", "throw-raised", "child-raised"],
+    )
+    def test_no_cyclic_garbage(self, no_gc, body, outcome):
+        sim = Simulator()
+        dones = [sim.spawn(body(sim)).done for _ in range(4)]
+        sim.run()
+        assert gc.collect() == 0
+        for done in dones:
+            assert done.done
+            if isinstance(outcome, type):
+                assert isinstance(done._exception, outcome)
+            else:
+                assert done.value == outcome
+
+    def test_failure_traceback_starts_in_the_model(self, sim):
+        process = sim.spawn(_raises(sim))
+        sim.run()
+        frames = traceback.extract_tb(process.done._exception.__traceback__)
+        assert [frame.name for frame in frames] == ["_raises"]
 
 
 class TestDeterminism:
