@@ -1,17 +1,21 @@
 """Gate CI on the kernel microbenchmark trajectory.
 
-Reads ``BENCH_runner.json`` (appended to by ``pytest benchmarks/``),
-compares the newest run's ``events_per_sec`` per test against the
-previous run, and the same for ``calls_per_sec`` (the rate of benches
-that fire no simulator events), and exits 1 if any test fell by more
-than the threshold (default 25%).  A trajectory with fewer than two runs passes — there
-is nothing to regress against yet.
+Reads ``BENCH_runner.json`` (appended to by ``pytest benchmarks/``)
+and holds each test's ``events_per_sec`` in the newest run — or its
+``calls_per_sec``, the rate of benches that fire no simulator events —
+to its baseline: the test's rate in the newest earlier run that has it
+and ran on the same machine (same ``cpu_count``, ``platform`` and
+``python`` in the run meta).  Exits 1 if any test fell by more than
+the threshold (default 25%).  It prints how many tests were compared
+and names every test that had no like-for-like baseline.  A trajectory
+with fewer than two runs passes — there is nothing to regress against
+yet.
 
 Vanished tests (present in the previous run, missing from the newest)
-fail the gate; tests new in the newest run pass (their first run seeds
-the baseline).  ``--expect-improvement TEST=RATIO`` additionally
-requires the newest run's events/sec for TEST to be at least RATIO
-times the previous run's — used to pin in claimed speedups.  The
+fail the gate; tests with no baseline pass (their first run seeds it).
+``--expect-improvement TEST=RATIO`` additionally requires the newest
+run's events/sec for TEST to be at least RATIO times its baseline —
+used to pin in claimed speedups.  The
 ``TEST=RATIO:BASELINE_TEST`` form instead compares against another
 test *within the newest run*, so a speedup can be pinned the same run
 that introduces both the fast path and its reference bench.
@@ -52,7 +56,7 @@ def main(argv=None) -> int:
         metavar="TEST=RATIO[:BASELINE_TEST]",
         help=(
             "require the newest run's events/sec for TEST to be at least "
-            "RATIO times the previous run's, or — with :BASELINE_TEST — "
+            "RATIO times its baseline's, or — with :BASELINE_TEST — "
             "RATIO times BASELINE_TEST's rate in the same run (repeatable)"
         ),
     )
@@ -71,7 +75,7 @@ def main(argv=None) -> int:
             )
         expect_improvement[test] = (ratio, baseline) if baseline else ratio
 
-    from benchmarks.trajectory import check_bench_regression
+    from benchmarks.trajectory import gate_bench_run
 
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
@@ -81,24 +85,35 @@ def main(argv=None) -> int:
         return 2
 
     runs = document.get("runs") or []
-    failures = check_bench_regression(
+    if len(runs) < 2:
+        print(f"{len(runs)} run(s) on file; nothing to compare yet")
+        return 0
+    report = gate_bench_run(
         document,
         threshold=args.threshold,
         expect_improvement=expect_improvement,
     )
-    if failures:
-        print(f"bench regression vs previous run ({len(runs)} runs on file):")
-        for line in failures:
+    rated = len(report.compared) + len(report.unmatched)
+    print(
+        f"compared {len(report.compared)} of {rated} rated test(s) against "
+        f"their newest like-for-like run ({len(runs)} runs on file)"
+    )
+    if report.unmatched:
+        print(
+            f"WARNING: {len(report.unmatched)} test(s) have no like-for-like "
+            "baseline (same cpu_count, platform, python) and were not gated:"
+        )
+        for test in report.unmatched:
+            print(f"  {test}")
+    if report.failures:
+        print("bench regression:")
+        for line in report.failures:
             print(f"  {line}")
         return 1
-    if len(runs) < 2:
-        print(f"{len(runs)} run(s) on file; nothing to compare yet")
-    else:
-        tests = len(runs[-1].get("records") or [])
-        print(
-            f"no bench regression: {tests} test(s) within "
-            f"{args.threshold:.0%} of the previous run"
-        )
+    print(
+        f"no bench regression: {len(report.compared)} test(s) within "
+        f"{args.threshold:.0%} of their baseline"
+    )
     return 0
 
 

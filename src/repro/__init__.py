@@ -46,8 +46,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Lazy: `import repro` must stay light (the facade pulls in the
-    # experiment layer), but `repro.api` / `repro.simulate` etc. work.
+    # Lazy: `import repro` must stay light (the facade loads the sweep
+    # runtime), but `repro.api` / `repro.simulate` etc. work.
     if name == "api":
         import repro.api as api
 

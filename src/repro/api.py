@@ -56,49 +56,21 @@ a wall).
 
 from __future__ import annotations
 
+import importlib
 import json
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.analysis.targets import PAPER_TARGETS, aggregate_loss, registry_markdown
-from repro.calib import (
-    ARTIFACT_NAME,
-    CALIBRATABLE,
-    Axis,
-    CalibrationReport,
-    SearchSpace,
-    write_calibration,
-)
-from repro.calib import calibrate as _calibrate
-from repro.driver.registry import NIC_KINDS, make_node
-from repro.experiments.harness import (
-    ArtifactDiff,
-    reject_partial_artifact,
-    submit_experiments,
-)
-from repro.experiments.harness import diff_artifacts as _diff_artifacts
-from repro.experiments.harness import (
-    format_job_report as _format_experiment_job,
-)
-from repro.experiments.harness import load_artifact
-from repro.experiments.oneway import OneWayResult, measure_one_way
-from repro.experiments.runner import EXPERIMENTS
-from repro.faults import (
-    FAULT_SWITCH_MODES,
-    FaultInjector,
-    FaultSpec,
-    LinkFaultSpec,
-    LinkKillSpec,
-    RecoverySpec,
-    StallSpec,
-)
 from repro.params import DEFAULT, SystemParams, apply_overrides
-from repro.scenario.builder import (
-    Scenario,
-    ScenarioResult,
-    build_scenario,
-    dump_artifact,
-)
-from repro.scenario.builder import format_report as _format_scenario_report
 from repro.runtime import (
     BACKENDS,
     Job,
@@ -113,24 +85,70 @@ from repro.runtime import collect as _collect
 from repro.runtime import derive as derive_seed
 from repro.runtime import resume as _resume
 from repro.runtime.worker import main as sweep_worker_main
-from repro.scenario.runner import (
-    build_fault_overlay,
-    job_trace,
-    parse_kill,
-    submit_scenarios,
-)
-from repro.scenario.runner import format_job_report as _format_scenario_job
-from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
-from repro.telemetry import (
-    SpanTracer,
-    calibration_trace,
-    chrome_trace,
-    dump_trace,
-    runtime_trace,
-    segment_totals,
-)
-from repro.workloads.trace_io import save_trace
-from repro.workloads.traces import ClusterKind, TraceGenerator
+
+if TYPE_CHECKING:
+    from repro.calib import CalibrationReport, SearchSpace
+    from repro.experiments.harness import ArtifactDiff
+    from repro.faults import FaultSpec
+    from repro.scenario.builder import ScenarioResult
+    from repro.scenario.spec import ScenarioSpec
+
+# Everything else loads on first use: a 1024-host scenario run needs
+# neither calibration, the experiment modules, telemetry nor the
+# analysis layer.  ``repro.params`` and ``repro.runtime`` stay eager,
+# so ``api.Job`` is ready the moment the facade is imported.
+_LAZY_MODULES: Dict[str, Tuple[str, ...]] = {
+    "repro.analysis.targets": ("PAPER_TARGETS", "aggregate_loss", "registry_markdown"),
+    "repro.calib": (
+        "ARTIFACT_NAME",
+        "CALIBRATABLE",
+        "Axis",
+        "CalibrationReport",
+        "SearchSpace",
+        "write_calibration",
+    ),
+    "repro.driver.registry": ("NIC_KINDS", "make_node"),
+    "repro.experiments.harness": (
+        "load_artifact",
+        "reject_partial_artifact",
+        "submit_experiments",
+    ),
+    "repro.experiments.oneway": ("OneWayResult", "measure_one_way"),
+    "repro.experiments.runner": ("EXPERIMENTS",),
+    "repro.faults": (
+        "FAULT_SWITCH_MODES",
+        "FaultInjector",
+        "FaultSpec",
+        "LinkFaultSpec",
+        "LinkKillSpec",
+        "RecoverySpec",
+        "StallSpec",
+    ),
+    "repro.scenario.builder": (
+        "Scenario",
+        "ScenarioResult",
+        "build_scenario",
+        "dump_artifact",
+    ),
+    "repro.scenario.runner": (
+        "build_fault_overlay",
+        "job_trace",
+        "parse_kill",
+        "submit_scenarios",
+    ),
+    "repro.scenario.spec": ("FabricSpec", "NodeSpec", "ScenarioSpec", "TrafficSpec"),
+    "repro.telemetry": (
+        "SpanTracer",
+        "calibration_trace",
+        "chrome_trace",
+        "dump_trace",
+        "runtime_trace",
+        "segment_totals",
+    ),
+    "repro.workloads.trace_io": ("save_trace",),
+    "repro.workloads.traces": ("ClusterKind", "TraceGenerator"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __all__ = [
     # the facade verbs
@@ -211,8 +229,23 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
+
 def load_spec(source: Union[str, Mapping[str, Any]]) -> ScenarioSpec:
     """A :class:`ScenarioSpec` from a JSON file path or a mapping."""
+    from repro.scenario.spec import ScenarioSpec
+
     if isinstance(source, Mapping):
         return ScenarioSpec.from_dict(source)
     with open(source, "r", encoding="utf-8") as handle:
@@ -229,6 +262,8 @@ def simulate(
     ``faults`` (when given) replaces the spec's own ``faults`` section —
     the quick way to re-run an existing scenario under chaos.
     """
+    from repro.scenario.builder import build_scenario
+
     if faults is not None:
         from dataclasses import replace
 
@@ -249,6 +284,9 @@ def trace_scenario(
     simulation's event stream — and therefore the result — is identical
     to an untraced :func:`simulate` of the same spec.
     """
+    from repro.scenario.builder import build_scenario
+    from repro.telemetry import SpanTracer, chrome_trace
+
     if faults is not None:
         from dataclasses import replace
 
@@ -287,6 +325,8 @@ def submit(
     ``job.manifest()`` is the provenance sidecar, and
     :func:`format_report` renders the completed job as text.
     """
+    from repro.scenario.spec import ScenarioSpec
+
     config = SweepConfig(
         backend=backend, jobs=jobs, workers=workers, run_dir=run_dir
     )
@@ -295,10 +335,30 @@ def submit(
         if isinstance(spec_or_experiment, (list, tuple))
         else [spec_or_experiment]
     )
+    if (
+        spec_or_experiment is not None
+        and items
+        and all(
+            isinstance(item, ScenarioSpec)
+            or (isinstance(item, str) and item.endswith(".json"))
+            for item in items
+        )
+    ):
+        from repro.scenario.runner import submit_scenarios
+
+        return submit_scenarios(
+            items, config=config, chaos=chaos, faults=faults, trace=trace
+        )
+    # Loads every experiment module here, in the parent, so forked pool
+    # workers inherit them instead of each importing its own.
+    from repro.experiments.runner import EXPERIMENTS
+
     if spec_or_experiment is None or all(
         isinstance(item, str) and (item in EXPERIMENTS or item == "all")
         for item in items
     ):
+        from repro.experiments.harness import submit_experiments
+
         names = None if spec_or_experiment is None else items
         if chaos or faults is not None or trace:
             raise ValueError(
@@ -306,19 +366,15 @@ def submit(
             )
         return submit_experiments(names, config=config, base_seed=base_seed)
     if all(isinstance(item, (str, ScenarioSpec)) for item in items):
-        unknown = [
+        unknown = next(
             item
             for item in items
             if isinstance(item, str) and not item.endswith(".json")
-        ]
-        if unknown:
-            raise ValueError(
-                f"{unknown[0]!r} is neither a known experiment "
-                f"({', '.join(sorted(EXPERIMENTS))}) nor a scenario "
-                "spec file (*.json)"
-            )
-        return submit_scenarios(
-            items, config=config, chaos=chaos, faults=faults, trace=trace
+        )
+        raise ValueError(
+            f"{unknown!r} is neither a known experiment "
+            f"({', '.join(sorted(EXPERIMENTS))}) nor a scenario "
+            "spec file (*.json)"
         )
     raise ValueError(
         "submit() takes experiment names, scenario spec paths, or "
@@ -383,6 +439,9 @@ def calibrate(
     >>> report.best.targets_total
     1
     """
+    from repro.calib import calibrate as _calibrate
+    from repro.calib import write_calibration
+
     if isinstance(space, str):
         with open(space, "r", encoding="utf-8") as handle:
             space = json.load(handle)
@@ -411,13 +470,16 @@ def diff_artifacts(
     (:func:`repro.experiments.harness.diff_artifacts` argument order:
     current first, baseline second).  Artifacts carrying shard
     failures are refused unless ``allow_partial``."""
+    from repro.experiments.harness import diff_artifacts as _diff_artifacts
+
     return _diff_artifacts(current, baseline, tolerance, allow_partial)
 
 
 _JOB_REPORTS = {
-    "experiment": _format_experiment_job,
-    "scenario": _format_scenario_job,
+    "experiment": "repro.experiments.harness",
+    "scenario": "repro.scenario.runner",
 }
+"""Job kind -> the module whose ``format_job_report`` renders it."""
 
 
 def format_report(result: Union[ScenarioResult, Job]) -> str:
@@ -427,6 +489,9 @@ def format_report(result: Union[ScenarioResult, Job]) -> str:
     A job with failed or pending shards raises :class:`JobError` naming
     them; any other job kind raises :class:`TypeError`.
     """
+    from repro.scenario.builder import ScenarioResult
+    from repro.scenario.builder import format_report as _format_scenario_report
+
     if isinstance(result, ScenarioResult):
         return _format_scenario_report(result)
     if isinstance(result, Job) and result.kind in _JOB_REPORTS:
@@ -439,7 +504,8 @@ def format_report(result: Union[ScenarioResult, Job]) -> str:
         pending = len(result.tasks) - len(result.outcomes())
         if pending:
             raise JobError(f"{pending} shard(s) still pending; run the job first")
-        return _JOB_REPORTS[result.kind](result)
+        module = importlib.import_module(_JOB_REPORTS[result.kind])
+        return module.format_job_report(result)
     raise TypeError(
         f"cannot format a {type(result).__name__}; expected ScenarioResult "
         "or a completed experiment or scenario Job"

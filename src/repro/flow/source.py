@@ -29,6 +29,9 @@ from repro.runtime.seeds import derive
 from repro.sim import Component, Simulator
 from repro.units import ns
 
+Shares = Tuple[Tuple[LinkKey, ...], Tuple[float, ...]]
+"""A window's load: the links it crosses, sorted, and the rate on each."""
+
 
 @dataclass(frozen=True)
 class FlowDemand:
@@ -207,8 +210,16 @@ class FlowSource(Component):
             end = start + grid
         return start, end
 
-    def _link_shares(self, demand: FlowDemand) -> List[Tuple[LinkKey, float]]:
-        """The demand's rate spread evenly over its ECMP paths."""
+    def _link_shares(
+        self, demand: FlowDemand, interned: Dict[LinkKey, LinkKey]
+    ) -> Shares:
+        """The demand's rate spread evenly over its ECMP paths: the
+        links it loads, sorted, and the rate on each.
+
+        Each link key is taken from ``interned`` (one tuple per directed
+        link for the whole source), so the thousands of windows that
+        cross one uplink share its key instead of each holding a copy.
+        """
         src_host = self.placement[demand.src]
         dst_host = self.placement[demand.dst]
         paths = self.fabric.route_paths(src_host, dst_host)
@@ -217,7 +228,11 @@ class FlowSource(Component):
         for path in paths:
             for link in zip(path, path[1:]):
                 shares[link] = shares.get(link, 0.0) + per_path
-        return sorted(shares.items())
+        links = sorted(shares)
+        return (
+            tuple([interned.setdefault(link, link) for link in links]),
+            tuple([shares[link] for link in links]),
+        )
 
     def install(self, start_tick: int) -> int:
         """Schedule every window boundary; returns the window count.
@@ -227,10 +242,11 @@ class FlowSource(Component):
         hybrid fast path is built on.
         """
         boundaries: Dict[int, List[Tuple[Callable, tuple]]] = {}
+        interned: Dict[LinkKey, LinkKey] = {}
         tracer = self.sim.tracer
         for k, demand in enumerate(self.demands):
             start, end = self._quantize(demand)
-            shares = self._link_shares(demand)
+            shares = self._link_shares(demand, interned)
             uid = self.uid_base - k
             if tracer is not None:
                 tracer.track(
@@ -248,30 +264,31 @@ class FlowSource(Component):
 
     # -- window boundaries ----------------------------------------------------
 
-    def _sample_links(self, shares) -> None:
+    def _sample_links(self, shares: Shares) -> None:
         tracer = self.sim.tracer
         if tracer is None:
             return
         now = self.sim.now
         load = self.load
-        for (u, v), _rate in shares:
+        for link in shares[0]:
             tracer.counter(
-                f"{self.name}.{u}->{v}.utilization",
+                f"{self.name}.{link[0]}->{link[1]}.utilization",
                 now,
-                round(load.utilization((u, v)), 6),
+                round(load.utilization(link), 6),
             )
 
-    def _activate(self, demand: FlowDemand, shares) -> None:
+    def _activate(self, demand: FlowDemand, shares: Shares) -> None:
         load = self.load
-        for link, rate in shares:
+        links, rates = shares
+        for link, rate in zip(links, rates):
             load.add(link, rate)
-        peak = max(load.utilization(link) for link, _rate in shares)
+        peak = max(load.utilization(link) for link in links)
         if peak > self._peak:
             self._peak = peak
         self.stats.count("windows_active")
         self._sample_links(shares)
 
-    def _deactivate(self, demand: FlowDemand, shares, uid, started) -> None:
+    def _deactivate(self, demand: FlowDemand, shares: Shares, uid, started) -> None:
         # Price the demand while its own load is still on the links —
         # flow traffic sees the congestion it participates in.
         src_host = self.placement[demand.src]
@@ -289,7 +306,7 @@ class FlowSource(Component):
         if self.sim.now > self._span_end:
             self._span_end = self.sim.now
         load = self.load
-        for link, rate in shares:
+        for link, rate in zip(*shares):
             load.remove(link, rate)
         self._sample_links(shares)
         tracer = self.sim.tracer

@@ -21,9 +21,14 @@ class RingFullError(RuntimeError):
     """Producing into a full ring."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Descriptor:
-    """One descriptor: a buffer pointer plus size/status."""
+    """One descriptor: a buffer pointer plus size/status.
+
+    Slotted: every ring builds all of its slots up front (two 256-slot
+    rings per node), so a per-instance ``__dict__`` would dominate the
+    descriptor's footprint.
+    """
 
     buffer_address: int = 0
     size_bytes: int = 0

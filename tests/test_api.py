@@ -3,13 +3,20 @@ runs through, and the lazy top-level re-exports."""
 
 import importlib
 import json
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
 
 import repro
 from repro import api
+from tests.conftest import worker_env
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +171,58 @@ class TestTopLevelExports:
         module = importlib.import_module(f"repro.{package}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"repro.{package}.__all__ names undefined {missing}"
+
+
+IMPORT_SURFACE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro import api
+
+    api.Job
+    spec = api.load_spec(sys.argv[1])
+    result = api.build_scenario(spec).run()
+    assert result.packets_delivered > 0, result.packets_delivered
+    layers = ("calib", "experiments", "telemetry", "analysis")
+    loaded = sorted(
+        name
+        for name in sys.modules
+        if any(name.startswith(f"repro.{layer}") for layer in layers)
+    )
+    assert not loaded, f"a scenario run loaded {loaded}"
+
+    document = api.submit("table1").result()
+    assert document["run"]["experiments"] == ["table1"], document["run"]
+    assert "repro.experiments.table1" in sys.modules
+    """
+)
+
+
+class TestImportSurface:
+    def test_scenario_run_loads_no_evaluation_layer(self):
+        """``from repro import api`` and a 1024-host scenario load neither
+        calibration, the experiments, telemetry nor analysis; a later
+        experiment submission still finds them."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                IMPORT_SURFACE_SCRIPT,
+                str(EXAMPLES / "clos1000_hybrid.json"),
+            ],
+            env=worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        listed = set(dir(api))
+        for name in api.__all__:
+            assert getattr(api, name) is not None, name
+            assert name in listed, name
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="warp_drive"):
+            api.warp_drive

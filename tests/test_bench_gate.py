@@ -4,8 +4,9 @@
 :func:`append_bench_run` and :func:`check_bench_regression`
 (``benchmarks/trajectory.py``) in isolation; the other classes pin the
 whole workflow those pieces compose into — bench runs appended to a
-trajectory file, then the hardened gate comparing the newest run with
-its predecessor, including the required-speedup checks.
+trajectory file, then the hardened gate holding each test of the newest
+run to its newest earlier run on the same machine, including the
+required-speedup checks.
 """
 
 import json
@@ -17,7 +18,11 @@ import pytest
 
 from benchmarks import conftest as bench_conftest
 from benchmarks import trajectory
-from benchmarks.trajectory import append_bench_run, check_bench_regression
+from benchmarks.trajectory import (
+    append_bench_run,
+    check_bench_regression,
+    gate_bench_run,
+)
 
 SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -164,8 +169,9 @@ class TestMachineMeta:
         assert meta["python"].count(".") == 2
         assert meta["platform"] and meta["git_revision"]
 
-    def test_gate_ignores_machine_meta(self, tmp_path):
-        """Runs from different machines gate on their rates alone."""
+    def test_gate_skips_runs_from_other_machines(self, tmp_path):
+        """A run from another machine is no baseline: the newest run's
+        test goes ungated, and the report names it."""
         path = tmp_path / "bench.json"
         machine = bench_conftest.machine_meta()
         append_bench_run(
@@ -182,6 +188,84 @@ class TestMachineMeta:
         assert (
             check_bench_regression(document, expect_improvement={INCAST: 1.25}) == []
         )
+        report = gate_bench_run(document)
+        assert report.compared == [] and report.unmatched == [INCAST]
+
+
+class TestLikeForLikeBaseline:
+    """A partial run must not reset the baseline (27 -> 4 -> 27 tests)."""
+
+    FULL = [f"test_bench_{k:02d}" for k in range(27)]
+    MACHINE = {"cpu_count": 2, "platform": "Linux-x86_64", "python": "3.11.7"}
+
+    def _run(self, rates, **meta):
+        return {
+            "records": [
+                {"test": test, "events_per_sec": rate} for test, rate in rates.items()
+            ],
+            "meta": {**self.MACHINE, **meta},
+        }
+
+    def _sequence(self, newest):
+        full = {test: 1000.0 for test in self.FULL}
+        partial = {test: 1000.0 for test in self.FULL[:4]}
+        return {"runs": [self._run(full), self._run(partial), self._run(newest)]}
+
+    def test_full_run_after_partial_compares_every_test(self):
+        report = gate_bench_run(self._sequence({test: 900.0 for test in self.FULL}))
+        assert report.failures == []
+        assert report.compared == self.FULL and report.unmatched == []
+
+    def test_drop_against_the_run_before_the_partial_fails(self):
+        """The bench the partial run left out is held to the full run."""
+        newest = {test: 1000.0 for test in self.FULL}
+        newest["test_bench_20"] = 550.0
+        [failure] = gate_bench_run(self._sequence(newest)).failures
+        assert failure.startswith("test_bench_20: events/sec fell 45%")
+
+    def test_partial_run_itself_fails_for_what_it_left_out(self):
+        full = {test: 1000.0 for test in self.FULL}
+        partial = {test: 1000.0 for test in self.FULL[:4]}
+        report = gate_bench_run({"runs": [self._run(full), self._run(partial)]})
+        assert len(report.failures) == 23
+        assert all("missing from newest run" in line for line in report.failures)
+        assert report.compared == self.FULL[:4]
+
+    def test_other_machine_is_never_a_baseline(self):
+        """A slower run elsewhere in between does not gate the newest;
+        the newest like-for-like run does."""
+        document = self._sequence({test: 1000.0 for test in self.FULL})
+        document["runs"].insert(
+            2, self._run({test: 5000.0 for test in self.FULL}, cpu_count=64)
+        )
+        report = gate_bench_run(document)
+        assert report.failures == [] and report.compared == self.FULL
+
+    def test_no_like_for_like_run_leaves_tests_unmatched(self):
+        document = {
+            "runs": [
+                self._run({"t1": 5000.0}, python="3.10.0"),
+                self._run({"t1": 1000.0, "new": 10.0}),
+            ]
+        }
+        report = gate_bench_run(document)
+        assert report.failures == []
+        assert report.compared == [] and report.unmatched == ["new", "t1"]
+
+    def test_cli_prints_the_compared_count_and_names_unmatched(self, tmp_path):
+        path = tmp_path / "bench.json"
+        newest = {test: 1000.0 for test in self.FULL}
+        newest["test_bench_new"] = 10.0
+        path.write_text(json.dumps(self._sequence(newest)))
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--path", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "compared 27 of 28 rated test(s)" in proc.stdout
+        assert "WARNING: 1 test(s) have no like-for-like baseline" in proc.stdout
+        assert "  test_bench_new" in proc.stdout
 
 
 class TestCallsPerSecGate:
@@ -387,6 +471,7 @@ class TestBenchRegressionCheck:
         assert "30%" in failures[0]
 
     def test_only_last_two_runs_are_compared(self):
+        """The newest earlier run that has the test is its baseline."""
         document = self._trajectory({"t1": 9999.0}, {"t1": 1000.0}, {"t1": 900.0})
         assert trajectory.check_bench_regression(document) == []
 
