@@ -13,8 +13,10 @@ for a bench whose experiment fires no events; see
 :func:`benchmarks.trajectory.append_bench_run`), accumulating the
 perf trajectory that future optimization PRs are measured against.
 Each run's meta also records the machine that produced it (cores,
-interpreter, platform, git revision), so two runs that disagree can be
-told apart by where they ran.
+interpreter, platform, git revision) and its condition over the session
+(load average before and after, and the CPU steal ticks the hypervisor
+took meanwhile), so two runs that disagree can be told apart by where,
+and on how busy a box, they ran.
 """
 
 import gc
@@ -22,6 +24,7 @@ import os
 import pathlib
 import platform
 import time
+from typing import Dict, Optional
 
 import pytest
 
@@ -34,6 +37,8 @@ BENCH_ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_runner.
 _RECORDS = []
 
 _RATE_OVERRIDE = {}
+
+_BOX_BEFORE: Dict[str, object] = {}
 
 
 def report(title: str, text: str) -> None:
@@ -109,6 +114,62 @@ def _bench_record(request):
     _RECORDS.append(record)
 
 
+def steal_ticks(proc_stat: str) -> Optional[int]:
+    """The all-CPU ``steal`` count of a ``/proc/stat`` text, or None.
+
+    The aggregate ``cpu`` line lists user, nice, system, idle, iowait,
+    irq, softirq and steal ticks, in that order; a kernel too old to
+    report steal leaves the column out, and so does this.
+    """
+    for line in proc_stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) if len(fields) > 8 else None
+    return None
+
+
+def _box_condition() -> Dict[str, object]:
+    """Load average and steal ticks now; a key the box cannot read is left out."""
+    condition: Dict[str, object] = {}
+    try:
+        condition["loadavg"] = [round(load, 2) for load in os.getloadavg()]
+    except (AttributeError, OSError):
+        pass
+    try:
+        with open("/proc/stat", encoding="ascii") as handle:
+            steal = steal_ticks(handle.read())
+    except OSError:
+        steal = None
+    if steal is not None:
+        condition["steal"] = steal
+    return condition
+
+
+def box_meta(before: Dict[str, object], after: Dict[str, object]) -> dict:
+    """The run-meta keys for the box's condition over a session.
+
+    ``loadavg_before``/``loadavg_after`` are ``os.getloadavg()``'s 1, 5
+    and 15 minute averages; ``steal_ticks`` is the ``/proc/stat`` steal
+    delta.  A reading missing at either end is omitted, never written
+    as 0: a 0 would claim an idle, unstolen box.
+    """
+    meta = {}
+    if "loadavg" in before:
+        meta["loadavg_before"] = before["loadavg"]
+    if "loadavg" in after:
+        meta["loadavg_after"] = after["loadavg"]
+    if "steal" in before and "steal" in after:
+        meta["steal_ticks"] = after["steal"] - before["steal"]
+    return meta
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _box_before():
+    """Read the box's condition once, before the first bench test."""
+    _BOX_BEFORE.update(_box_condition())
+    yield
+
+
 def machine_meta() -> dict:
     """The machine context a trajectory run records beside its numbers."""
     return {
@@ -134,6 +195,7 @@ def pytest_sessionfinish(session, exitstatus):
                 "exitstatus": int(exitstatus),
                 "tests": len(_RECORDS),
                 **machine_meta(),
+                **box_meta(_BOX_BEFORE, _box_condition()),
             },
         )
         _RECORDS.clear()

@@ -13,13 +13,20 @@ data-bus bandwidth under row-hit streams.  This matters for the Fig. 5
 reproduction, where an MLC-style injector drives the channel to
 saturation.
 
-Each channel runs one scheduler process for its whole life.  It is
-spawned on the first access; when both queues drain it parks on a wake
-future instead of exiting, and the next access completes that future.
-The wake is one ring entry for the scheduler's step, queued in the same
-``seq`` slot and under the same owner label as the ``spawn`` a
-run-to-exit scheduler would need there, so the executed event stream is
-the same either way (``tests/data/golden_dram_stream.json`` pins it).
+The scheduler is a pair of plain callbacks, like gem5's
+``nextReqEvent``/``respondEvent``, not a process.  An access that finds
+the channel idle queues :meth:`MemoryController._wake_step` on the
+same-tick ring; it makes the FR-FCFS pick and schedules
+:meth:`MemoryController._issue_step` one ``tCMD`` later.  That step
+issues the request, then either picks the next one and schedules
+itself again or, with both queues empty, marks the channel idle.  Each
+step takes the ``seq`` the equivalent generator step would take
+(completion first, then the next step), so every executed
+``(time, seq)`` matches a scheduler process parked on a wake future;
+only the events' owner label is ``MemoryController:<name>``
+(``tests/data/golden_dram_stream.json`` pins the stream).  An idle
+controller holds no event, no future and no generator, so it is freed
+by reference count like any other component.
 
 The per-request host work is kept small for the saturated fig5 cells,
 where an MLC injector issues one-cacheline requests back to back:
@@ -141,8 +148,7 @@ class MemoryController(Component):
         self._write_queue: List[MemRequest] = []
         self._bus_free = 0
         self._scheduler_running = False
-        self._wake: Optional[Future] = None
-        """The future the parked scheduler waits on; None while it runs."""
+        """Whether a scheduler step is queued (the channel is not idle)."""
         self._counters = self.stats.counters
         # Bound ``append`` of each per-request histogram, cached after
         # its first sample (see ``_first_sample``).
@@ -220,19 +226,11 @@ class MemoryController(Component):
             else:
                 append(len(queue))
         if not self._scheduler_running:
-            # Start the idle scheduler: spawn it on first use, wake it
-            # after.  Either way exactly one ring entry for its step is
-            # queued, with the next ``seq``.  The controller drops its
-            # reference to the wake future before completing it, so once
-            # the scheduler resumes nothing holds the future and
-            # ``Process._step`` returns it to the simulator's pool.
+            # Wake the idle channel: one ring entry, with the next seq.
             self._scheduler_running = True
-            wake = self._wake
-            if wake is None:
-                sim.spawn(self._scheduler(), name=f"{self.name}.sched" if sim.named else "")
-            else:
-                self._wake = None
-                wake.set_result(None)
+            seq = sim._seq + 1
+            sim._seq = seq
+            sim._ring_append((seq, self._wake_step, ()))
         return completion
 
     def read(self, address: int, size_bytes: int = CACHELINE, priority: int = 0) -> Future:
@@ -295,25 +293,34 @@ class MemoryController(Component):
 
     # -- scheduling ------------------------------------------------------------
 
-    def _scheduler(self):
-        sim = self.sim
-        read_queue = self._read_queue
-        write_queue = self._write_queue
-        pick = self._pick
-        issue = self._issue
-        tCMD = self.timing.tCMD
-        while True:
-            while read_queue or write_queue:
-                request = pick()
-                yield tCMD  # command-bus occupancy per scheduled request
-                issue(request)
-            # Park.  The wake future is reached only through
-            # ``self._wake`` (never a local), so it is recyclable as soon
-            # as the resumed step has consumed it.
+    def _wake_step(self) -> None:
+        """Pick the first request of a busy period; issue it after ``tCMD``."""
+        self._after_command(self._pick())
+
+    def _issue_step(self, request: MemRequest) -> None:
+        """Issue ``request``; then pick the next one, or go idle."""
+        self._issue(request)
+        if self._read_queue or self._write_queue:
+            self._after_command(self._pick())
+        else:
             self._scheduler_running = False
-            pool = sim._future_pool
-            self._wake = pool.pop() if pool else Future(sim)
-            yield self._wake
+
+    def _after_command(self, request: MemRequest) -> None:
+        """Schedule ``_issue_step(request)`` once the command bus frees.
+
+        The step is bound per call, not cached on ``self``: a stored
+        bound method would make the controller a reference cycle.  A
+        zero ``tCMD`` (a timing override may set one) goes on the
+        same-tick ring, since the heap takes only future ticks.
+        """
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        tCMD = self.timing.tCMD
+        if tCMD:
+            heappush(sim._queue, (sim._now + tCMD, seq, self._issue_step, (request,)))
+        else:
+            sim._ring_append((seq, self._issue_step, (request,)))
 
     def _pick(self) -> MemRequest:
         """FR-FCFS: prefer row hits, then lowest priority value, then oldest.

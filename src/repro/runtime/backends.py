@@ -33,13 +33,15 @@ same shim pattern PR 4 used for ``TraceConfig``).
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Type
 
 from repro.runtime.state import RunState
 from repro.runtime.tasks import Outcome, Task, execute
+
+if TYPE_CHECKING:
+    import subprocess
 
 __all__ = [
     "SweepConfig",
@@ -191,6 +193,8 @@ class WorkerPoolBackend(Backend):
 
     @staticmethod
     def _spawn(run_dir: str) -> "subprocess.Popen[str]":
+        import subprocess
+
         env = dict(os.environ)
         src_root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

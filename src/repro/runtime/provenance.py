@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
-import subprocess
-from datetime import datetime, timezone
 from typing import Any, Dict, List, Sequence
 
 from repro.runtime.tasks import Outcome, ShardResult, Task
@@ -57,6 +54,8 @@ def spec_sha256(tasks: Sequence[Task]) -> str:
 
 def git_revision() -> str:
     """The working tree's commit hash, or ``"unknown"`` outside git."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -77,6 +76,9 @@ def build_manifest(
     backend: str,
 ) -> Dict[str, Any]:
     """Assemble the provenance manifest for one job's outcomes."""
+    import platform
+    from datetime import datetime, timezone
+
     from repro import __version__
 
     shards: List[Dict[str, Any]] = []

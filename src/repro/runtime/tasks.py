@@ -29,12 +29,8 @@ runs byte-identical.
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
-import socket
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -239,6 +235,8 @@ def outcome_from_dict(document: Dict[str, Any]) -> Outcome:
 
 def worker_identity() -> str:
     """``host:pid`` — who executed a shard (provenance, not results)."""
+    import socket
+
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
@@ -259,6 +257,8 @@ def execute(task: Task) -> Outcome:
     try:
         payload = executor(task.args)
     except Exception as error:  # noqa: BLE001 — the fence is the point
+        import traceback
+
         wall = time.perf_counter() - start
         return ShardFailure(
             task_id=task.task_id,
@@ -266,7 +266,7 @@ def execute(task: Task) -> Outcome:
             seed=task.seed,
             exception_type=type(error).__name__,
             message=str(error),
-            traceback=traceback_module.format_exc(),
+            traceback=traceback.format_exc(),
             wall_seconds=wall,
             worker=worker_identity(),
             started_at=started_at,
@@ -301,6 +301,9 @@ def encode_payload(payload: Any) -> Any:
                 return payload
         except (TypeError, ValueError):
             pass
+    import base64
+    import pickle
+
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return {_PICKLE_TAG: base64.b64encode(blob).decode("ascii")}
 
@@ -308,5 +311,8 @@ def encode_payload(payload: Any) -> Any:
 def decode_payload(encoded: Any) -> Any:
     """Invert :func:`encode_payload`."""
     if isinstance(encoded, dict) and _PICKLE_TAG in encoded:
+        import base64
+        import pickle
+
         return pickle.loads(base64.b64decode(encoded[_PICKLE_TAG]))
     return encoded

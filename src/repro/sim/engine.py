@@ -68,7 +68,9 @@ reference cycle.  Every exit path of ``_step`` and ``_throw`` (return or
 exception) drops them, and a failed process stores its exception
 without the kernel's catching frame (see :func:`_without_kernel_frame`),
 so a finished process is freed by reference count, not by the cyclic
-GC.  Model code keeps the same invariant: an object must not store its
+GC.  A future records its simulator's private token, not the simulator,
+so a simulator whose pool holds futures is no cycle either.  Model code
+keeps the same invariant: an object must not store its
 own bound method in an object it holds, or it becomes a cycle too.
 
 Instrumentation is opt-in: ``Simulator(profile=True)`` (or
@@ -198,10 +200,13 @@ class Future:
     avoids allocating a list per future on the hot path.
     """
 
-    __slots__ = ("sim", "_done", "_value", "_exception", "_callbacks")
+    __slots__ = ("_owner", "_done", "_value", "_exception", "_callbacks")
 
     def __init__(self, sim: "Simulator"):
-        self.sim = sim
+        # The simulator's private token, not the simulator: a pooled
+        # future pointing back at its simulator would make every
+        # simulator with a non-empty pool a reference cycle.
+        self._owner = sim._token
         self._done = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
@@ -545,6 +550,7 @@ class Simulator:
         "_ring_append",
         "_events_fired",
         "_future_pool",
+        "_token",
         "profile",
         "profile_counts",
         "_trace",
@@ -565,6 +571,8 @@ class Simulator:
         self._ring_append = self._ring.append
         self._events_fired = 0
         self._future_pool: list[Future] = []
+        self._token = object()
+        """Identifies this simulator's futures (see :meth:`recycle`)."""
         self.profile = bool(profile) or _profile_default
         self.profile_counts: Dict[str, int] = {}
         self._trace = trace
@@ -679,7 +687,7 @@ class Simulator:
         Recycling a pending future — which includes recycling the same
         future twice — is an error.
         """
-        if future.sim is not self:
+        if future._owner is not self._token:
             raise SimulationError("cannot recycle a future from another simulator")
         if not future._done:
             raise SimulationError("cannot recycle a pending future")

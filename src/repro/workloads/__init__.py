@@ -10,13 +10,24 @@
 * :mod:`repro.workloads.netfuncs` — the L3 Forwarding and Deep Packet
   Inspection network functions of Sec. 5.3, plus the co-running
   application memory probe.
+
+Each name loads its submodule on first use (module ``__getattr__``), the
+way :mod:`repro.api` does: a scenario needs only ``traces``, so it
+never loads the MLC, iperf or netfunc models, nor ``trace_io``'s
+``csv``.
 """
 
-from repro.workloads.iperf import IperfModel
-from repro.workloads.mlc import MLCInjector
-from repro.workloads.netfuncs import NetworkFunction, CoRunnerProbe
-from repro.workloads.trace_io import load_trace, save_trace
-from repro.workloads.traces import ClusterKind, TraceGenerator, TracePacket
+import importlib
+from typing import Any, Dict, List, Tuple
+
+_LAZY_MODULES: Dict[str, Tuple[str, ...]] = {
+    "repro.workloads.iperf": ("IperfModel",),
+    "repro.workloads.mlc": ("MLCInjector",),
+    "repro.workloads.netfuncs": ("CoRunnerProbe", "NetworkFunction"),
+    "repro.workloads.trace_io": ("load_trace", "save_trace"),
+    "repro.workloads.traces": ("ClusterKind", "TraceGenerator", "TracePacket"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __all__ = [
     "ClusterKind",
@@ -29,3 +40,16 @@ __all__ = [
     "load_trace",
     "save_trace",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -198,7 +198,51 @@ IMPORT_SURFACE_SCRIPT = textwrap.dedent(
 )
 
 
+STDLIB_SURFACE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    bare = set(sys.modules)
+    from repro import api
+
+    api.Job
+    spec = api.load_spec(sys.argv[1])
+    result = api.build_scenario(spec).run()
+    assert result.packets_delivered > 0, result.packets_delivered
+    unrun = ["subprocess", "socket", "pickle", "datetime", "platform"]
+    unrun += [f"repro.workloads.{name}" for name in ("mlc", "iperf", "netfuncs", "trace_io")]
+    loaded = sorted(name for name in unrun if name in sys.modules and name not in bare)
+    assert not loaded, f"a scenario run loaded {loaded}"
+
+    from repro import workloads
+
+    listed = set(dir(workloads))
+    for name in workloads.__all__:
+        assert getattr(workloads, name) is not None, name
+        assert name in listed, name
+    assert "repro.workloads.mlc" in sys.modules
+    """
+)
+
+
 class TestImportSurface:
+    def test_scenario_run_loads_no_runtime_stdlib_or_unrun_workload(self):
+        """The runtime's worker-spawn, pickling and manifest modules, and
+        the workloads a scenario never runs, load only when called."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                STDLIB_SURFACE_SCRIPT,
+                str(EXAMPLES / "clos1000_hybrid.json"),
+            ],
+            env=worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_scenario_run_loads_no_evaluation_layer(self):
         """``from repro import api`` and a 1024-host scenario load neither
         calibration, the experiments, telemetry nor analysis; a later

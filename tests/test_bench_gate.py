@@ -192,6 +192,55 @@ class TestMachineMeta:
         assert report.compared == [] and report.unmatched == [INCAST]
 
 
+PROC_STAT = """\
+cpu  4705 356 584 3699176 23 23 0 4242 0 0
+cpu0 1393 280 270 1849430 13 16 0 2121 0 0
+intr 114930548 113199788 3 0 5 263 0 4
+ctxt 1990473
+"""
+
+
+class TestBoxCondition:
+    """The run meta's load average and ``/proc/stat`` steal delta."""
+
+    def test_steal_is_the_eighth_column_of_the_cpu_line(self):
+        assert bench_conftest.steal_ticks(PROC_STAT) == 4242
+
+    def test_no_steal_column_or_cpu_line_reads_none(self):
+        assert bench_conftest.steal_ticks("cpu  4705 356 584 3699176 23 23 0\n") is None
+        assert bench_conftest.steal_ticks("intr 1 2 3\nctxt 5\n") is None
+        assert bench_conftest.steal_ticks("") is None
+
+    def test_steal_delta_and_load_averages(self):
+        meta = bench_conftest.box_meta(
+            {"loadavg": [0.5, 0.4, 0.3], "steal": 4242},
+            {"loadavg": [1.5, 0.6, 0.35], "steal": 4300},
+        )
+        assert meta == {
+            "loadavg_before": [0.5, 0.4, 0.3],
+            "loadavg_after": [1.5, 0.6, 0.35],
+            "steal_ticks": 58,
+        }
+
+    def test_unreadable_steal_is_omitted_not_zero(self):
+        meta = bench_conftest.box_meta({"loadavg": [0.5, 0.4, 0.3]}, {"steal": 10})
+        assert meta == {"loadavg_before": [0.5, 0.4, 0.3]}
+
+    def test_session_run_records_the_box_condition(self, tmp_path, monkeypatch):
+        path = tmp_path / "bench.json"
+        monkeypatch.setattr(bench_conftest, "BENCH_ARTIFACT", path)
+        monkeypatch.setattr(bench_conftest, "_RECORDS", [record(INCAST, 150_000.0)])
+        monkeypatch.setattr(bench_conftest, "_BOX_BEFORE", {"loadavg": [0.1, 0.2, 0.3]})
+        monkeypatch.setattr(
+            bench_conftest, "_box_condition", lambda: {"loadavg": [0.4, 0.5, 0.6]}
+        )
+        bench_conftest.pytest_sessionfinish(None, 0)
+        meta = json.loads(path.read_text())["runs"][-1]["meta"]
+        assert meta["loadavg_before"] == [0.1, 0.2, 0.3]
+        assert meta["loadavg_after"] == [0.4, 0.5, 0.6]
+        assert "steal_ticks" not in meta
+
+
 class TestLikeForLikeBaseline:
     """A partial run must not reset the baseline (27 -> 4 -> 27 tests)."""
 

@@ -1,7 +1,10 @@
 """FR-FCFS memory controller: latency, bandwidth, scheduling."""
 
+import gc
+
 import pytest
 
+from repro.core.netdimm import NetDIMMDevice
 from repro.dram.controller import MemoryController, MemRequest
 from repro.params import ddr4_2400, ddr5_4800
 from repro.sim import Simulator, SimulationError
@@ -205,30 +208,21 @@ class TestPickOneEntryQueue:
 
 
 class TestSchedulerLifecycle:
-    """One scheduler process per channel: spawned once, parked when idle."""
+    """The scheduler is two callbacks: no process, nothing left when idle."""
 
-    @staticmethod
-    def _count_spawns(sim):
+    def test_spawns_no_process_across_busy_periods(self, sim, mc, monkeypatch):
         spawned = []
         spawn = sim.spawn
-
-        def counting_spawn(body, name=""):
-            process = spawn(body, name)
-            spawned.append(process)
-            return process
-
-        sim.spawn = counting_spawn
-        return spawned
-
-    def test_one_scheduler_process_across_busy_periods(self, sim, mc):
-        spawned = self._count_spawns(sim)
+        monkeypatch.setattr(
+            sim, "spawn", lambda body, name="": spawned.append(body) or spawn(body, name)
+        )
         sim.run_until(sim.all_of([mc.read(i * 257 * CACHELINE) for i in range(8)]))
         sim.run(until=sim.now + 1_000_000)
         writes = [mc.write(0x100000 + i * CACHELINE, size_bytes=256) for i in range(8)]
         sim.run_until(sim.all_of(writes))
         sim.run()
-        assert len(spawned) == 1
-        assert not spawned[0].done.done  # parked, not exited
+        assert spawned == []
+        assert mc.stats.get_counter("lines_transferred") == 8 + 8 * 4
 
     def test_no_events_pending_after_queues_drain(self, sim, mc):
         mc.read(0)
@@ -242,15 +236,25 @@ class TestSchedulerLifecycle:
         mc.read(0)
         with pytest.raises(SimulationError, match="event queue drained"):
             sim.run_until(sim.future())
+        assert sim.pending_events == 0
 
-    def test_wake_future_returns_to_pool(self, sim, mc):
-        sim.run_until(mc.read(0))
+
+class TestNoCyclicGarbage:
+    """A dropped controller is freed by reference count, not by the GC."""
+
+    def test_dropped_controller_leaves_no_cyclic_garbage(self, no_gc):
+        sim = Simulator()
+        mc = MemoryController(sim, "mc", ddr4_2400())
+        sim.run_until(sim.all_of([mc.read(i * 257 * CACHELINE) for i in range(8)]))
+        sim.run_until(mc.write(0x100000, size_bytes=1514))
+        sim.run(until=sim.now + 1_000_000)
+        del sim, mc
+        assert gc.collect() == 0
+
+    def test_dropped_netdimm_device_leaves_no_cyclic_garbage(self, no_gc):
+        sim = Simulator()
+        device = NetDIMMDevice(sim, "nd")
+        sim.run_until(device.device_read(0, CACHELINE))
         sim.run()
-        wake_id = id(mc._wake)
-        assert mc._wake is not None
-        mc.read(64)
-        assert mc._wake is None
-        # One event: the scheduler resumes and recycles the wake future
-        # before it parks again on a fresh one.
-        sim.run(max_events=1)
-        assert wake_id in [id(future) for future in sim._future_pool]
+        del sim, device
+        assert gc.collect() == 0

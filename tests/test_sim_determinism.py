@@ -24,8 +24,8 @@ never change which event fires when.  These tests pin that promise:
   compares the sha256 of each ``experiments[name]`` artifact entry
   against ``tests/data/golden_sweep_results.json``.
 * ``test_dram_stream_matches_golden`` traces the memory controller
-  from simulator birth (so its scheduler process is named) through a
-  short fig5 cell and through a refreshing idle/busy/idle run, and
+  from simulator birth (so the MLC and iperf processes are named)
+  through a short fig5 cell and through a refreshing idle/busy/idle run, and
   compares each stream's digest, and the digest of the components'
   stats reports, against ``tests/data/golden_dram_stream.json``.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
@@ -325,8 +325,9 @@ def dram_fig5_cell_stream():
     """A short fig5 cell under trace: MLC pressure plus a 40-packet iperf.
 
     Unlike :func:`scenario_stream`, the simulator traces from birth, so
-    ``sim.named`` is set and the controller's scheduler shows up under
-    its own owner label (``Process:mc.sched``).
+    ``sim.named`` is set and the workload processes show up under their
+    own names.  The controller's scheduler steps are its own callbacks
+    (owner label ``MemoryController:mc``).
     """
     from repro.dram.controller import MemoryController
     from repro.params import DEFAULT
