@@ -1,11 +1,13 @@
-"""Regenerate the kernel determinism goldens in ``tests/data/``.
+"""Regenerate the determinism goldens in ``tests/data/``.
 
-Only run this after an *intentional* event-order change: the goldens
-pin the kernel's ``(time, seq, owner)`` execution order, and rewriting
-them silently would defeat the determinism tests in
-``tests/test_sim_determinism.py``.
+Only run this after an *intentional* event-order or span change: the
+goldens pin the kernel's ``(time, seq, owner)`` execution order and the
+span tracer's Chrome-trace export, and rewriting them silently would
+defeat the determinism tests in ``tests/test_sim_determinism.py`` and
+``tests/test_telemetry.py``.  Every golden is a pure function of the
+source, so a clean checkout reproduces ``tests/data/`` byte for byte.
 
-Six artifacts are produced:
+Seven artifacts are produced:
 
 * ``golden_event_order.json`` — the traced event stream of the mixed
   kernel workload, recorded through ``Simulator(trace=...)``.
@@ -14,8 +16,8 @@ Six artifacts are produced:
   summary, per seed.
 * ``golden_host_nic_streams.json`` — the sha256 and summary of the
   traced event streams of the dNIC and iNIC kinds (plain and
-  zero-copy): the four-node incast at two seeds, and a one-node burst
-  that overflows a 16 KiB LLC's DDIO slice.
+  zero-copy): the four-node incast at two seeds, and a same-tick RX/TX
+  burst on one node.
 * ``golden_sweep_results.json`` — the sha256 of the ``fig11``,
   ``fig12a`` and ``loaded_latency`` experiment artifact entries.
 * ``golden_dram_stream.json`` — the sha256 and event count of the
@@ -23,6 +25,8 @@ Six artifacts are produced:
   idle/busy/idle run), traced from simulator birth so the scheduler
   process appears under its own name, plus the sha256 of each run's
   stats reports (``stats_sha256``).
+* ``golden_trace_netdimm_oneway.json`` — the byte-exact Chrome-trace
+  export of the two-node NetDIMM oneway scenario (256 B).
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few
   seconds; skip with ``--no-fig5`` when only the kernel golden moved).
 
@@ -147,6 +151,17 @@ def record_golden_dram_stream() -> pathlib.Path:
     return out
 
 
+def record_golden_trace() -> pathlib.Path:
+    from repro import api
+
+    spec = api.ScenarioSpec.two_node("netdimm", 256)
+    _result, document = api.trace_scenario(spec)
+    out = DATA_DIR / "golden_trace_netdimm_oneway.json"
+    out.write_text(api.dump_trace(document), encoding="utf-8")
+    print(f"wrote {len(document['traceEvents'])} trace events -> {out}")
+    return out
+
+
 def record_fig5_baseline() -> pathlib.Path:
     from repro.experiments import harness
 
@@ -169,6 +184,7 @@ def main(argv=None) -> int:
     record_golden_host_nic_streams()
     record_golden_sweep_results()
     record_golden_dram_stream()
+    record_golden_trace()
     if not args.no_fig5:
         record_fig5_baseline()
     return 0

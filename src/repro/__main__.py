@@ -481,25 +481,30 @@ def _cmd_experiments(args: argparse.Namespace) -> tuple:
 
 
 def _profile_run(job) -> str:
-    """Run ``job`` with the kernel's per-callback-owner event profile on;
-    returns the profile section ``--profile`` appends to the report.
+    """Run ``job`` with a kernel trace hook that counts events per
+    callback owner; returns the profile section ``--profile`` appends to
+    the report.
 
-    The profile accumulates in process-global counters, so the job must
-    run inline: worker processes would drop their buckets.
+    The hook reaches simulators through the process-wide trace default,
+    so the job must run inline: worker processes would drop the counts.
     """
     from repro.analysis.statsdump import format_profile
     from repro.sim import engine
 
-    engine.reset_profile_totals()
-    engine.set_profile_default(True)
+    counts: dict = {}
+
+    def count(_when: int, _seq: int, owner: str) -> None:
+        counts[owner] = counts.get(owner, 0) + 1
+
+    engine.set_trace_default(count)
     try:
         job.run()
     finally:
-        engine.set_profile_default(False)
+        engine.set_trace_default(None)
     return (
         f"\n{'=' * 72}\n"
         "kernel event profile (events per callback owner)\n"
-        f"{format_profile(engine.profile_totals(), top=30)}\n"
+        f"{format_profile(counts, top=30)}\n"
     )
 
 

@@ -62,9 +62,9 @@ def collect(root: Any) -> Dict[str, float]:
 def format_profile(counts: Dict[str, int], top: int = 0) -> str:
     """Render a kernel event profile (owner → events fired) as a table.
 
-    ``counts`` is the mapping produced by ``Simulator(profile=True)``
-    (per-simulator ``profile_counts`` or the process-wide
-    :func:`repro.sim.engine.profile_totals`).  Rows are sorted by event
+    ``counts`` maps the owner labels a ``Simulator(trace=...)`` hook
+    receives to how often each fired (``experiments --profile`` counts
+    them this way).  Rows are sorted by event
     count, heaviest first; ``top`` truncates to the N heaviest owners
     (0 = all).  To fold a profile into a component's stats instead, use
     :meth:`repro.sim.stats.StatRecorder.count_many`.

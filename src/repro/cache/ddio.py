@@ -8,6 +8,11 @@ back to DRAM, and the subsequent CPU read misses.  That spill is the
 "DMA leakage" phenomenon [68] and the reason an iNIC at high rate both
 pollutes the cache and, when the partition thrashes, re-creates DRAM
 traffic.  :class:`DDIOPartition` tracks exactly this.
+
+Its one user is the Fig. 12(b) replay (:mod:`repro.experiments.fig12b`),
+the reproduction's only model of DDIO thrash.  The host-NIC driver
+(:mod:`repro.driver.host_nic`) keeps no partition and prices every RX
+copy as LLC-resident (docs/architecture.md says why).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.units import CACHELINE
 
 
 class DDIOPartition:
-    """The DDIO slice of the LLC, occupancy- and spill-accounted.
+    """The DDIO slice of the LLC, spill-accounted.
 
     Parameters
     ----------
@@ -40,9 +45,6 @@ class DDIOPartition:
             policy=ReplacementPolicy.LRU,
             seed=seed,
         )
-        self.spilled_lines = 0
-        self.consumed_lines = 0
-        self.injected_lines = 0
 
     @property
     def capacity_bytes(self) -> int:
@@ -60,10 +62,8 @@ class DDIOPartition:
         lines = max(1, -(-size_bytes // CACHELINE))
         for i in range(lines):
             victim = self.partition.fill(address + i * CACHELINE, consumed=False)
-            self.injected_lines += 1
             if victim is not None:
                 spills += 1
-        self.spilled_lines += spills
         return spills
 
     def consume(self, address: int, size_bytes: int) -> int:
@@ -78,7 +78,6 @@ class DDIOPartition:
             line_address = address + i * CACHELINE
             if self.partition.contains(line_address):
                 self.partition.invalidate(line_address)
-                self.consumed_lines += 1
             else:
                 misses += 1
         return misses
@@ -98,13 +97,3 @@ class DDIOPartition:
             if not self.partition.contains(address + i * CACHELINE):
                 misses += 1
         return misses
-
-    def occupancy_fraction(self) -> float:
-        """How full the DDIO partition currently is."""
-        return self.partition.occupancy_fraction()
-
-    def spill_rate(self) -> float:
-        """Spilled / injected lines so far (0.0 before any injection)."""
-        if self.injected_lines == 0:
-            return 0.0
-        return self.spilled_lines / self.injected_lines

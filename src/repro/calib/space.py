@@ -105,7 +105,8 @@ CALIBRATABLE: Dict[str, CalibratedConstant] = {
         CalibratedConstant(
             "software.copy_line_llc",
             ("fig11",),
-            "LLC-resident (DDIO) RX copy cost per line; iNIC "
+            "per-line cost of every dNIC/iNIC RX copy, which reads the "
+            "payload the NIC just DMA'd into the LLC; the host NICs' "
             "large-packet totals in Fig. 11",
         ),
         CalibratedConstant(

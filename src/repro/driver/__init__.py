@@ -13,8 +13,9 @@ models, charging each operation to its Fig. 11 breakdown segment.
 * :mod:`repro.driver.node` — the abstract server-node interface.
 * :mod:`repro.driver.host_nic` — the host-memory driver both baselines
   run (``HostNICNode``: SKB copy or zero-copy pinning, status read and
-  tail doorbells, RX into the DDIO slice), with the discrete PCIe NIC
-  (dNIC) and the CPU-integrated NIC (iNIC) as its interconnect hooks.
+  tail doorbells, RX DMA into the LLC and an LLC-priced copy-out), with
+  the discrete PCIe NIC (dNIC) and the CPU-integrated NIC (iNIC) as its
+  three interconnect hooks.
 * :mod:`repro.driver.netdimm_node` — the NetDIMM driver (Alg. 1).
 """
 

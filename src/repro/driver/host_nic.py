@@ -5,28 +5,30 @@ same driver: the TX path copies the SKB into a DMA buffer (or, with
 ``zero_copy=True``, pins the application buffer and pays per-packet
 pinning bookkeeping instead — the dNIC.zcpy / iNIC.zcpy configurations
 of Fig. 4 and their Sec. 3 caveats), reads the NIC's status register and
-rings the tail doorbell; the RX path lands the payload in the DDIO
-partition of the LLC, waits for the poll (or IRQ), returns the
-descriptor and copies the payload out.  :class:`HostNICNode` writes that
-driver once.  The two configurations differ only in how the NIC reaches
-the host, and each supplies that as hooks:
+rings the tail doorbell; the RX path DMAs the payload into the LLC,
+waits for the poll (or IRQ), returns the descriptor and copies the
+payload out at LLC rate (:meth:`ServerNode.copy_cost_llc`).
+:class:`HostNICNode` writes that driver once.  The two configurations
+differ only in how the NIC reaches the host, and each supplies that as
+hooks:
 
 * :class:`DiscreteNICNode` — a NIC behind a PCIe Gen4 x8 link.  Status
   reads, doorbells, descriptor fetches, payload DMA and the descriptor
   writeback are PCIe transactions.
 * :class:`IntegratedNICNode` — a NIC on the processor die.  Register
   accesses cost tens of cycles, and DMA moves data between the NIC and
-  the LLC over the on-die fabric.  At high RX rates the DDIO partition
-  thrashes and spills (DMA leakage), and full-payload processing
-  pollutes the rest of the LLC — the L3 limitation that motivates
-  NetDIMM's header split.
+  the LLC over the on-die fabric.
+
+The driver keeps no cache state: every RX copy reads LLC-resident
+lines.  DMA leakage — RX lines evicted from the LLC's I/O slice before
+the CPU reads them, the iNIC's L3 limitation — is modelled once, by the
+Fig. 12(b) replay in :mod:`repro.experiments.fig12b`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.ddio import DDIOPartition
 from repro.dram.controller import MemoryController
 from repro.driver.node import ServerNode, Stopwatch
 from repro.mem.allocator import PageAllocator
@@ -44,8 +46,7 @@ class HostNICNode(ServerNode):
     """One server whose NIC DMAs into host memory through the LLC.
 
     Subclasses provide the interconnect hooks :meth:`_build_interconnect`,
-    :meth:`_tx_dma` and :meth:`_rx_dma`, and optionally
-    :meth:`_rx_refill`.
+    :meth:`_tx_dma` and :meth:`_rx_dma`.
     """
 
     label = "abstract"
@@ -63,12 +64,6 @@ class HostNICNode(ServerNode):
         self.zero_copy = zero_copy
         self.host_mc = MemoryController(sim, f"{name}.mc0", self.params.host_dram)
         self._build_interconnect()
-        # RX DMA lands in the LLC's DDIO partition, so the driver's
-        # copy-out reads LLC-resident data.
-        self.ddio = DDIOPartition(
-            llc_bytes=self.params.cache.l2_size,
-            way_fraction=self.params.cache.ddio_way_fraction,
-        )
         zone = MemoryZone(name="ZONE_NORMAL", kind=ZoneKind.NORMAL, base=0, size=mib(64))
         self.allocator = PageAllocator(zone)
         self.tx_ring = DescriptorRing(size=256, base_address=self.allocator.alloc_page())
@@ -91,23 +86,10 @@ class HostNICNode(ServerNode):
         raise NotImplementedError
 
     def _rx_dma(self, packet: Packet, dma_buffer: int):
-        """The NIC fetches an RX descriptor, deposits the payload via
-        :meth:`_ddio_deposit` and writes the status back (``yield from``
-        this); returns the ring index."""
+        """The NIC fetches an RX descriptor, writes the payload into the
+        LLC and writes the status back (``yield from`` this); returns the
+        ring index."""
         raise NotImplementedError
-
-    def _rx_refill(self, dma_buffer: int, missed_lines: int):
-        """Kernel yields that fetch the spilled lines before the RX copy
-        (``yield from`` this); none by default."""
-        return ()
-
-    def _ddio_deposit(self, dma_buffer: int, size_bytes: int) -> None:
-        """Inject an RX payload into DDIO; write the spilled lines (DMA
-        leakage: evicted before the CPU read them) back to DRAM."""
-        spilled = self.ddio.inject(dma_buffer, size_bytes)
-        if spilled:
-            self.stats.count("ddio_spilled_lines", spilled)
-            self.host_mc.write(dma_buffer, spilled * 64)
 
     # -- TX path (T1–T3; T4 is the wire) ----------------------------------------
 
@@ -155,7 +137,7 @@ class HostNICNode(ServerNode):
         watch = Stopwatch(self.sim, packet)
 
         # MAC pipeline, then R1–R3 @NIC: descriptor fetch, payload DMA
-        # into the DDIO partition, descriptor status writeback.
+        # into the LLC, descriptor status writeback.
         yield nic.mac_rx_pipeline
         yield nic.dma_setup
         dma_buffer = self.allocator.alloc_page()
@@ -171,10 +153,8 @@ class HostNICNode(ServerNode):
         watch.lap("ioreg")
 
         # R5 @driver: SKB creation + payload copy to application space.
-        # The copy reads DDIO-resident lines at LLC latency.
+        # The copy reads LLC-resident lines at LLC latency.
         yield software.rx_skb_alloc
-        missed_lines = self.ddio.consume(dma_buffer, packet.size_bytes)
-        yield from self._rx_refill(dma_buffer, missed_lines)
         app_page = None
         if self.zero_copy:
             yield software.zero_copy_pin_cost
@@ -182,7 +162,7 @@ class HostNICNode(ServerNode):
         else:
             app_page = self.allocator.alloc_page()
             packet.app_address = app_page
-            yield self.copy_cost_ddio(packet.size_bytes, missed_lines)
+            yield self.copy_cost_llc(packet.size_bytes)
         watch.lap("rxCopy")
 
         self.allocator.free_page(dma_buffer)
@@ -215,7 +195,6 @@ class DiscreteNICNode(HostNICNode):
         yield self.pcie.posted_write(min(packet.size_bytes, 64), toward_device=False)
         yield self.pcie.dma_pipeline_extra(packet.size_bytes)
         yield self.pcie.posted_write(Descriptor.DESCRIPTOR_BYTES, toward_device=False)
-        self._ddio_deposit(dma_buffer, packet.size_bytes)
         return index
 
     def pcie_overhead_estimate(self, size_bytes: int) -> int:
@@ -247,7 +226,7 @@ class DiscreteNICNode(HostNICNode):
 
 
 class IntegratedNICNode(HostNICNode):
-    """One server with an on-die 40GbE NIC using DDIO."""
+    """One server with an on-die 40GbE NIC that DMAs into the LLC."""
 
     nic_kind = "inic"
     label = "iNIC"
@@ -286,12 +265,6 @@ class IntegratedNICNode(HostNICNode):
         nic = self.params.nic
         yield nic.inic_desc_fetch
         index = self.rx_ring.produce(dma_buffer, packet.size_bytes, cookie=packet)
-        self._ddio_deposit(dma_buffer, packet.size_bytes)
         yield self._fabric_dma(packet.size_bytes)
         yield nic.inic_desc_fetch  # status writeback
         return index
-
-    def _rx_refill(self, dma_buffer: int, missed_lines: int):
-        # Lines the DDIO partition already evicted come from DRAM.
-        if missed_lines:
-            yield self.host_mc.read(dma_buffer, missed_lines * 64)

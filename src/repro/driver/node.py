@@ -295,23 +295,13 @@ class ServerNode(Component):
             + steady * software.copy_line_steady
         )
 
-    def copy_cost_ddio(self, size_bytes: int, missed_lines: int) -> int:
-        """RX-copy cost when the source sat in the LLC via DDIO.
-
-        LLC-resident lines copy at LLC latency; lines the DDIO partition
-        already spilled (DMA leakage) pay the DRAM-bound rates.
-        """
+    def copy_cost_llc(self, size_bytes: int) -> int:
+        """RX-copy cost when the source sits in the LLC: the NIC just
+        DMA'd the payload there, so every line copies at LLC latency."""
         software = self.params.software
-        lines = cachelines(max(size_bytes, 1))
-        missed = max(0, min(missed_lines, lines))
-        resident = lines - missed
-        initial = min(missed, software.copy_line_breakpoint)
-        steady = missed - initial
         return (
             software.copy_base
-            + resident * software.copy_line_llc
-            + initial * software.copy_line_initial
-            + steady * software.copy_line_steady
+            + cachelines(max(size_bytes, 1)) * software.copy_line_llc
         )
 
     def flush_cost(self, size_bytes: int) -> int:

@@ -70,9 +70,10 @@ class SoftwareParams:
     streaming."""
 
     copy_line_llc: int = ns(10)
-    """Per-line memcpy cost when the source is LLC-resident — the DDIO
-    case: RX packet data was DMA'd into the LLC, so the driver's copy to
-    application space reads it at LLC latency instead of DRAM."""
+    """Per-line memcpy cost when the source is LLC-resident — every dNIC
+    and iNIC RX copy: the packet data was just DMA'd into the LLC, so the
+    driver's copy to application space reads it at LLC latency instead
+    of DRAM."""
 
     copy_base: int = ns(180)
     """Fixed buffer-management cost around each packet copy: bounce-buffer

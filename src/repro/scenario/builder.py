@@ -381,11 +381,14 @@ class Scenario:
     # -- execution ------------------------------------------------------------
 
     def _flow_steps(self, flow: FlowPacket, packet: Packet):
+        """One trip from sender to receiver; returns ``True`` (arrived),
+        as :meth:`ServerNode.send_reliably` does for a delivery."""
         yield self.nodes[flow.src].transmit(packet)
         yield from self.fabric.transit(
             packet, self.placement[flow.src], self.placement[flow.dst]
         )
         yield self.nodes[flow.dst].receive(packet)
+        return True
 
     def _warmup(self, max_events: int) -> None:
         """Send warmup packets per pair, sequentially, uncounted."""
@@ -407,42 +410,13 @@ class Scenario:
                 self.sim.run_until(process.done, max_events=max_events)
 
     def _measured_flow(self, flow: FlowPacket, uid: int):
-        packet = Packet(
-            size_bytes=flow.size_bytes,
-            src=flow.src,
-            dst=flow.dst,
-            flow_id=flow.flow_id,
-            uid=uid,
-        )
-        tracer = self.tracer
-        label = f"{flow.group}/{flow.src}->{flow.dst}"
-        if tracer is not None:
-            tracer.track(uid, f"{label} #{uid}")
-        start = self.sim.now
-        try:
-            yield from self._flow_steps(flow, packet)
-        except Exception as exc:
-            self._fail(exc)
-            return
-        if tracer is not None:
-            # The flow root span: every segment/wire/notify span of this
-            # packet nests inside it by time containment.
-            tracer.add(uid, label, "flow", start, self.sim.now)
-        self.delivered.append(
-            DeliveredPacket(
-                plan=flow, latency_ticks=self.sim.now - start, packet=packet
-            )
-        )
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._all_done.set_result(None)
-
-    def _measured_flow_reliable(self, flow: FlowPacket, uid: int):
-        """The measured flow under fault injection: reliable delivery.
+        """One measured packet of the plan, from launch to delivery.
 
         ``uid`` is the packet's index in the traffic plan — the
         process-independent identity the fault injector keys verdicts
-        on.  End-to-end latency includes every retransmission attempt.
+        on.  Without faults the packet makes one trip; under fault
+        injection the sender delivers it reliably, and the end-to-end
+        latency includes every retransmission attempt.
         """
         packet = Packet(
             size_bytes=flow.size_bytes,
@@ -451,33 +425,38 @@ class Scenario:
             flow_id=flow.flow_id,
             uid=uid,
         )
-        counters = self.recovery.setdefault(flow.group, FlowRecovery())
-        src_host = self.placement[flow.src]
-        dst_host = self.placement[flow.dst]
-        fabric = self.fabric
+        if self.injector is None:
+            steps = self._flow_steps(flow, packet)
+        else:
+            src_host = self.placement[flow.src]
+            dst_host = self.placement[flow.dst]
+            fabric = self.fabric
 
-        def transit(pkt: Packet):
-            return fabric.transit(pkt, src_host, dst_host)
+            def transit(pkt: Packet):
+                return fabric.transit(pkt, src_host, dst_host)
 
+            steps = self.nodes[flow.src].send_reliably(
+                packet,
+                transit,
+                self.nodes[flow.dst],
+                self.spec.faults.recovery,
+                self.recovery.setdefault(flow.group, FlowRecovery()),
+            )
         tracer = self.tracer
         label = f"{flow.group}/{flow.src}->{flow.dst}"
         if tracer is not None:
             tracer.track(uid, f"{label} #{uid}")
         start = self.sim.now
         try:
-            arrived = yield from self.nodes[flow.src].send_reliably(
-                packet,
-                transit,
-                self.nodes[flow.dst],
-                self.spec.faults.recovery,
-                counters,
-            )
+            arrived = yield from steps
         except Exception as exc:
             self._fail(exc)
             return
         if tracer is not None:
-            # Root span over every retransmission attempt; lost packets
-            # carry the verdict so the timeline shows abandonments.
+            # The flow root span, over every retransmission attempt:
+            # every segment/wire/notify span of this packet nests inside
+            # it by time containment, and a lost packet carries the
+            # verdict so the timeline shows the abandonment.
             tracer.add(
                 uid, label, "flow", start, self.sim.now,
                 None if arrived else {"lost": True},
@@ -505,11 +484,7 @@ class Scenario:
             self._all_done.set_exception(exc)
 
     def _launch(self, flow: FlowPacket, uid: int) -> None:
-        if self.injector is None:
-            body = self._measured_flow(flow, uid)
-        else:
-            body = self._measured_flow_reliable(flow, uid)
-        self.sim.spawn(body, name=f"flow.{flow.group}")
+        self.sim.spawn(self._measured_flow(flow, uid), name=f"flow.{flow.group}")
 
     def run(self, max_events: Optional[int] = None) -> ScenarioResult:
         """Warm up, replay the plan (and flow windows), and summarize."""

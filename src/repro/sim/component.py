@@ -28,9 +28,9 @@ class Component:
     def spawn(self, body, name: str = ""):
         """Spawn a process owned by this component.
 
-        The process is named ``<component>.<name>`` so kernel profiling
-        (``Simulator(profile=True)``) attributes its events to this
-        component instead of an anonymous generator.
+        The process is named ``<component>.<name>`` so the kernel trace
+        hook (and ``experiments --profile``) attributes its events to
+        this component instead of an anonymous generator.
         """
         label = name or getattr(body, "__name__", "process")
         return self.sim.spawn(body, name=f"{self.name}.{label}")

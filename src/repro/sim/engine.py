@@ -73,13 +73,13 @@ so a simulator whose pool holds futures is no cycle either.  Model code
 keeps the same invariant: an object must not store its
 own bound method in an object it holds, or it becomes a cycle too.
 
-Instrumentation is opt-in: ``Simulator(profile=True)`` (or
-:func:`set_profile_default`) buckets executed events per callback
-owner into ``Simulator.profile_counts`` and a process-wide total, and
-``Simulator(trace=fn)`` streams ``(time, seq, owner)`` per executed
-event.  Each drain loop reads one local, bound once per call, to decide
-whether to report an event, so an uninstrumented run pays a single
-``is None`` test per event.  A third, model-level layer — the
+Instrumentation is opt-in and has one hook: ``Simulator(trace=fn)``
+(or :func:`set_trace_default`, for simulators built inside experiment
+code) calls ``fn(time, seq, owner)`` per executed event.  The golden
+event-order files record through it, and ``experiments --profile``
+counts events per owner through it.  Each drain loop reads the hook
+into one local, bound once per call, so an uninstrumented run pays a
+single ``is None`` test per event.  A third, model-level layer — the
 per-packet span tracer of :mod:`repro.telemetry` — rides on the
 :attr:`Simulator.tracer` attribute: the kernel never consults it (no
 branch on the ring/heap paths), models do, so with ``tracer = None``
@@ -101,7 +101,7 @@ files in ``tests/data`` pin it.
 There are two copies of the loop: the plain one behind ``run()``, and
 a bounded one that also checks an event budget and a stop future
 before every event, behind ``run(max_events=...)`` and ``run_until``.
-Both report each event to the profiler or trace hook when one is set.
+Both report each event to the trace hook when one is set.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 
 ProcessBody = Generator[Any, Any, Any]
 
@@ -121,11 +121,9 @@ lets a harness meter the event throughput of a whole experiment (the
 delta across a call) without threading every simulator instance out.
 """
 
-_profile_default = False
-"""Whether new simulators profile by default (see :func:`set_profile_default`)."""
-
-_profile_totals: Dict[str, int] = {}
-"""Events per callback owner, aggregated across every profiling simulator."""
+_trace_default: Optional[Callable[[int, int, str], None]] = None
+"""The trace hook of new simulators built without one (see
+:func:`set_trace_default`)."""
 
 _FUTURE_POOL_CAP = 1024
 """Maximum recycled futures kept per simulator (bounds pool memory)."""
@@ -146,24 +144,17 @@ def process_events_total() -> int:
     return _events_fired_total
 
 
-def set_profile_default(enabled: bool) -> None:
-    """Make every *subsequently created* simulator profile (or not).
+def set_trace_default(
+    trace: Optional[Callable[[int, int, str], None]],
+) -> None:
+    """Give every *subsequently created* simulator built without a
+    ``trace`` argument this hook (``None`` turns it off again).
 
     This is how a CLI flag reaches simulators buried inside experiment
-    code: flip the default, run, read :func:`profile_totals`.
+    code: set a counting hook, run, read what it counted.
     """
-    global _profile_default
-    _profile_default = bool(enabled)
-
-
-def profile_totals() -> Dict[str, int]:
-    """A copy of the process-wide owner → events-fired profile."""
-    return dict(_profile_totals)
-
-
-def reset_profile_totals() -> None:
-    """Clear the process-wide profile (start of a measured region)."""
-    _profile_totals.clear()
+    global _trace_default
+    _trace_default = trace
 
 
 def owner_label(fn: Callable[..., None]) -> str:
@@ -171,9 +162,10 @@ def owner_label(fn: Callable[..., None]) -> str:
 
     Bound methods are attributed to their instance (``Type:name`` when
     the instance is named, e.g. ``Process:nic.rx``); plain functions to
-    their qualified name.  Used by both the profiler buckets and the
-    golden event-order trace, so it must depend only on the callback,
-    never on memory addresses or execution history.
+    their qualified name.  The trace hook receives it, and both the
+    ``--profile`` buckets and the golden event-order files are keyed on
+    it, so it must depend only on the callback, never on memory
+    addresses or execution history.
     """
     owner = getattr(fn, "__self__", None)
     if owner is None:
@@ -518,10 +510,9 @@ class Simulator:
     :mod:`repro.units`).  Use :meth:`schedule` for callback events,
     :meth:`spawn` for processes, and :meth:`run` to execute.
 
-    ``profile=True`` buckets executed events per callback owner into
-    :attr:`profile_counts` (and the process-wide :func:`profile_totals`);
     ``trace`` is an optional ``fn(time, seq, owner)`` called for every
-    executed event.  Both cost a call per event, so leave them off for
+    executed event (default: the hook of :func:`set_trace_default`,
+    normally none).  It costs a call per event, so leave it off for
     production runs.  :attr:`tracer` holds the per-packet span
     tracer (:class:`repro.telemetry.SpanTracer`) when one is attached;
     the kernel itself never touches it — model code checks
@@ -551,19 +542,13 @@ class Simulator:
         "_events_fired",
         "_future_pool",
         "_token",
-        "profile",
-        "profile_counts",
         "_trace",
         "tracer",
         "named",
         "__dict__",
     )
 
-    def __init__(
-        self,
-        profile: bool = False,
-        trace: Optional[Callable[[int, int, str], None]] = None,
-    ):
+    def __init__(self, trace: Optional[Callable[[int, int, str], None]] = None):
         self._now = 0
         self._seq = 0
         self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
@@ -573,14 +558,14 @@ class Simulator:
         self._future_pool: list[Future] = []
         self._token = object()
         """Identifies this simulator's futures (see :meth:`recycle`)."""
-        self.profile = bool(profile) or _profile_default
-        self.profile_counts: Dict[str, int] = {}
+        if trace is None:
+            trace = _trace_default
         self._trace = trace
         self.tracer = None
-        # Process names only feed the kernel profiler and the raw event
-        # trace; when neither is active, hot spawn sites can skip
-        # building per-process name strings entirely.
-        self.named = self.profile or trace is not None
+        # Process names only feed the trace hook's owner labels; without
+        # a hook, hot spawn sites can skip building per-process name
+        # strings entirely.
+        self.named = trace is not None
 
     @property
     def now(self) -> int:
@@ -821,9 +806,7 @@ class Simulator:
         ring = self._ring
         pop = heappop
         popleft = ring.popleft
-        instrument = (
-            self._instrument if self.profile or self._trace is not None else None
-        )
+        trace = self._trace
         seq_before = self._seq
         pending_before = len(queue) + len(ring)
         try:
@@ -831,8 +814,8 @@ class Simulator:
                 now = self._now
                 while queue and queue[0][0] <= now:
                     when, seq, fn, args = pop(queue)
-                    if instrument is not None:
-                        instrument(when, seq, fn)
+                    if trace is not None:
+                        trace(when, seq, owner_label(fn))
                     if args:
                         fn(*args)
                     else:
@@ -841,8 +824,8 @@ class Simulator:
                 # drains with no merge test.
                 while ring:
                     seq, fn, args = popleft()
-                    if instrument is not None:
-                        instrument(now, seq, fn)
+                    if trace is not None:
+                        trace(now, seq, owner_label(fn))
                     if args:
                         fn(*args)
                     else:
@@ -873,9 +856,7 @@ class Simulator:
         ring = self._ring
         pop = heappop
         popleft = ring.popleft
-        instrument = (
-            self._instrument if self.profile or self._trace is not None else None
-        )
+        trace = self._trace
         # -1 never reaches zero: an unbounded run_until never stops on it.
         budget = -1 if max_events is None else max_events
         seq_before = self._seq
@@ -890,8 +871,8 @@ class Simulator:
                         return "budget"
                     budget -= 1
                     when, seq, fn, args = pop(queue)
-                    if instrument is not None:
-                        instrument(when, seq, fn)
+                    if trace is not None:
+                        trace(when, seq, owner_label(fn))
                     if args:
                         fn(*args)
                     else:
@@ -903,8 +884,8 @@ class Simulator:
                         return "budget"
                     budget -= 1
                     seq, fn, args = popleft()
-                    if instrument is not None:
-                        instrument(now, seq, fn)
+                    if trace is not None:
+                        trace(now, seq, owner_label(fn))
                     if args:
                         fn(*args)
                     else:
@@ -933,16 +914,3 @@ class Simulator:
         )
         self._events_fired += executed
         _events_fired_total += executed
-
-    # -- instrumented execution (profile / trace) ---------------------------
-
-    def _instrument(self, when: int, seq: int, fn: Callable[..., None]) -> None:
-        """Profile/trace one about-to-execute event."""
-        if self.profile:
-            label = owner_label(fn)
-            counts = self.profile_counts
-            counts[label] = counts.get(label, 0) + 1
-            _profile_totals[label] = _profile_totals.get(label, 0) + 1
-        trace = self._trace
-        if trace is not None:
-            trace(when, seq, owner_label(fn))

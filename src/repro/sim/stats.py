@@ -5,10 +5,10 @@ Every hardware model collects its statistics through a
 name → value report out of a finished simulation.
 
 This layer is *aggregate* observability — totals and distributions
-over a whole run.  Its siblings: the kernel profiler
-(``Simulator(profile=True)``) counts events per callback owner, the
-raw trace hook (``Simulator(trace=fn)``) streams the executed event
-order, and the per-packet span tracer (:mod:`repro.telemetry`,
+over a whole run.  Its siblings: the kernel trace hook
+(``Simulator(trace=fn)``) streams the executed event order, which
+``experiments --profile`` counts per callback owner, and the per-packet
+span tracer (:mod:`repro.telemetry`,
 attached as ``sim.tracer``) records where each packet's time went as
 a Chrome-trace timeline.  ``docs/observability.md`` maps when to
 reach for which.

@@ -1,10 +1,10 @@
 """Per-packet span tracing & timeline telemetry.
 
-Where the profiler (``Simulator(profile=True)``) answers *which code*
-fired events and the raw trace hook (``Simulator(trace=fn)``) streams
-the kernel's ``(time, seq, owner)`` order, this layer answers the
-question the paper's latency decompositions ask: *where did one packet
-spend its nanoseconds?*  Every hop of the packet path — driver send
+Where the kernel trace hook (``Simulator(trace=fn)``) streams the
+``(time, seq, owner)`` order — counted per owner by ``experiments
+--profile``, it answers *which code* fired events — this layer answers
+the question the paper's latency decompositions ask: *where did one
+packet spend its nanoseconds?*  Every hop of the packet path — driver send
 segments, the NVDIMM-P/MMIO channel accesses inside them, the
 in-memory buffer clone, NIC DMA, the wire, each switch's queue wait
 and transmit, the receive notification, and (under faults) every

@@ -141,16 +141,18 @@ class TestDDIOPartition:
 
     def test_overflow_spills(self):
         ddio = DDIOPartition(llc_bytes=64 * 1024)  # ~100-line partition
+        capacity_lines = ddio.capacity_bytes // 64
         spilled = 0
         for packet in range(20):
             spilled += ddio.inject(packet * 4096, 1514)
-        assert spilled > 0
-        assert ddio.spill_rate() > 0
+        # 480 distinct lines into the partition: at least the overflow
+        # spills, and the partition keeps what it holds.
+        assert 20 * 24 - capacity_lines <= spilled < 20 * 24
 
     def test_no_spill_under_capacity(self):
         ddio = DDIOPartition(llc_bytes=2 * 1024 * 1024)
         assert ddio.inject(0, 1514) == 0
-        assert ddio.spill_rate() == 0.0
+        assert sum(ddio.inject(packet * 4096, 1514) for packet in range(1, 10)) == 0
 
     def test_resident_misses_nondestructive(self):
         ddio = DDIOPartition(llc_bytes=2 * 1024 * 1024)

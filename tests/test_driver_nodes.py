@@ -50,6 +50,20 @@ class HostNICCases:
                 receive(node, size)
         assert node.allocator.allocated_pages == baseline
 
+    @pytest.mark.parametrize("size", [64, 700, 1514])
+    def test_rx_copy_is_llc_priced(self, sim, size):
+        """The RX copy reads LLC-resident lines: SKB allocation, then
+        ``copy_base`` plus ``copy_line_llc`` per line, whatever the size."""
+        node = self.node_class(sim, "n")
+        software = node.params.software
+        packet = receive(node, size)
+        lines = -(-size // 64)
+        assert packet.breakdown.get("rxCopy") == (
+            software.rx_skb_alloc
+            + software.copy_base
+            + lines * software.copy_line_llc
+        )
+
     def test_nic_label(self, sim):
         assert self.node_class(sim, "a").nic_label == self.label
         zero_copy = self.node_class(sim, "b", zero_copy=True)
@@ -98,16 +112,6 @@ class TestIntegratedNICNode(HostNICCases):
         dnic_packet = transmit(dnic, 256)
         inic_packet = transmit(inic, 256)
         assert inic_packet.breakdown.get("ioreg") < dnic_packet.breakdown.get("ioreg")
-
-    def test_ddio_injection_on_rx(self, sim):
-        node = IntegratedNICNode(sim, "i")
-        receive(node, 1514)
-        assert node.ddio.injected_lines == 24
-
-    def test_rx_consumes_ddio_lines(self, sim):
-        node = IntegratedNICNode(sim, "i")
-        receive(node, 1514)
-        assert node.ddio.consumed_lines == 24  # no spills at this rate
 
     def test_zero_copy_tx_reads_dram(self, sim):
         node = IntegratedNICNode(sim, "i", zero_copy=True)

@@ -3,7 +3,7 @@
 Covers the behaviors the microbenchmark-driven kernel cannot be allowed
 to bend: the clock-rewind fix, past-tick scheduling errors, the future
 free-list pool (explicit and refcount-checked recycling), deep
-prioritized waiter queues, opt-in profiling/tracing, and exact event
+prioritized waiter queues, the opt-in trace hook, and exact event
 accounting across the ring/heap split.
 """
 
@@ -174,9 +174,18 @@ class TestDeepWaiterQueue:
         assert grants == expected
 
 
+class OwnerCounts(dict):
+    """A trace hook that counts executed events per owner label — what
+    ``experiments --profile`` does."""
+
+    def __call__(self, _when, _seq, owner):
+        self[owner] = self.get(owner, 0) + 1
+
+
 class TestProfiling:
     def test_profile_counts_by_owner(self):
-        sim = Simulator(profile=True)
+        counts = OwnerCounts()
+        sim = Simulator(trace=counts)
         mailbox = Queue(sim, "mailbox")
 
         def producer():
@@ -189,53 +198,67 @@ class TestProfiling:
         sim.spawn(producer(), name="prod")
         sim.spawn(consumer(), name="cons")
         sim.run()
-        assert sim.profile_counts["Process:prod"] == 2
-        assert sim.profile_counts["Process:cons"] == 2
-        assert sum(sim.profile_counts.values()) == sim.events_fired
+        assert counts["Process:prod"] == 2
+        assert counts["Process:cons"] == 2
+        assert sum(counts.values()) == sim.events_fired
 
     def test_plain_function_owner_label(self):
-        sim = Simulator(profile=True)
+        counts = OwnerCounts()
+        sim = Simulator(trace=counts)
 
         def tick():
             pass
 
         sim.schedule(1, tick)
         sim.run()
-        (label,) = sim.profile_counts
+        (label,) = counts
         assert "tick" in label
 
     def test_bound_method_owner_label(self):
-        sim = Simulator(profile=True)
+        counts = OwnerCounts()
+        sim = Simulator(trace=counts)
         fired = []
         sim.schedule(1, fired.append, "x")
         sim.run()
-        assert sim.profile_counts == {"list": 1}
+        assert counts == {"list": 1}
 
-    def test_profile_totals_aggregate_and_reset(self):
-        engine.reset_profile_totals()
-        for _ in range(2):
-            sim = Simulator(profile=True)
+    def test_default_hook_aggregates_across_simulators(self):
+        counts = OwnerCounts()
+        engine.set_trace_default(counts)
+        try:
+            for _ in range(2):
+                sim = Simulator()
+                sim.schedule(1, lambda: None)
+                sim.run()
+        finally:
+            engine.set_trace_default(None)
+        assert sum(counts.values()) == 2
+        # Built after the reset, a simulator reports to no hook.
+        sim = Simulator()
+        sim.schedule(1, lambda: None)
+        sim.run()
+        assert sum(counts.values()) == 2
+
+    def test_set_trace_default(self):
+        counts = OwnerCounts()
+        engine.set_trace_default(counts)
+        try:
+            assert Simulator().named
+            # An explicit hook wins over the default.
+            mine = OwnerCounts()
+            sim = Simulator(trace=mine)
             sim.schedule(1, lambda: None)
             sim.run()
-        totals = engine.profile_totals()
-        assert sum(totals.values()) == 2
-        engine.reset_profile_totals()
-        assert engine.profile_totals() == {}
-
-    def test_set_profile_default(self):
-        engine.set_profile_default(True)
-        try:
-            sim = Simulator()
-            assert sim.profile
+            assert sum(mine.values()) == 1
+            assert counts == {}
         finally:
-            engine.set_profile_default(False)
-        assert not Simulator().profile
+            engine.set_trace_default(None)
+        assert not Simulator().named
 
     def test_profile_off_by_default_and_counts_empty(self, sim):
         sim.schedule(1, lambda: None)
         sim.run()
-        assert not sim.profile
-        assert sim.profile_counts == {}
+        assert not sim.named
 
 
 class TestTraceHook:
@@ -347,7 +370,8 @@ class TestBatchedDrain:
 
     @pytest.mark.parametrize("instrumented", [True, False])
     def test_accounting_identical_across_modes(self, instrumented):
-        sim = Simulator(profile=instrumented)
+        counts = OwnerCounts()
+        sim = Simulator(trace=counts if instrumented else None)
         bus = Resource(sim, "bus")
         mailbox = Queue(sim, "mailbox")
 
@@ -366,10 +390,10 @@ class TestBatchedDrain:
         final = sim.run()
         # The same workload fires the same events and lands on the same
         # tick whether or not the drain loop reports each event to the
-        # profiler (the order is pinned in full by
+        # trace hook (the order is pinned in full by
         # tests/test_sim_determinism.py).
         assert (final, sim.events_fired) == (15, 42)
-        assert sum(sim.profile_counts.values()) == (42 if instrumented else 0)
+        assert sum(counts.values()) == (42 if instrumented else 0)
 
     def test_max_events_budget_respected_in_batch_mode(self):
         sim = Simulator()
@@ -390,7 +414,11 @@ class TestNamedFlag:
         assert not Simulator().named
 
     def test_profiling_and_tracing_enable_names(self):
-        assert Simulator(profile=True).named
+        engine.set_trace_default(OwnerCounts())
+        try:
+            assert Simulator().named
+        finally:
+            engine.set_trace_default(None)
         assert Simulator(trace=lambda *args: None).named
 
 

@@ -6,7 +6,7 @@ Four promises, each pinned:
   trace is byte-identical to a recorded fixture
   (``tests/data/golden_trace_netdimm_oneway.json``).  Regenerate (only
   after an *intentional* instrumentation change) with
-  ``python scripts/record_golden_trace.py``.
+  ``python scripts/record_golden_events.py --no-fig5``.
 * **Zero overhead** — with a tracer attached, the kernel executes the
   exact same ``(time, seq, owner)`` event stream as without one, and
   the scenario result is byte-identical.
