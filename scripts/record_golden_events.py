@@ -21,10 +21,9 @@ Seven artifacts are produced:
 * ``golden_sweep_results.json`` — the sha256 of the ``fig11``,
   ``fig12a`` and ``loaded_latency`` experiment artifact entries.
 * ``golden_dram_stream.json`` — the sha256 and event count of the
-  traced memory-controller streams (a short fig5 cell and a refreshing
-  idle/busy/idle run), traced from simulator birth so the scheduler
-  process appears under its own name, plus the sha256 of each run's
-  stats reports (``stats_sha256``).
+  traced memory-controller stream of a short fig5 cell, traced from
+  simulator birth so the workload processes appear under their own
+  names, plus the sha256 of its stats reports (``stats_sha256``).
 * ``golden_trace_netdimm_oneway.json`` — the byte-exact Chrome-trace
   export of the two-node NetDIMM oneway scenario (256 B).
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few

@@ -9,11 +9,21 @@
   replay is its one user.
 * :mod:`repro.cache.hierarchy` — a latency model of the L1/L2(LLC)
   hierarchy for co-running applications (Fig. 12(b)).
+
+Each name loads its submodule on first use (module ``__getattr__``), the
+way :mod:`repro.api` does: the drivers need only ``cache``, so they
+never load the DDIO partition or the hierarchy model.
 """
 
-from repro.cache.cache import CacheStats, ReplacementPolicy, SetAssociativeCache
-from repro.cache.ddio import DDIOPartition
-from repro.cache.hierarchy import CacheHierarchyModel
+import importlib
+from typing import Any, Dict, List, Tuple
+
+_LAZY_MODULES: Dict[str, Tuple[str, ...]] = {
+    "repro.cache.cache": ("CacheStats", "ReplacementPolicy", "SetAssociativeCache"),
+    "repro.cache.ddio": ("DDIOPartition",),
+    "repro.cache.hierarchy": ("CacheHierarchyModel",),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __all__ = [
     "CacheHierarchyModel",
@@ -22,3 +32,16 @@ __all__ = [
     "ReplacementPolicy",
     "SetAssociativeCache",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -122,12 +122,3 @@ class Bank:
         self._ready_time = (
             max(now, self._activate_time + self.timing.tRAS) + self.timing.tRP
         )
-
-    def block_for_refresh(self, now: int) -> int:
-        """An all-bank refresh: close the row, hold the bank for tRFC.
-
-        Returns the tick at which the bank is usable again.
-        """
-        self.precharge(now)
-        self._ready_time = max(self._ready_time, now) + self.timing.tRFC
-        return self._ready_time

@@ -127,7 +127,6 @@ class MemoryController(Component):
         geometry: Optional[DRAMGeometry] = None,
         write_watermark: int = 16,
         hit_streak_limit: int = 4,
-        refresh_enabled: bool = False,
     ):
         super().__init__(sim, name)
         self.timing = timing
@@ -137,12 +136,6 @@ class MemoryController(Component):
         """Starvation guard: after this many consecutive row-hit-first
         picks, the scheduler serves the oldest request regardless of its
         row state (standard FR-FCFS fairness cap)."""
-        self.refresh_enabled = refresh_enabled
-        """When enabled, an all-bank refresh blocks every bank for tRFC
-        once per tREFI — the classic source of memory-latency tail
-        spikes.  Off by default: the paper's latency experiments, like
-        most point measurements, sit between refreshes; turn it on for
-        tail-latency studies."""
         self._banks: dict[int, Bank] = {}
         self._read_queue: List[MemRequest] = []
         self._write_queue: List[MemRequest] = []
@@ -163,16 +156,6 @@ class MemoryController(Component):
         # cacheline sits above the 4 KB page offset, so one page maps to
         # exactly one (bank, global_row).
         self._coords_cache: dict[int, tuple[Bank, int]] = {}
-        if refresh_enabled:
-            self.sim.spawn(self._refresh_loop(), name=f"{name}.refresh")
-
-    def _refresh_loop(self):
-        """Issue an all-bank refresh every tREFI, forever."""
-        while True:
-            yield self.timing.tREFI
-            for bank in self._banks.values():
-                bank.block_for_refresh(self.now)
-            self.stats.count("refreshes")
 
     # -- public API ----------------------------------------------------------
 

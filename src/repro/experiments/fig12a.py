@@ -9,14 +9,19 @@ Paper numbers targeted (shape): average improvements over the PCIe NIC
 of 40.6 / 36.0 / 33.1 / 25.3% at 25 / 50 / 100 / 200 ns switch latency,
 8.1–15.3% over iNIC, with webserver benefiting most and hadoop least.
 
-Three replay modes share the result type and the sweep cells:
+Three replay modes share the result type and the sweep; each runs as
+one unsharded task:
 
 * ``mode="analytical"`` (default, the artifact/paper-target path) —
   per-packet latency is assembled as host-side latency (measured with
   the event-driven node models, bucketed by packet size) plus the
   fabric path latency for the packet's locality class — the same
   decomposition the paper's dist-gem5 setup uses, with end hosts
-  simulated in detail and switches as fixed-latency hops.
+  simulated in detail and switches as fixed-latency hops.  So one
+  ``run()`` measures each (config, size bucket) once — 72 host-side
+  measurements — and draws each cluster's trace once, then reuses them
+  across all 36 (cluster, switch, config) points; the memo is local to
+  the call.
 * ``mode="fabric"`` — the trace is replayed *live* through the scenario
   layer: one host pair per locality class is instantiated on the clos
   topology and every packet traverses sender TX → queued switch hops →
@@ -32,12 +37,11 @@ Three replay modes share the result type and the sweep cells:
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments.oneway import cached_one_way
+from repro.experiments.oneway import measure_one_way
 from repro.net.topology import ClosTopology, Locality
 from repro.params import DEFAULT, SystemParams
 from repro.scenario.builder import build_scenario
@@ -137,128 +141,6 @@ class Fig12aResult:
         return metrics
 
 
-class Fig12aCell(NamedTuple):
-    """One (cluster, switch latency, config) point of the replay."""
-
-    cluster: ClusterKind
-    switch_ns: int
-    config: str
-    packets: int
-    seed: int
-    replay: Optional[ScenarioSpec] = None
-    """The live-replay scenario (fabric/hybrid modes); None = analytical."""
-
-
-def cells(
-    packets_per_cluster: int = PACKETS_PER_CLUSTER,
-    switch_latencies_ns: Tuple[int, ...] = SWITCH_LATENCIES_NS,
-    seed: int = 2019,
-    mode: str = "analytical",
-    mean_interarrival_ns: float = 1000.0,
-    **spec_options: Any,
-) -> List[Fig12aCell]:
-    """Every (cluster, switch latency, config) point, in merge order.
-
-    Fabric and hybrid cells carry their scenario spec, built by
-    :func:`fabric_replay_spec` / :func:`hybrid_replay_spec` with
-    ``spec_options`` (``queue_depth``; ``background_nodes`` and
-    ``background_load`` for hybrid).
-    """
-    builders = {"fabric": fabric_replay_spec, "hybrid": hybrid_replay_spec}
-    if mode != "analytical" and mode not in builders:
-        raise ValueError(f"unknown fig12a mode: {mode!r}")
-    points = []
-    for cluster in ClusterKind:
-        for switch_ns in switch_latencies_ns:
-            for config in CONFIGS:
-                replay = None
-                if mode in builders:
-                    replay = builders[mode](
-                        cluster,
-                        config,
-                        switch_ns,
-                        packets_per_cluster,
-                        seed=seed,
-                        mean_interarrival_ns=mean_interarrival_ns,
-                        **spec_options,
-                    )
-                points.append(
-                    Fig12aCell(
-                        cluster, switch_ns, config, packets_per_cluster, seed, replay
-                    )
-                )
-    return points
-
-
-def run_cell(cell: Fig12aCell, params: SystemParams) -> float:
-    """Mean per-packet latency (ticks) of one replayed trace.
-
-    The analytical replay reads two per-process caches, so the cells a
-    process runs — serially or as shards on one worker — share them:
-    the trace's (size, locality) mix and the host-side latency per
-    (config, size bucket, params).  Neither depends on the switch
-    latency or on the cell order.
-    """
-    if cell.replay is not None:
-        scenario = build_scenario(cell.replay, base_params=params)
-        scenario.run()
-        total = sum(d.latency_ticks for d in scenario.delivered)
-        return total / len(scenario.delivered)
-    mix = _trace_mix(cell.cluster, cell.seed, cell.packets)
-    # Host-side latency per size bucket, measured from the detailed node
-    # models; the fabric substitutes for the wire.  One cache lookup per
-    # bucket: hashing ``params`` is not free.
-    host = {
-        bucket: cached_one_way(cell.config, bucket, params).host_ticks()
-        for bucket in {_size_bucket(size) for (size, _loc), _count in mix}
-    }
-    fabric = ClosTopology(
-        params=params.with_switch_latency(ns(cell.switch_ns)).network
-    )
-    # End-host MAC/PHY + first-link propagation (with the serialization
-    # below, the "wire" pieces the fabric path model does not include).
-    network = params.network
-    endhost_wire = 2 * network.mac_phy_latency + fabric.params.propagation
-    # Every term is an integer tick count, so summing per distinct
-    # (size, locality) pair gives the per-packet total exactly.
-    total = sum(
-        count
-        * (
-            host[_size_bucket(size)]
-            + endhost_wire
-            + transfer_time(network.framed_bytes(size), network.link_bytes_per_ps)
-            + fabric.path_latency(size, locality)
-        )
-        for (size, locality), count in mix
-    )
-    return total / cell.packets
-
-
-@functools.lru_cache(maxsize=16)
-def _trace_mix(
-    cluster: ClusterKind, seed: int, packets: int
-) -> Tuple[Tuple[Tuple[int, Locality], int], ...]:
-    """((size, locality), packet count) pairs of one seeded trace."""
-    trace = TraceGenerator(cluster, seed=seed).generate(packets)
-    return tuple(Counter((p.size_bytes, p.locality) for p in trace).items())
-
-
-def clear_caches() -> None:
-    """Drop the per-process trace and host-side caches (for cold timings)."""
-    _trace_mix.cache_clear()
-    cached_one_way.cache_clear()
-
-
-def merge(cells: Sequence[Fig12aCell], payloads: Sequence[float]) -> Fig12aResult:
-    """The result object from per-cell mean latencies."""
-    return Fig12aResult(
-        mean_latency={
-            (cell.cluster, cell.config, cell.switch_ns): payload
-            for cell, payload in zip(cells, payloads)
-        }
-    )
-
-
 def run(
     params: Optional[SystemParams] = None,
     packets_per_cluster: int = PACKETS_PER_CLUSTER,
@@ -270,22 +152,103 @@ def run(
 ) -> Fig12aResult:
     """Replay every cluster trace under every configuration and sweep.
 
-    ``mode`` and ``spec_options`` pick the replay as for :func:`cells`:
     ``mode="fabric"`` replays each trace live over the instantiated
     fabric (a large ``mean_interarrival_ns`` gives a zero-load
     cross-check of the analytical mode), and ``mode="hybrid"`` adds
-    flow-level background cross traffic to that replay.
+    flow-level background cross traffic to that replay; ``spec_options``
+    go to :func:`fabric_replay_spec` / :func:`hybrid_replay_spec`
+    (``queue_depth``; ``background_nodes`` and ``background_load`` for
+    hybrid).
     """
     params = params or DEFAULT
-    points = cells(
-        packets_per_cluster,
-        switch_latencies_ns,
-        seed,
-        mode,
-        mean_interarrival_ns,
-        **spec_options,
+    if mode == "analytical":
+        return _analytical(params, packets_per_cluster, switch_latencies_ns, seed)
+    builders = {"fabric": fabric_replay_spec, "hybrid": hybrid_replay_spec}
+    if mode not in builders:
+        raise ValueError(f"unknown fig12a mode: {mode!r}")
+    mean_latency = {}
+    for cluster in ClusterKind:
+        for switch_ns in switch_latencies_ns:
+            for config in CONFIGS:
+                spec = builders[mode](
+                    cluster,
+                    config,
+                    switch_ns,
+                    packets_per_cluster,
+                    seed=seed,
+                    mean_interarrival_ns=mean_interarrival_ns,
+                    **spec_options,
+                )
+                scenario = build_scenario(spec, base_params=params)
+                scenario.run()
+                total = sum(d.latency_ticks for d in scenario.delivered)
+                mean_latency[(cluster, config, switch_ns)] = total / len(
+                    scenario.delivered
+                )
+    return Fig12aResult(mean_latency=mean_latency)
+
+
+def _analytical(
+    params: SystemParams,
+    packets: int,
+    switch_latencies_ns: Tuple[int, ...],
+    seed: int,
+) -> Fig12aResult:
+    """Host-side latency plus the fabric path, summed per packet.
+
+    Each pure input is computed once per call and reused across the
+    (cluster, switch latency, config) points: one trace mix per cluster
+    and one host-side measurement per (config, size bucket) — 3 traces
+    and 72 measurements at the defaults.  Nothing outlives the call.
+    """
+    mixes = {cluster: _trace_mix(cluster, seed, packets) for cluster in ClusterKind}
+    buckets = sorted(
+        {_size_bucket(size) for mix in mixes.values() for size, _loc in mix}
     )
-    return merge(points, [run_cell(cell, params) for cell in points])
+    # Host-side latency per size bucket, measured from the detailed node
+    # models; the fabric substitutes for the wire.
+    host = {
+        (config, bucket): measure_one_way(config, bucket, params).host_ticks()
+        for config in CONFIGS
+        for bucket in buckets
+    }
+    network = params.network
+    mean_latency = {}
+    for cluster, mix in mixes.items():
+        for switch_ns in switch_latencies_ns:
+            fabric = ClosTopology(
+                params=params.with_switch_latency(ns(switch_ns)).network
+            )
+            # End-host MAC/PHY + first-link propagation (with the
+            # serialization below, the "wire" pieces the fabric path
+            # model does not include).
+            endhost_wire = 2 * network.mac_phy_latency + fabric.params.propagation
+            for config in CONFIGS:
+                # Every term is an integer tick count, so summing per
+                # distinct (size, locality) pair gives the per-packet
+                # total exactly.
+                total = sum(
+                    count
+                    * (
+                        host[(config, _size_bucket(size))]
+                        + endhost_wire
+                        + transfer_time(
+                            network.framed_bytes(size), network.link_bytes_per_ps
+                        )
+                        + fabric.path_latency(size, locality)
+                    )
+                    for (size, locality), count in mix.items()
+                )
+                mean_latency[(cluster, config, switch_ns)] = total / packets
+    return Fig12aResult(mean_latency=mean_latency)
+
+
+def _trace_mix(
+    cluster: ClusterKind, seed: int, packets: int
+) -> Dict[Tuple[int, Locality], int]:
+    """(size, locality) -> packet count of one seeded trace."""
+    trace = TraceGenerator(cluster, seed=seed).generate(packets)
+    return Counter((p.size_bytes, p.locality) for p in trace)
 
 
 def hybrid_replay_spec(
@@ -299,7 +262,7 @@ def hybrid_replay_spec(
     background_nodes: int = 8,
     background_load: float = 0.2,
 ) -> ScenarioSpec:
-    """One live-replay cell plus flow-fidelity background load.
+    """One live-replay point plus flow-fidelity background load.
 
     The background entry is uniform traffic from auto-placed extra
     nodes, offered at ``background_load`` × link capacity in aggregate
@@ -358,7 +321,7 @@ def fabric_replay_spec(
     mean_interarrival_ns: float = 1000.0,
     queue_depth: Optional[int] = 16,
 ) -> ScenarioSpec:
-    """The scenario spec for one live-replay cell."""
+    """The scenario spec for one live-replay point."""
     nodes = []
     locality_hosts: Dict[str, Tuple[str, str]] = {}
     for locality, ((src, src_host), (dst, dst_host)) in sorted(

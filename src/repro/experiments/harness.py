@@ -10,13 +10,15 @@ diffable* object:
   pool over a shared run directory (``backend="workers"``, which is
   also the resumable/distributed path);
 * an experiment module that exports ``cells`` (today ``fig5``,
-  ``fig11``, ``fig12a``, ``loaded_latency``) additionally shards
-  *inside* the experiment, one task per sweep point.  Such a module
-  declares its sweep once — ``cells()`` (the ordered points),
+  ``fig11``, ``loaded_latency``) additionally shards *inside* the
+  experiment, one task per sweep point.  Such a module declares its
+  sweep once — ``cells()`` (the ordered points),
   ``run_cell(cell, params)`` (one point in a fresh simulator),
   ``merge(cells, payloads)`` (the result object) — and its serial
   ``run()`` is that same loop, so the merged shards are the object
-  ``run()`` builds by construction;
+  ``run()`` builds by construction.  ``fig12a`` is one task: its 36
+  points share 72 host-side measurements and 3 traces, which its
+  ``run()`` computes once, so a task's work depends on the task alone;
 * a completed job assembles (``Job.result()``) into a versioned JSON
   artifact (:data:`SCHEMA_VERSION`) holding only deterministic
   content — wall-clock seconds and simulator events per shard live in

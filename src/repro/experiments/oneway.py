@@ -13,7 +13,6 @@ that drives many-node scenarios drives this measurement.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -79,18 +78,3 @@ def measure_one_way(
         total_ticks=packet.breakdown.total,
         segments=dict(packet.breakdown.segments),
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def cached_one_way(
-    nic_kind: str, size_bytes: int, params: SystemParams
-) -> OneWayResult:
-    """:func:`measure_one_way`, memoized per process.
-
-    A measurement is a pure function of its arguments (a fresh
-    simulator per call), so callers that repeat one — fig12a's trace
-    replay asks for the same (config, size bucket) in every cell — share
-    it.  ``params`` is part of the key; the bound holds 72 fig12a points
-    for each of 14 parameter sets.
-    """
-    return measure_one_way(nic_kind, size_bytes, params)

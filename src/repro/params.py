@@ -238,13 +238,6 @@ class DRAMTimingParams:
     tCCD: int = ns(2.5)
     """Column-to-column delay (back-to-back CAS to different banks)."""
 
-    tREFI: int = ns(7800)
-    """Average refresh interval (JEDEC: 7.8 us at normal temperature)."""
-
-    tRFC: int = ns(350)
-    """Refresh cycle time for 8 Gb-class devices: the rank is
-    unavailable this long per refresh."""
-
 
 def ddr4_2400() -> DRAMTimingParams:
     """Host-channel DDR4-2400 timing (Table 1)."""

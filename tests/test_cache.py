@@ -1,5 +1,8 @@
 """Generic cache, DDIO partition, and hierarchy latency model."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,7 @@ from repro.cache import (
 )
 from repro.params import CacheParams
 from repro.units import CACHELINE
+from tests.conftest import worker_env
 
 
 class TestSetAssociativeCache:
@@ -212,3 +216,27 @@ class TestCacheHierarchyModel:
             for rate in (0, 1e6, 1e7, 1e8)
         ]
         assert values == sorted(values)
+
+
+DRIVER_IMPORT_SCRIPT = """
+import sys
+
+import repro.driver
+
+loaded = [m for m in ("repro.cache.ddio", "repro.cache.hierarchy") if m in sys.modules]
+assert not loaded, f"import repro.driver loaded {loaded}"
+"""
+
+
+class TestLazyPackage:
+    def test_driver_import_loads_no_fig12b_model(self):
+        """The drivers use only the generic cache; the DDIO partition and
+        the hierarchy model load on first use of their names."""
+        proc = subprocess.run(
+            [sys.executable, "-c", DRIVER_IMPORT_SCRIPT],
+            env=worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -6,10 +6,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
-from repro.experiments import fig11, fig12a, harness, loaded_latency, oneway
+from repro.experiments import fig11, fig12a, harness, loaded_latency
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime import SweepConfig
+from repro.runtime.tasks import execute
 from repro.scenario.builder import dump_artifact
 
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
@@ -103,14 +104,14 @@ class TestHarnessRun:
 
 
 class TestShardedMergeEquality:
-    SHARDS = {"fig5": 8, "fig11": 33, "fig12a": 36, "loaded_latency": 9}
+    SHARDS = {"fig5": 8, "fig11": 33, "loaded_latency": 9}
 
     def test_shard_plan_is_pinned(self):
         """Task ids and args are run-directory keys: a plan that moves
         breaks resuming an older run directory."""
         tasks = harness.plan_tasks(list(EXPERIMENTS))
-        assert len(tasks) == 97
-        assert [task.index for task in tasks] == list(range(97))
+        assert len(tasks) == 62
+        assert [task.index for task in tasks] == list(range(62))
         for name in EXPERIMENTS:
             mine = [task for task in tasks if task.args["name"] == name]
             if name in self.SHARDS:
@@ -134,34 +135,28 @@ class TestShardedMergeEquality:
     def test_loaded_latency_sharded_equals_serial(self):
         assert self.cell_by_cell(loaded_latency) == loaded_latency.run()
 
-    def test_fig12a_cold_sharded_equals_serial(self):
-        fig12a.clear_caches()
-        assert self.cell_by_cell(fig12a) == fig12a.run()
+    def test_shard_work_is_a_function_of_the_shard(self):
+        """A task's ``events_fired`` must not depend on what its process
+        ran before: nothing is cached across tasks."""
+        for task in harness.plan_tasks(["fig11", "fig12a"]):
+            first, second = execute(task), execute(task)
+            assert first.events_fired == second.events_fired, task.task_id
 
-    def test_fig12a_warm_cells_are_order_independent(self):
-        """A worker's shards share its caches: the payloads must not
-        depend on which cells it ran before."""
-        cells = fig12a.cells()
-        fig12a.clear_caches()
-        cold = [fig12a.run_cell(cell, DEFAULT) for cell in cells]
-        warm = [fig12a.run_cell(cell, DEFAULT) for cell in reversed(cells)]
-        assert warm[::-1] == cold
-
-    def test_fig12a_measures_each_host_point_once_per_process(self, monkeypatch):
+    def test_fig12a_measures_each_host_point_once_per_run(self, monkeypatch):
         calls = []
-        measure = oneway.measure_one_way
+        measure = fig12a.measure_one_way
 
         def counting(nic_kind, size_bytes, params):
             calls.append((nic_kind, size_bytes))
             return measure(nic_kind, size_bytes, params)
 
-        monkeypatch.setattr(oneway, "measure_one_way", counting)
-        fig12a.clear_caches()
-        for cell in fig12a.cells():
-            fig12a.run_cell(cell, DEFAULT)
-        # 3 configs x 24 size buckets, each measured once.
-        assert len(calls) <= 72
-        assert len(set(calls)) == len(calls)
+        monkeypatch.setattr(fig12a, "measure_one_way", counting)
+        for _ in range(2):
+            calls.clear()
+            fig12a.run()
+            # 3 configs x 24 size buckets, each measured once per run.
+            assert len(calls) == 72
+            assert len(set(calls)) == 72
 
 
 class TestDiff:

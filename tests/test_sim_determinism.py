@@ -24,9 +24,9 @@ never change which event fires when.  These tests pin that promise:
   against ``tests/data/golden_sweep_results.json``.
 * ``test_dram_stream_matches_golden`` traces the memory controller
   from simulator birth (so the MLC and iperf processes are named)
-  through a short fig5 cell and through a refreshing idle/busy/idle run, and
-  compares each stream's digest, and the digest of the components'
-  stats reports, against ``tests/data/golden_dram_stream.json``.
+  through a short fig5 cell, and compares the stream's digest, and the
+  digest of the components' stats reports, against
+  ``tests/data/golden_dram_stream.json``.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
   through the harness and diffs its artifact against a baseline written
   by the pre-optimization kernel — metric-for-metric equality, not just
@@ -352,46 +352,8 @@ def dram_fig5_cell_stream():
     )
 
 
-def dram_refresh_stream():
-    """A refreshing controller driven idle -> busy -> idle -> busy -> idle.
-
-    The busy phases mix same-tick bursts of reads and writes (single-
-    and multi-line, spread over banks) with a trickle that lands while
-    the scheduler is already running, so the stream covers the
-    scheduler starting, draining, sitting idle across refreshes and
-    starting again.
-    """
-    from repro.dram.controller import MemoryController
-    from repro.params import ddr4_2400
-    from repro.units import CACHELINE, us
-
-    sim, events = _traced_sim()
-    controller = MemoryController(sim, "mc", ddr4_2400(), refresh_enabled=True)
-    sim.run(until=us(20))
-    burst = [
-        controller.access(
-            index * 4099 * CACHELINE,
-            is_write=index % 3 == 0,
-            size_bytes=1514 if index % 7 == 0 else CACHELINE,
-        )
-        for index in range(48)
-    ]
-    sim.run_until(sim.all_of(burst))
-    sim.run(until=us(40))
-
-    def trickle():
-        for index in range(24):
-            controller.access(0x200000 + index * 577 * CACHELINE, index % 2 == 1)
-            yield 7_000 + 1_000 * (index % 5)
-
-    sim.spawn(trickle(), name="trickle")
-    sim.run(until=us(60))
-    return json.dumps(events).encode(), sim.events_fired, stats_digest(controller)
-
-
 DRAM_STREAMS = {
     "fig5_cell_50ns": dram_fig5_cell_stream,
-    "refresh_idle_busy": dram_refresh_stream,
 }
 
 
