@@ -4,14 +4,16 @@
 the 1024-host clos fabric and 1,032 demand windows (a 1000-source
 uniform background and a 32-way incast).  No packet-level node is
 built.  One call is one pass of the flow plane over every window:
-``FlowSource.install`` (each window's ECMP link shares and its two
-boundary events), then the simulator fires every window's activation
-and deactivation, and each deactivation prices its demand with
-``FlowModel.path_latency``.
+``FlowSource.install`` (each window's ECMP link counts and shares, and
+its two boundary events), then the simulator fires every window's
+activation and deactivation, and each deactivation prices its demand
+with ``FlowModel.window_latency``.
 
-A warm-up pass runs before the timed loop, so the ECMP routes are
-cached and the network layer's route search (``bench_fabric.py``'s
-territory) stays out of the rate.  A pass fires two kernel events per
+A warm-up pass runs before the timed loop, so the topology's per-ToR
+breadth-first search tables are built and that search
+(``bench_fabric.py``'s territory) stays out of the rate.  The link
+counts are not cached, so every pass recounts every window's: that is
+flow-plane work and is in the rate.  A pass fires two kernel events per
 window, but its time goes to the flow plane, not the kernel, so the
 record carries ``calls_per_sec``: passes per second.
 """

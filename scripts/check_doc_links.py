@@ -38,6 +38,8 @@ REF_USE_RE = re.compile(r"!?\[[^\]]+\]\[([^\]]+)\]")
 REF_DEF_RE = re.compile(r"^\s*\[([^\]]+)\]:\s+(\S+)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+# Inline code spans: markdown renders their brackets literally.
+CODE_SPAN_RE = re.compile(r"`[^`]*`")
 
 
 def github_anchor(heading: str, seen: Dict[str, int]) -> str:
@@ -70,7 +72,8 @@ def collect_anchors(path: pathlib.Path) -> List[str]:
 
 
 def collect_links(path: pathlib.Path) -> List[Tuple[int, str]]:
-    """(line number, target) for every link outside code fences.
+    """(line number, target) for every link outside code fences and
+    inline code spans.
 
     Inline links contribute their targets directly; reference-style
     uses resolve through the file's ``[ref]: target`` definitions, and
@@ -96,6 +99,7 @@ def collect_links(path: pathlib.Path) -> List[Tuple[int, str]]:
             continue
         if in_fence or REF_DEF_RE.match(line):
             continue
+        line = CODE_SPAN_RE.sub("", line)
         for match in LINK_RE.finditer(line):
             links.append((number, match.group(1)))
         stripped = LINK_RE.sub("", line)  # don't re-match [text](url) tails

@@ -113,12 +113,3 @@ class Bank:
             if is_write:
                 self._write_recovery_until = times[-1] + timing.tWR
         return times
-
-    def precharge(self, now: int) -> None:
-        """Close the open row (explicit precharge)."""
-        if self.open_row is None:
-            return
-        self.open_row = None
-        self._ready_time = (
-            max(now, self._activate_time + self.timing.tRAS) + self.timing.tRP
-        )

@@ -12,12 +12,17 @@ couples flow-level load into packet-level latency.
 per-hop constants as :meth:`repro.net.topology.ClosTopology.path_latency`
 (the ``fig12a`` ``mode="analytical"`` math — switch pipeline + egress
 serialization + propagation per hop, WAN propagation on the inter-DC
-edge), plus the queueing delay each loaded link adds.
+edge), plus the queueing delay each loaded link adds.  It prices a
+whole window in one pass over the window's distinct links:
+:meth:`FlowModel.window_latency` takes the ECMP path count, the links
+per path and how many paths cross each link
+(:meth:`repro.net.topology.ClosTopology.ecmp_link_counts`), never a
+list of paths.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Tuple
 
 from repro.net.topology import INTER_DC_WAN_PROPAGATION
 from repro.params import NetworkParams
@@ -138,34 +143,39 @@ class FlowModel:
             self._serialization_cache[size_bytes] = ticks
         return ticks
 
-    def path_latency(self, path: List[str], size_bytes: int) -> int:
-        """One-way fabric latency along ``path`` (host ... host) under
-        the current load.
+    def window_latency(
+        self,
+        paths: int,
+        hops: int,
+        links: Iterable[LinkKey],
+        counts: Iterable[int],
+        size_bytes: int,
+    ) -> int:
+        """One-way fabric latency under the current load, summed over
+        ``paths`` equal-cost host-to-host paths of ``hops`` links each.
 
-        First link: uplink serialization + propagation (+ queue wait);
-        then per switch hop the ``path_latency`` constants + that
-        egress link's queue wait; both NIC MAC/PHY endpoints included
-        so the sum matches what a packet-level transit of the same
-        path measures at matching load.
+        ``links`` are the directed links the paths cross and ``counts``
+        how many of the paths cross each one.  Every path pays both NIC
+        MAC/PHY endpoints, serialization + propagation on each link and
+        the switch pipeline at each of its ``hops - 1`` switches, so its
+        price matches what a packet-level transit of it measures at
+        matching load; each link adds its queue wait, and the inter-DC
+        edge-to-edge link the WAN propagation, once per path crossing
+        it.  One path is ``paths=1`` with unit counts.  The integer sum
+        equals the sum of the per-path prices exactly.
         """
         params = self.params
-        load = self.load
         serialization = self.serialization(size_bytes)
-        wan_links = self.wan_links
-        total = 2 * params.mac_phy_latency
-        # Host uplink onto the first switch.
-        total += (
-            serialization
-            + params.propagation
-            + load.queue_wait((path[0], path[1]), serialization)
+        total = paths * (
+            2 * params.mac_phy_latency
+            + hops * (serialization + params.propagation)
+            + (hops - 1) * params.switch_latency
         )
-        for node, next_hop in zip(path[1:-1], path[2:]):
-            total += (
-                params.switch_latency
-                + serialization
-                + params.propagation
-                + load.queue_wait((node, next_hop), serialization)
-            )
-            if (node, next_hop) in wan_links:
-                total += INTER_DC_WAN_PROPAGATION
+        queue_wait = self.load.queue_wait
+        wan_links = self.wan_links
+        for link, count in zip(links, counts):
+            extra = queue_wait(link, serialization)
+            if link in wan_links:
+                extra += INTER_DC_WAN_PROPAGATION
+            total += count * extra
         return total

@@ -10,7 +10,11 @@ events (window start and end, quantized to the scenario's
 ``flow_update_interval_ns`` grid via
 :meth:`repro.sim.Simulator.schedule_batch_at`), spreading the rate
 evenly over the demand's ECMP paths the way per-packet ECMP hashing
-would on average.
+would on average.  It never lists those paths: the topology's per-link
+path counts (:meth:`repro.net.topology.ClosTopology.ecmp_link_counts`)
+give each link its share of the rate, and at the window's end
+:meth:`repro.flow.model.FlowModel.window_latency` prices all the paths
+in one pass over the window's distinct links.
 
 The whole lifetime of a thousand background flows is therefore a few
 thousand events total — independent of packet count — while their load
@@ -29,8 +33,9 @@ from repro.runtime.seeds import derive
 from repro.sim import Component, Simulator
 from repro.units import ns
 
-Shares = Tuple[Tuple[LinkKey, ...], Tuple[float, ...]]
-"""A window's load: the links it crosses, sorted, and the rate on each."""
+Shares = Tuple[int, int, Tuple[LinkKey, ...], Tuple[float, ...], Tuple[int, ...]]
+"""A window's load: its ECMP path count, the links per path, the links
+it crosses, sorted, the rate on each and how many paths cross each."""
 
 
 @dataclass(frozen=True)
@@ -210,28 +215,40 @@ class FlowSource(Component):
             end = start + grid
         return start, end
 
-    def _link_shares(
-        self, demand: FlowDemand, interned: Dict[LinkKey, LinkKey]
-    ) -> Shares:
-        """The demand's rate spread evenly over its ECMP paths: the
-        links it loads, sorted, and the rate on each.
+    def _link_shares(self, demand: FlowDemand, interned: Dict[tuple, tuple]) -> Shares:
+        """The demand's rate spread evenly over its ECMP paths, from the
+        topology's per-link path counts.
 
-        Each link key is taken from ``interned`` (one tuple per directed
-        link for the whole source), so the thousands of windows that
-        cross one uplink share its key instead of each holding a copy.
+        A link crossed by ``count`` paths carries ``per_path`` added
+        ``count`` times from 0.0 — the float a per-path accumulation
+        makes, bit for bit.  Link keys, count tuples and rate tuples are
+        taken from ``interned`` (one dict for the whole source), so the
+        thousands of windows that cross one uplink share its key, and
+        the windows with one count pattern and one per-path rate share
+        their two tuples.
         """
-        src_host = self.placement[demand.src]
-        dst_host = self.placement[demand.dst]
-        paths = self.fabric.route_paths(src_host, dst_host)
-        per_path = demand.rate / len(paths)
-        shares: Dict[LinkKey, float] = {}
-        for path in paths:
-            for link in zip(path, path[1:]):
-                shares[link] = shares.get(link, 0.0) + per_path
-        links = sorted(shares)
+        paths, hops, counts = self.fabric.topology.ecmp_link_counts(
+            self.placement[demand.src], self.placement[demand.dst]
+        )
+        links = sorted(counts)
+        by_link = tuple([counts[link] for link in links])
+        by_link = interned.setdefault(by_link, by_link)
+        per_path = demand.rate / paths
+        rates = interned.get((per_path, by_link))
+        if rates is None:
+            spread = []
+            for count in by_link:
+                rate = 0.0
+                for _ in range(count):
+                    rate += per_path
+                spread.append(rate)
+            rates = interned[(per_path, by_link)] = tuple(spread)
         return (
+            paths,
+            hops,
             tuple([interned.setdefault(link, link) for link in links]),
-            tuple([shares[link] for link in links]),
+            rates,
+            by_link,
         )
 
     def install(self, start_tick: int) -> int:
@@ -242,7 +259,7 @@ class FlowSource(Component):
         hybrid fast path is built on.
         """
         boundaries: Dict[int, List[Tuple[Callable, tuple]]] = {}
-        interned: Dict[LinkKey, LinkKey] = {}
+        interned: Dict[tuple, tuple] = {}
         tracer = self.sim.tracer
         for k, demand in enumerate(self.demands):
             start, end = self._quantize(demand)
@@ -270,7 +287,7 @@ class FlowSource(Component):
             return
         now = self.sim.now
         load = self.load
-        for link in shares[0]:
+        for link in shares[2]:
             tracer.counter(
                 f"{self.name}.{link[0]}->{link[1]}.utilization",
                 now,
@@ -279,7 +296,7 @@ class FlowSource(Component):
 
     def _activate(self, demand: FlowDemand, shares: Shares) -> None:
         load = self.load
-        links, rates = shares
+        _, _, links, rates, _ = shares
         for link, rate in zip(links, rates):
             load.add(link, rate)
         peak = max(load.utilization(link) for link in links)
@@ -291,12 +308,11 @@ class FlowSource(Component):
     def _deactivate(self, demand: FlowDemand, shares: Shares, uid, started) -> None:
         # Price the demand while its own load is still on the links —
         # flow traffic sees the congestion it participates in.
-        src_host = self.placement[demand.src]
-        dst_host = self.placement[demand.dst]
-        paths = self.fabric.route_paths(src_host, dst_host)
-        latency = sum(
-            self.model.path_latency(path, demand.size_bytes) for path in paths
-        ) / len(paths)
+        paths, hops, links, rates, counts = shares
+        latency = (
+            self.model.window_latency(paths, hops, links, counts, demand.size_bytes)
+            / paths
+        )
         self._offered_packets += demand.packets
         self._offered_bytes += demand.packets * demand.size_bytes
         self._latency_sum += latency * demand.packets
@@ -306,7 +322,7 @@ class FlowSource(Component):
         if self.sim.now > self._span_end:
             self._span_end = self.sim.now
         load = self.load
-        for link, rate in zip(*shares):
+        for link, rate in zip(links, rates):
             load.remove(link, rate)
         self._sample_links(shares)
         tracer = self.sim.tracer

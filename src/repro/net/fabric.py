@@ -180,10 +180,12 @@ class ClosFabric(Component):
 
         Read from the topology's ECMP route table
         (:meth:`repro.net.topology.ClosTopology.ecmp_paths`), which
-        enumerates each host pair once and caches it; both per-packet
-        ECMP hashing (:meth:`route`) and flow-level demand spreading
-        (:class:`repro.flow.FlowSource`) read the same list, so the two
-        fidelities agree on what the fabric looks like.
+        enumerates each host pair once and caches it.  Per-packet ECMP
+        hashing (:meth:`route`) reads this list; flow-level demand
+        spreading (:class:`repro.flow.FlowSource`) reads the same path
+        set counted per link
+        (:meth:`repro.net.topology.ClosTopology.ecmp_link_counts`), so
+        the two fidelities agree on what the fabric looks like.
         """
         return self.topology.ecmp_paths(src, dst)
 

@@ -23,14 +23,23 @@ intra-datacenter, hadoop intra-cluster.
 ECMP routing never searches the host graph.  Every host is a leaf on
 exactly one ToR, so every shortest host-to-host path is the host pair
 spliced onto a shortest ToR-to-ToR path through the switch layer (75
-switches for a 1024-host fabric).  :meth:`ClosTopology.ecmp_paths` runs
-one breadth-first search per source ToR over that layer, lazily,
-enumerates the equal-cost switch paths level by level back from the
-destination ToR, splices the host endpoints on and caches the sorted
-list per host pair on the topology instance.  The fabric's structure
-lives in three plain structures built once: the host → ToR map, the
-switch layer's adjacency, and the set of inter-DC WAN links; the
-latency math uses the per-hop switch model.
+switches for a 1024-host fabric).  One breadth-first search per source
+ToR over that layer, run lazily and cached, records each switch's depth
+and its count of shortest paths from that ToR.  From these tables
+:meth:`ClosTopology._tor_dag` walks back from the destination ToR one
+level per step and yields the shortest-path DAG of a ToR pair: each
+switch's predecessors on it.  The DAG has two views.
+:meth:`ClosTopology.ecmp_paths` enumerates its explicit paths, splices
+the host endpoints on and caches the sorted list per host pair: the
+packet plane hashes flows onto them.
+:meth:`ClosTopology.ecmp_link_counts` multiplies path counts instead:
+the paths through a link ``(u, v)`` are the source ToR's paths to ``u``
+times ``v``'s paths to the destination ToR.  It is computed per call
+and never cached, so the flow plane, which touches each of thousands of
+host pairs once, spreads and prices its windows without building a path
+list.  The fabric's structure lives in three plain structures built
+once: the host → ToR map, the switch layer's adjacency, and the set of
+inter-DC WAN links; the latency math uses the per-hop switch model.
 """
 
 from __future__ import annotations
@@ -96,9 +105,11 @@ class ClosTopology:
         metro-fiber hops that add :data:`INTER_DC_WAN_PROPAGATION`."""
 
         self._build()
-        # source ToR -> {switch: its BFS depth from that ToR}.
-        self._depths: Dict[str, Dict[str, int]] = {}
-        # (src, dst) host pair -> all equal-cost shortest paths, sorted.
+        # source ToR -> ({switch: BFS depth}, {switch: shortest paths
+        # from that ToR}).
+        self._bfs: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        # (src, dst) host pair -> all equal-cost shortest paths, sorted;
+        # filled by the packet plane only.
         self._routes: Dict[Tuple[str, str], List[List[str]]] = {}
 
     # -- construction --------------------------------------------------------
@@ -158,8 +169,9 @@ class ClosTopology:
         """All equal-cost shortest paths between two hosts, sorted.
 
         Equal, element for element, to the sorted list of every shortest
-        path between them in the full host graph, but computed on the
-        switch layer and cached per host pair.  The returned lists are shared: read, never mutate.
+        path between them in the full host graph, but enumerated from
+        the ToR pair's shortest-path DAG and cached per host pair.  The
+        returned lists are shared: read, never mutate.
         """
         paths = self._routes.get((src, dst))
         if paths is None:
@@ -168,21 +180,41 @@ class ClosTopology:
             if src == dst:
                 paths = [[src]]
             else:
-                adjacency = self._switch_adjacency
-                depths = self._bfs_depths(src_tor)
-                # Grow every shortest path back from the destination one
-                # BFS level per step until all reach the source ToR.
                 tails = [[dst_tor, dst]]
-                for depth in range(depths[dst_tor] - 1, -1, -1):
+                for level in self._tor_dag(src_tor, dst_tor):
                     tails = [
-                        [peer] + tail
-                        for tail in tails
-                        for peer in adjacency[tail[0]]
-                        if depths[peer] == depth
+                        [peer] + tail for tail in tails for peer in level[tail[0]]
                     ]
                 paths = sorted([src] + tail for tail in tails)
             self._routes[(src, dst)] = paths
         return paths
+
+    def ecmp_link_counts(
+        self, src: str, dst: str
+    ) -> Tuple[int, int, Dict[Tuple[str, str], int]]:
+        """``(path count, links per path, {link: paths through it})``.
+
+        The same ECMP path set :meth:`ecmp_paths` lists, counted instead
+        of enumerated: the dict equals the ``Counter`` of directed links
+        over those paths.  Computed per call and never cached.
+        """
+        src_tor = self._tor(src)
+        dst_tor = self._tor(dst)
+        if src == dst:
+            return 1, 0, {}
+        depths, from_src = self._bfs_tables(src_tor)
+        paths = from_src[dst_tor]
+        counts = {(src, src_tor): paths, (dst_tor, dst): paths}
+        # Shortest paths from each DAG switch on to the destination ToR,
+        # complete for a level before the walk reaches the level below.
+        to_dst = {dst_tor: 1}
+        for level in self._tor_dag(src_tor, dst_tor):
+            for node, peers in level.items():
+                onward = to_dst[node]
+                for peer in peers:
+                    counts[(peer, node)] = from_src[peer] * onward
+                    to_dst[peer] = to_dst.get(peer, 0) + onward
+        return paths, depths[dst_tor] + 2, counts
 
     def _tor(self, host: str) -> str:
         tor = self._tor_of.get(host)
@@ -190,23 +222,54 @@ class ClosTopology:
             raise ValueError(f"not a host of this topology: {host!r}")
         return tor
 
-    def _bfs_depths(self, source: str) -> Dict[str, int]:
-        """Hop depth of every switch from one ToR, over the switch layer."""
-        depths = self._depths.get(source)
-        if depths is None:
+    def _tor_dag(self, src_tor: str, dst_tor: str) -> List[Dict[str, List[str]]]:
+        """The shortest-path DAG from ``src_tor`` to ``dst_tor``.
+
+        One level per BFS depth, walking back from ``dst_tor``: each
+        level maps a switch on some shortest path to its predecessors
+        one hop nearer ``src_tor``, in adjacency order.  Empty when the
+        two ToRs are the same switch.
+        """
+        adjacency = self._switch_adjacency
+        depths = self._bfs_tables(src_tor)[0]
+        levels = []
+        frontier = [dst_tor]
+        for depth in range(depths[dst_tor] - 1, -1, -1):
+            level = {
+                node: [peer for peer in adjacency[node] if depths[peer] == depth]
+                for node in frontier
+            }
+            levels.append(level)
+            frontier = list(dict.fromkeys(
+                peer for peers in level.values() for peer in peers
+            ))
+        return levels
+
+    def _bfs_tables(self, source: str) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Hop depth of every switch from one ToR, over the switch
+        layer, and its number of shortest paths from that ToR."""
+        tables = self._bfs.get(source)
+        if tables is None:
             adjacency = self._switch_adjacency
             depths = {source: 0}
+            counts = {source: 1}
             frontier = [source]
             while frontier:
                 following = []
                 for node in frontier:
+                    depth = depths[node] + 1
+                    count = counts[node]
                     for peer in adjacency[node]:
-                        if peer not in depths:
-                            depths[peer] = depths[node] + 1
+                        seen = depths.get(peer)
+                        if seen is None:
+                            depths[peer] = depth
+                            counts[peer] = count
                             following.append(peer)
+                        elif seen == depth:
+                            counts[peer] += count
                 frontier = following
-            self._depths[source] = depths
-        return depths
+            tables = self._bfs[source] = (depths, counts)
+        return tables
 
     def classify(self, src: str, dst: str) -> Locality:
         """Locality class of a host pair from their names."""

@@ -220,12 +220,19 @@ class ScenarioSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names: {names}")
         known = set(names)
-        for traffic in self.traffic:
+        for index, traffic in enumerate(self.traffic):
             for endpoint in (*traffic.src, traffic.dst):
                 if endpoint is not None and endpoint not in known:
                     raise ValueError(
                         f"traffic references unknown node {endpoint!r}"
                     )
+            if traffic.kind in ("oneway", "incast") and traffic.dst in traffic.src:
+                # A host-to-itself path crosses no link: a packet has no
+                # first hop to transit and a flow window no link to load.
+                raise ValueError(
+                    f"traffic[{index}] ({traffic.kind}) sends from "
+                    f"{traffic.dst!r} to itself"
+                )
             for pair in traffic.locality_hosts.values():
                 for endpoint in pair:
                     if endpoint not in known:

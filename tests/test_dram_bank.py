@@ -35,15 +35,6 @@ class TestRowBufferState:
         assert (bank.row_hits, bank.row_misses, bank.row_conflicts) == (0, 1, 1)
         assert bank.open_row == 6
 
-    def test_precharge_closes_row(self, bank):
-        bank.access_ready_time(0, row=5, is_write=False)
-        bank.precharge(100_000)
-        assert bank.open_row is None
-
-    def test_precharge_idle_bank_noop(self, bank):
-        bank.precharge(0)
-        assert bank.open_row is None
-
 
 class TestTiming:
     def test_row_miss_pays_trcd_plus_tcl(self, bank):

@@ -5,16 +5,18 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.flow.model import FlowLoadMap, FlowModel
 from repro.net import ClosFabric, ClosTopology, EthernetWire, Locality, Packet, Switch
 from repro.net.topology import INTER_DC_WAN_PROPAGATION, ClosConfig, SWITCH_HOPS
 from repro.params import NetworkParams
 from repro.sim import Simulator
-from repro.units import ns, to_ns
+from repro.units import ns, to_ns, transfer_time
 from tests.conftest import worker_env
 
 
@@ -358,13 +360,90 @@ class TestWanPricing:
             for flow_id, path in enumerate(paths):
                 packet = Packet(size_bytes=size, flow_id=flow_id)
                 sim.run_until(sim.spawn(fabric.transit(packet, src, dst)).done)
-                priced = model.path_latency(path, size)
+                priced = price_one_path(model, path, size)
                 assert packet.breakdown.get("wire") == priced, (size, path)
                 # The WAN propagation is added once per edge-to-edge hop.
-                assert priced - no_wan.path_latency(path, size) == (
+                assert priced - price_one_path(no_wan, path, size) == (
                     wan_hops * INTER_DC_WAN_PROPAGATION
                 )
         assert fabric.stall_count() == 0
+
+
+def price_one_path(model, path, size):
+    """One path priced as a window of one path: every count is 1."""
+    links = list(zip(path, path[1:]))
+    return model.window_latency(1, len(links), links, [1] * len(links), size)
+
+
+def reference_path_price(params, wan_links, load, path, size):
+    """The per-hop sum along one explicit path, written out hop by hop:
+    both MAC/PHY ends, the host uplink, then per switch the pipeline,
+    egress serialization, propagation, queue wait and any WAN term."""
+    serialization = transfer_time(params.framed_bytes(size), params.link_bytes_per_ps)
+    total = 2 * params.mac_phy_latency
+    total += serialization + params.propagation + load.queue_wait(
+        (path[0], path[1]), serialization
+    )
+    for link in zip(path[1:-1], path[2:]):
+        total += params.switch_latency + serialization + params.propagation
+        total += load.queue_wait(link, serialization)
+        if link in wan_links:
+            total += INTER_DC_WAN_PROPAGATION
+    return total
+
+
+clos_configs = st.builds(
+    ClosConfig,
+    racks_per_cluster=st.integers(1, 3),
+    hosts_per_rack=st.integers(1, 3),
+    clusters=st.integers(1, 3),
+    fabric_per_cluster=st.integers(1, 3),
+    spines=st.integers(1, 3),
+    datacenters=st.integers(1, 3),
+)
+
+
+class TestEcmpLinkCounts:
+    """The flow plane's counted view of ECMP agrees with the packet
+    plane's explicit path list, and prices a window exactly as the sum
+    of its paths' prices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=clos_configs, data=st.data())
+    def test_counts_and_window_price_match_the_path_list(self, config, data):
+        topology = ClosTopology(config)
+        hosts = topology.hosts()
+        src = data.draw(st.sampled_from(hosts), label="src")
+        dst = data.draw(st.sampled_from(hosts), label="dst")
+        paths = topology.ecmp_paths(src, dst)
+        npaths, hops, counts = topology.ecmp_link_counts(src, dst)
+        assert npaths == len(paths)
+        assert {len(path) - 1 for path in paths} == {hops}
+        assert counts == Counter(
+            link for path in paths for link in zip(path, path[1:])
+        )
+        if src == dst:
+            return
+        params = topology.params
+        load = FlowLoadMap(params.link_bytes_per_ps)
+        # Random background load, past the utilization cap on some links.
+        for link in sorted(counts):
+            rho = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.5]))
+            if rho:
+                load.add(link, rho * params.link_bytes_per_ps)
+        model = FlowModel(params, topology.wan_links, load)
+        size = data.draw(st.sampled_from([64, 512, 1514]), label="size")
+        links = sorted(counts)
+        priced = model.window_latency(
+            npaths, hops, links, [counts[link] for link in links], size
+        )
+        per_path = [
+            reference_path_price(params, topology.wan_links, load, path, size)
+            for path in paths
+        ]
+        assert type(priced) is int
+        assert priced == sum(per_path)
+        assert [price_one_path(model, path, size) for path in paths] == per_path
 
 
 NO_NETWORKX_SCRIPT = textwrap.dedent(

@@ -8,6 +8,7 @@ fig12a's live-fabric and analytical replay modes.
 
 import dataclasses
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from repro.sim import Simulator
 from repro.workloads.traces import ClusterKind
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 SUMMARY_KEYS = {"count", "mean", "min", "p50", "p99", "p999", "max"}
 
 
@@ -422,6 +424,24 @@ class TestHybridFidelity:
                                      fidelity="flow"),),
             )
 
+    @pytest.mark.parametrize("fidelity", ["flow", "packet"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "oneway", "src": ["b0"], "dst": "b0"},
+            {"kind": "incast", "src": ["b0", "sink", "b1"], "dst": "sink"},
+        ],
+        ids=["oneway", "incast"],
+    )
+    def test_traffic_to_itself_rejected_at_load(self, entry, fidelity):
+        """A host-to-itself path crosses no link; the spec is refused at
+        load time, naming the entry, instead of the run failing at a
+        flow window's activation or a packet's first hop."""
+        document = hybrid_parity_spec("flow").to_dict()
+        document["traffic"][1].update(entry, fidelity=fidelity)
+        with pytest.raises(ValueError, match=r"traffic\[1\] \(.*\) sends .* to itself"):
+            api.load_spec(document)
+
     def test_trace_traffic_cannot_be_flow_fidelity(self):
         with pytest.raises(ValueError, match="trace traffic cannot"):
             TrafficSpec(kind="trace", cluster="webserver", fidelity="flow")
@@ -439,6 +459,33 @@ class TestHybridFidelity:
                 traffic=(TrafficSpec(kind="oneway", src=("a",), dst="b"),),
                 flow_update_interval_ns=0.0,
             )
+
+
+class TestClos1000Pinned:
+    """The 1024-host hybrid example reproduces the benchmark's pinned
+    digest, and its flow plane leaves no host pair in the route table."""
+
+    def test_seed_2019_document_matches_pinned_digest(self):
+        expected = json.loads(
+            (BENCHMARK_DIR / "expected.json").read_text(encoding="utf-8")
+        )["2019"]["clos1000_hybrid"]["sha256"]
+        base = json.loads(
+            (EXAMPLES_DIR / "clos1000_hybrid.json").read_text(encoding="utf-8")
+        )
+        documents = []
+        for seed in (2019, 2020, 2021):
+            scenario = build_scenario(api.load_spec({**base, "seed": seed}))
+            documents.append(scenario.run().to_dict())
+            # Only packet-level pairs are enumerated and cached; the
+            # thousand flow-level windows are priced from link counts.
+            packet_pairs = {
+                (scenario.placement[flow.src], scenario.placement[flow.dst])
+                for flow in scenario.plan
+            }
+            assert set(scenario.fabric.topology._routes) == packet_pairs
+            assert len(packet_pairs) < 10
+        rendered = json.dumps(documents, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == expected
 
 
 class TestStrictNestedValidation:
