@@ -10,7 +10,7 @@ the acceptance metric for fabric-performance PRs.
 """
 
 from repro import api
-from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 
 from benchmarks.conftest import report
 

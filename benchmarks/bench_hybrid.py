@@ -24,7 +24,7 @@ import pathlib
 import time
 
 from repro import api
-from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 from repro.sim import engine
 
 from benchmarks.conftest import report, report_rate

@@ -21,7 +21,7 @@ import time
 
 from repro import api
 from repro.runtime import ShardResult
-from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 
 from benchmarks.conftest import machine_meta, report, report_rate
 

@@ -17,22 +17,11 @@ models, charging each operation to its Fig. 11 breakdown segment.
   the discrete PCIe NIC (dNIC) and the CPU-integrated NIC (iNIC) as its
   three interconnect hooks.
 * :mod:`repro.driver.netdimm_node` — the NetDIMM driver (Alg. 1).
+* :mod:`repro.driver.registry` — the NIC-kind names and
+  :func:`~repro.driver.registry.make_node`.
+
+The package re-exports nothing, so importing the registry (a scenario
+spec checks NIC kinds against it) loads no node model.
 """
 
-from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
-from repro.driver.netdimm_node import NetDIMMNode
-from repro.driver.node import ServerNode
-from repro.driver.registry import NIC_KINDS, NIC_REGISTRY, make_node
-from repro.driver.skb import SKB, Socket
-
-__all__ = [
-    "DiscreteNICNode",
-    "IntegratedNICNode",
-    "NIC_KINDS",
-    "NIC_REGISTRY",
-    "NetDIMMNode",
-    "ServerNode",
-    "SKB",
-    "Socket",
-    "make_node",
-]
+__all__ = []

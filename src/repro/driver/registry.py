@@ -1,41 +1,24 @@
 """The single NIC-kind registry.
 
-One name → constructor mapping for the five evaluated configurations
-(Sec. 5.1): discrete PCIe NIC and integrated NIC, each with and without
-zero-copy, plus NetDIMM.  The experiment layer, the CLI, and the
-scenario builder all resolve NIC kinds here, so adding a configuration
-is a one-line change.
+The five evaluated configurations (Sec. 5.1): discrete PCIe NIC and
+integrated NIC, each with and without zero-copy, plus NetDIMM.  The
+experiment layer, the CLI, and the scenario layer all resolve NIC kinds
+here.  Naming the kinds loads no node model — a scenario spec checks
+its NIC kinds when it is parsed — so :func:`make_node` imports the
+node classes on first use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
-from repro.driver.netdimm_node import NetDIMMNode
-from repro.driver.node import ServerNode
 from repro.params import DEFAULT, SystemParams
-from repro.sim import Simulator
 
-NodeFactory = Callable[[Simulator, str, SystemParams], ServerNode]
+if TYPE_CHECKING:
+    from repro.driver.node import ServerNode
+    from repro.sim import Simulator
 
-NIC_REGISTRY: Dict[str, NodeFactory] = {
-    "dnic": lambda sim, name, params: DiscreteNICNode(
-        sim, name, params=params, zero_copy=False
-    ),
-    "dnic.zcpy": lambda sim, name, params: DiscreteNICNode(
-        sim, name, params=params, zero_copy=True
-    ),
-    "inic": lambda sim, name, params: IntegratedNICNode(
-        sim, name, params=params, zero_copy=False
-    ),
-    "inic.zcpy": lambda sim, name, params: IntegratedNICNode(
-        sim, name, params=params, zero_copy=True
-    ),
-    "netdimm": lambda sim, name, params: NetDIMMNode(sim, name, params=params),
-}
-
-NIC_KINDS = tuple(NIC_REGISTRY)
+NIC_KINDS = ("dnic", "dnic.zcpy", "inic", "inic.zcpy", "netdimm")
 """Registered configuration names, in registration order."""
 
 
@@ -46,9 +29,16 @@ def make_node(
     params: Optional[SystemParams] = None,
 ) -> ServerNode:
     """Instantiate a server node for one of the registered configurations."""
-    factory = NIC_REGISTRY.get(nic_kind)
-    if factory is None:
+    if nic_kind not in NIC_KINDS:
         raise ValueError(
             f"unknown NIC kind: {nic_kind!r} (expected one of {NIC_KINDS})"
         )
-    return factory(sim, name, params or DEFAULT)
+    from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
+    from repro.driver.netdimm_node import NetDIMMNode
+
+    params = params or DEFAULT
+    if nic_kind == "netdimm":
+        return NetDIMMNode(sim, name, params=params)
+    interconnect, _, variant = nic_kind.partition(".")
+    node_class = DiscreteNICNode if interconnect == "dnic" else IntegratedNICNode
+    return node_class(sim, name, params=params, zero_copy=variant == "zcpy")

@@ -28,7 +28,8 @@ from repro.core.netdimm import NetDIMMDevice
 from repro.core.rowclone import CloneMode
 from repro.dram.geometry import DRAMGeometry
 from repro.driver.netdimm_node import NetDIMMNode
-from repro.net import EthernetWire, Packet
+from repro.net.link import EthernetWire
+from repro.net.packet import Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 from repro.units import CACHELINE, cachelines

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.driver.registry import make_node
-from repro.net import EthernetWire, Packet
+from repro.net.link import EthernetWire
+from repro.net.packet import Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 from repro.units import transfer_time

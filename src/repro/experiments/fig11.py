@@ -14,7 +14,7 @@ Paper numbers targeted (shape):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.charts import stacked_bar_chart
 from repro.experiments.oneway import OneWayResult, measure_one_way
@@ -81,44 +81,26 @@ class Fig11Result:
         return metrics
 
 
-def cells(
-    sizes: Tuple[int, ...] = PACKET_SIZES,
-    extra_sizes: Tuple[int, ...] = QUOTED_SIZES,
-) -> List[Tuple[str, int]]:
-    """The ``(config, size)`` matrix, in merge order.
-
-    ``extra_sizes`` adds the sizes the paper quotes percentages for
-    (64/256/1024 B) on top of the figure's x-axis points.
-    """
-    all_sizes = sorted(set(sizes) | set(extra_sizes))
-    return [(config, size) for config in CONFIGS for size in all_sizes]
-
-
-def run_cell(cell: Tuple[str, int], params: SystemParams) -> OneWayResult:
-    """One configuration's one-way breakdown at one packet size."""
-    config, size = cell
-    return measure_one_way(config, size, params)
-
-
-def merge(
-    cells: Sequence[Tuple[str, int]], payloads: Sequence[OneWayResult]
-) -> Fig11Result:
-    """The result object from per-cell breakdowns."""
-    return Fig11Result(
-        results=dict(zip(cells, payloads)),
-        sizes=tuple(sorted({size for _config, size in cells})),
-    )
-
-
 def run(
     params: Optional[SystemParams] = None,
     sizes: Tuple[int, ...] = PACKET_SIZES,
     extra_sizes: Tuple[int, ...] = QUOTED_SIZES,
 ) -> Fig11Result:
-    """Measure the three configurations across all sizes."""
+    """Measure the three configurations across all sizes.
+
+    ``extra_sizes`` adds the sizes the paper quotes percentages for
+    (64/256/1024 B) on top of the figure's x-axis points.
+    """
     params = params or DEFAULT
-    points = cells(sizes, extra_sizes)
-    return merge(points, [run_cell(cell, params) for cell in points])
+    all_sizes = tuple(sorted(set(sizes) | set(extra_sizes)))
+    return Fig11Result(
+        results={
+            (config, size): measure_one_way(config, size, params)
+            for config in CONFIGS
+            for size in all_sizes
+        },
+        sizes=all_sizes,
+    )
 
 
 def format_report(result: Fig11Result) -> str:

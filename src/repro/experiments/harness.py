@@ -9,16 +9,16 @@ diffable* object:
   pool (``SweepConfig(backend="pool", jobs=N)``), or a detached worker
   pool over a shared run directory (``backend="workers"``, which is
   also the resumable/distributed path);
-* an experiment module that exports ``cells`` (today ``fig5``,
-  ``fig11``, ``loaded_latency``) additionally shards *inside* the
-  experiment, one task per sweep point.  Such a module declares its
-  sweep once — ``cells()`` (the ordered points),
-  ``run_cell(cell, params)`` (one point in a fresh simulator),
-  ``merge(cells, payloads)`` (the result object) — and its serial
-  ``run()`` is that same loop, so the merged shards are the object
-  ``run()`` builds by construction.  ``fig12a`` is one task: its 36
-  points share 72 host-side measurements and 3 traces, which its
-  ``run()`` computes once, so a task's work depends on the task alone;
+* an experiment module that exports ``cells`` (today only ``fig5``,
+  whose eight points would otherwise set a pool's makespan on their
+  own) additionally shards *inside* the experiment, one task per sweep
+  point.  Such a module declares its sweep once — ``cells()`` (the
+  ordered points), ``run_cell(cell, params)`` (one point in a fresh
+  simulator), ``merge(cells, payloads)`` (the result object) — and its
+  serial ``run()`` is that same loop, so the merged shards are the
+  object ``run()`` builds by construction.  Every other experiment is
+  one task whose ``run()`` measures its whole sweep; the full suite is
+  22 tasks;
 * a completed job assembles (``Job.result()``) into a versioned JSON
   artifact (:data:`SCHEMA_VERSION`) holding only deterministic
   content — wall-clock seconds and simulator events per shard live in
@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments.runner import EXPERIMENTS, normalize_names
@@ -135,22 +135,73 @@ def submit_experiments(
     )
 
 
+def _ids_by_name(task_ids: Iterable[str]) -> Dict[str, List[str]]:
+    """Task ids grouped by experiment name, in the order given."""
+    grouped: Dict[str, List[str]] = {}
+    for task_id in task_ids:
+        grouped.setdefault(_task_experiment_name(task_id), []).append(task_id)
+    return grouped
+
+
+def _describe_tasks(task_ids: Sequence[str]) -> str:
+    """``"33 task(s) (fig11[0], ...)"`` for an error message."""
+    if not task_ids:
+        return "no task"
+    more = ", ..." if len(task_ids) > 1 else ""
+    return f"{len(task_ids)} task(s) ({task_ids[0]}{more})"
+
+
+def _check_plan(meta: Dict[str, Any], tasks: Sequence[Task]) -> None:
+    """Refuse a stored experiment job that this build would plan
+    differently.
+
+    Task ids and args are a run directory's keys into experiment code,
+    so a directory written by a build that sharded an experiment
+    another way (``fig11[3]`` where this build plans ``fig11``) can be
+    neither resumed nor assembled here.
+    """
+    names = normalize_names(meta.get("names"))
+    planned = _ids_by_name(
+        task.task_id for task in plan_tasks(names, meta.get("base_seed", 0))
+    )
+    stored = _ids_by_name(task.task_id for task in tasks)
+    for name in dict.fromkeys([*stored, *planned]):
+        if stored.get(name) != planned.get(name):
+            raise ValueError(
+                f"experiment {name!r}: the run directory was planned as "
+                f"{_describe_tasks(stored.get(name, []))}, but this build "
+                f"plans {_describe_tasks(planned.get(name, []))}; rerun it "
+                "in a fresh run directory"
+            )
+
+
 def _merged_results(
     names: Sequence[str], outcomes: Sequence[Outcome]
 ) -> Dict[str, Tuple[Any, str]]:
     """Merge shard payloads (task-index order) into each experiment's
-    ``(result, report)``."""
-    grouped: Dict[str, List[Any]] = {}
+    ``(result, report)``.
+
+    An experiment is assembled only from exactly the tasks the current
+    plan gives it; any other set of results raises :class:`ValueError`.
+    """
+    planned = _ids_by_name(task.task_id for task in plan_tasks(names))
+    grouped: Dict[str, List[ShardResult]] = {}
     for outcome in outcomes:
         if isinstance(outcome, ShardResult):
             grouped.setdefault(
                 _task_experiment_name(outcome.task_id), []
-            ).append(outcome.payload)
+            ).append(outcome)
     merged: Dict[str, Tuple[Any, str]] = {}
     for name in names:
-        payloads = grouped.get(name)
-        if not payloads:
-            raise ValueError(f"no shard results for experiment {name!r}")
+        shards = grouped.get(name, [])
+        recorded = [shard.task_id for shard in shards]
+        if recorded != planned[name]:
+            raise ValueError(
+                f"experiment {name!r}: results for "
+                f"{_describe_tasks(recorded)} recorded, but this build "
+                f"plans {_describe_tasks(planned[name])}"
+            )
+        payloads = [shard.payload for shard in shards]
         module = EXPERIMENTS[name]
         if hasattr(module, "cells"):
             result = module.merge(module.cells(), payloads)
@@ -200,7 +251,7 @@ def _experiment_assembler(
 
 
 register_kind("experiment", _experiment_executor)
-register_assembler("experiment", _experiment_assembler)
+register_assembler("experiment", _experiment_assembler, _check_plan)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ Lines touched on the *host* channel per packet:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dram.controller import MemoryController
 from repro.experiments.oneway import measure_one_way
@@ -140,45 +140,29 @@ def _probe_dram_latency(params: SystemParams, delay: Optional[int]) -> float:
     return latency
 
 
-def cells() -> List[Tuple]:
-    """The sweep points, in merge order: one DRAM probe per pressure
-    level (``("dram", pressure)``), then one unloaded one-way baseline
-    per configuration and size (``("oneway", config, size)``)."""
-    return [("dram", pressure) for pressure in PRESSURES] + [
-        ("oneway", config, size) for config in CONFIGS for size in SIZES
-    ]
+def run(params: Optional[SystemParams] = None) -> LoadedLatencyResult:
+    """Measure unloaded baselines and apply measured queueing deltas.
 
-
-def run_cell(cell: Tuple, params: SystemParams) -> float:
-    """A probe's mean DRAM latency (ns) or a baseline's total ticks."""
-    if cell[0] == "dram":
-        return _probe_dram_latency(params, _DELAYS[cell[1]])
-    _kind, config, size = cell
-    return measure_one_way(config, size, params).total_ticks
-
-
-def merge(cells: Sequence[Tuple], payloads: Sequence[float]) -> LoadedLatencyResult:
-    """Apply the measured queueing deltas to the unloaded baselines."""
-    measured = dict(zip(cells, payloads))
-    dram_latency = {pressure: measured[("dram", pressure)] for pressure in PRESSURES}
+    One DRAM probe per pressure level, then one unloaded one-way
+    baseline per configuration and size; each baseline is charged the
+    probe's per-line queueing delta on its host-channel lines.
+    """
+    params = params or DEFAULT
+    dram_latency = {
+        pressure: _probe_dram_latency(params, _DELAYS[pressure])
+        for pressure in PRESSURES
+    }
     idle_dram = dram_latency["idle"]
     latency: Dict[Tuple[str, str, int], float] = {}
     for config in CONFIGS:
         for size in SIZES:
-            base = measured[("oneway", config, size)]
+            base = measure_one_way(config, size, params).total_ticks
             for pressure in PRESSURES:
                 extra_per_line = max(0.0, dram_latency[pressure] - idle_dram) * 1000
                 latency[(pressure, config, size)] = base + (
                     extra_per_line * host_dram_lines(config, size)
                 )
     return LoadedLatencyResult(latency=latency, dram_latency_ns=dram_latency)
-
-
-def run(params: Optional[SystemParams] = None) -> LoadedLatencyResult:
-    """Measure unloaded baselines and apply measured queueing deltas."""
-    params = params or DEFAULT
-    points = cells()
-    return merge(points, [run_cell(cell, params) for cell in points])
 
 
 def format_report(result: LoadedLatencyResult) -> str:

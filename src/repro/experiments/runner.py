@@ -3,8 +3,9 @@
 :data:`EXPERIMENTS` maps every experiment name to its module; it is the
 one place that lists the experiments.  Every module exports
 ``run(params=None)``, ``format_report(result)`` and a one-line
-``SUMMARY``; a module that also exports ``cells`` (with ``run_cell`` and
-``merge``) is sharded one task per sweep point.  The harness
+``SUMMARY``.  A module that also exports ``cells`` (with ``run_cell``
+and ``merge``) is sharded one task per sweep point; only ``fig5`` does,
+and every other experiment runs as one task.  The harness
 (:mod:`repro.experiments.harness`), calibration
 (:mod:`repro.calib.evaluate`) and ``python -m repro list`` all read this
 map, so adding an experiment is one module plus one line here.

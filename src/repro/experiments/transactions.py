@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.driver.host_nic import DiscreteNICNode
-from repro.net import EthernetWire, Packet
+from repro.net.link import EthernetWire
+from repro.net.packet import Packet
 from repro.params import DEFAULT, SystemParams
 from repro.sim import Simulator
 

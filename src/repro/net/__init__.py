@@ -14,22 +14,10 @@
 * :mod:`repro.net.fabric` — event-driven fabric instantiation: packets
   live-traverse one switch instance per topology node (the scenario
   layer's transport).
+
+The package re-exports nothing, so the topology's vocabulary
+(``Locality``, which the trace generators use) loads without the live
+fabric.
 """
 
-from repro.net.fabric import ClosFabric, DirectFabric
-from repro.net.link import EthernetWire
-from repro.net.packet import Breakdown, Packet, TCP_IP_HEADER_BYTES
-from repro.net.switch import Switch
-from repro.net.topology import ClosTopology, Locality
-
-__all__ = [
-    "Breakdown",
-    "ClosFabric",
-    "ClosTopology",
-    "DirectFabric",
-    "EthernetWire",
-    "Locality",
-    "Packet",
-    "Switch",
-    "TCP_IP_HEADER_BYTES",
-]
+__all__ = []

@@ -318,10 +318,6 @@ class NetDIMMParams:
     """Next-line prefetch depth *n* (Sec. 4.1: "prefetches the next n
     cachelines")."""
 
-    nmc_queue_ports: int = 1
-    """nMC instances per NetDIMM (Sec. 5.1: "an isolated memory controller
-    that models nMC")."""
-
     # RowClone latencies from Seshadri et al. [61], scaled to a 1 KB row
     # (Fig. 9: row = 1 KB per device; a rank-level copy moves 8 KB across
     # the 8 x8 devices in lockstep).
@@ -428,9 +424,6 @@ class NICDeviceParams:
     inic_desc_fetch: int = ns(40)
     """iNIC descriptor fetch through the coherent fabric (LLC hit)."""
 
-    llc_bytes_per_ps: float = GBps(50)
-    """On-die LLC streaming bandwidth for iNIC DDIO payload movement."""
-
     host_poll_read: int = ns(45)
     """Polling read of a descriptor status word in host memory (an LLC
     hit: the line was just written by DDIO / stays resident)."""
@@ -452,16 +445,13 @@ class CacheParams:
     l1d_size: int = 64 * 1024
     l1_assoc: int = 2
     l2_size: int = 2 * 1024 * 1024
+    """Table 1 stops at a 2 MB L2, which therefore acts as the LLC."""
+
     l2_assoc: int = 16
     l2_latency: int = ns(3.5)  # 12 cycles
-    llc_is_l2: bool = True
-    """Table 1 stops at a 2 MB L2, which therefore acts as the LLC."""
 
     ddio_way_fraction: float = 0.10
     """DDIO is limited to ~10% of LLC capacity (Sec. 2.1, [9])."""
-
-    line_fill_latency: int = ns(70)
-    """LLC-miss fill from local DRAM (row-hit typical, incl. controller)."""
 
 
 # ---------------------------------------------------------------------------

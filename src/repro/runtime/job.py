@@ -57,24 +57,33 @@ class JobError(RuntimeError):
 
 
 Assembler = Callable[[Dict[str, Any], List[ShardResult]], Dict[str, Any]]
+PlanCheck = Callable[[Dict[str, Any], List[Task]], None]
 
 JOB_ASSEMBLERS: Dict[str, Assembler] = {}
+JOB_PLAN_CHECKS: Dict[str, PlanCheck] = {}
 
 
-def register_assembler(kind: str, assembler: Assembler) -> None:
-    """Register the artifact assembler for a task kind."""
+def register_assembler(
+    kind: str, assembler: Assembler, check_plan: Optional[PlanCheck] = None
+) -> None:
+    """Register the artifact assembler for a task kind.
+
+    ``check_plan(meta, tasks)``, when given, vets every job rebuilt
+    from a run directory (:meth:`Job.from_state`): it raises
+    :class:`ValueError` when the stored tasks are not the ones this
+    build would plan from ``meta``.  A kind whose task args point into
+    code (an experiment shard index) needs one; a kind whose args carry
+    the whole input does not.
+    """
     JOB_ASSEMBLERS[kind] = assembler
+    if check_plan is not None:
+        JOB_PLAN_CHECKS[kind] = check_plan
 
 
 def _ensure_assembler(kind: str) -> Assembler:
     assembler = JOB_ASSEMBLERS.get(kind)
     if assembler is None:
-        # Same lazy-import trick as the executor registry: the layers
-        # that own each kind register theirs at import time.
-        import repro.calib  # noqa: F401
-        import repro.experiments.harness  # noqa: F401
-        import repro.scenario.runner  # noqa: F401
-
+        _import_kind_owners()
         assembler = JOB_ASSEMBLERS.get(kind)
     if assembler is None:
         raise ValueError(
@@ -82,6 +91,14 @@ def _ensure_assembler(kind: str) -> Assembler:
             f"registered: {sorted(JOB_ASSEMBLERS)}"
         )
     return assembler
+
+
+def _import_kind_owners() -> None:
+    # Same lazy-import trick as the executor registry: the layers that
+    # own each kind register theirs at import time.
+    import repro.calib  # noqa: F401
+    import repro.experiments.harness  # noqa: F401
+    import repro.scenario.runner  # noqa: F401
 
 
 class Job:
@@ -108,15 +125,22 @@ class Job:
     def from_state(
         cls, state: RunState, config: Optional[SweepConfig] = None
     ) -> "Job":
+        kind = state.job.get("kind", "")
         meta = {
             key: value
             for key, value in state.job.items()
             if key not in ("schema", "schema_version", "tasks", "kind")
         }
+        tasks = state.tasks()
+        if kind not in JOB_ASSEMBLERS:
+            _import_kind_owners()
+        check_plan = JOB_PLAN_CHECKS.get(kind)
+        if check_plan is not None:
+            check_plan(meta, tasks)
         job = cls(
-            kind=state.job.get("kind", ""),
+            kind=kind,
             meta=meta,
-            tasks=state.tasks(),
+            tasks=tasks,
             config=config or SweepConfig(run_dir=state.run_dir),
         )
         job._state = state
@@ -276,10 +300,6 @@ def resume(
     deterministically, the resumed job's artifact is byte-identical to
     the one an uninterrupted run would have produced.
     """
-    state = RunState.load(run_dir)
-    state.recover_stale_claims()
-    if retry_failed:
-        state.retry_failed()
     if config is not None and config.run_dir not in (None, run_dir):
         raise ValueError(
             f"config.run_dir {config.run_dir!r} contradicts resume "
@@ -291,4 +311,10 @@ def resume(
         from dataclasses import replace
 
         config = replace(config, run_dir=run_dir)
-    return Job.from_state(state, config).run()
+    state = RunState.load(run_dir)
+    # Rebuilding the job vets its stored plan before any shard moves.
+    job = Job.from_state(state, config)
+    state.recover_stale_claims()
+    if retry_failed:
+        state.retry_failed()
+    return job.run()

@@ -13,34 +13,9 @@
 The experiment layer sits on top: ``measure_one_way`` is the trivial
 two-node scenario, and fig12a's ``mode="fabric"`` replays the cluster
 traces over the live fabric built here.  Running a spec is
-:func:`repro.api.simulate`.
+:func:`repro.api.simulate`.  The package re-exports nothing, so
+loading a spec (:func:`repro.api.load_spec`) loads no model: the
+builder and the models it instantiates load when a spec is built.
 """
 
-from repro.scenario.builder import (
-    SCENARIO_SCHEMA,
-    SCENARIO_SCHEMA_VERSION,
-    Scenario,
-    ScenarioResult,
-    build_scenario,
-)
-from repro.scenario.spec import (
-    FabricSpec,
-    NodeSpec,
-    ScenarioSpec,
-    TrafficSpec,
-)
-from repro.scenario.traffic import FlowPacket, plan_traffic
-
-__all__ = [
-    "FabricSpec",
-    "FlowPacket",
-    "NodeSpec",
-    "SCENARIO_SCHEMA",
-    "SCENARIO_SCHEMA_VERSION",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "TrafficSpec",
-    "build_scenario",
-    "plan_traffic",
-]
+__all__ = []

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.charts import stacked_bar_chart
 from repro.analysis.statsdump import collect, dump, find_components
 from repro.dram.controller import MemoryController
-from repro.driver import NetDIMMNode
+from repro.driver.netdimm_node import NetDIMMNode
 from repro.params import ddr4_2400
 from repro.sim import Component, Simulator
 
@@ -64,7 +64,7 @@ class TestStatsDump:
     def test_dump_filter(self, sim):
         node = NetDIMMNode(sim, "nd")
         node.warm_up()
-        from repro.net import Packet
+        from repro.net.packet import Packet
 
         sim.run_until(node.transmit(Packet(size_bytes=256)), max_events=2_000_000)
         text = dump(node, only="nmc")

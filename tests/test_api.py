@@ -225,6 +225,32 @@ STDLIB_SURFACE_SCRIPT = textwrap.dedent(
 )
 
 
+LOAD_SPEC_SURFACE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro import api
+
+    spec = api.load_spec(sys.argv[1])
+    assert len(spec.nodes) > 0
+    models = ("repro.driver.", "repro.dram", "repro.core", "repro.net.fabric", "repro.flow")
+    loaded = sorted(
+        name
+        for name in sys.modules
+        if any(name.startswith(model) for model in models)
+        and name != "repro.driver.registry"
+    )
+    assert not loaded, f"load_spec loaded {loaded}"
+    try:
+        api.load_spec({"name": "x", "nodes": [{"name": "a", "nic_kind": "fpga"}]})
+    except ValueError as error:
+        assert "unknown NIC kind 'fpga'" in str(error), error
+    else:
+        raise AssertionError("an unknown NIC kind loaded")
+    """
+)
+
+
 class TestImportSurface:
     def test_scenario_run_loads_no_runtime_stdlib_or_unrun_workload(self):
         """The runtime's worker-spawn, pickling and manifest modules, and
@@ -252,6 +278,23 @@ class TestImportSurface:
                 sys.executable,
                 "-c",
                 IMPORT_SURFACE_SCRIPT,
+                str(EXAMPLES / "clos1000_hybrid.json"),
+            ],
+            env=worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_load_spec_loads_no_model(self):
+        """Parsing a spec checks its NIC kinds but loads no node model,
+        DRAM, NetDIMM core, live fabric or flow plane."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                LOAD_SPEC_SURFACE_SCRIPT,
                 str(EXAMPLES / "clos1000_hybrid.json"),
             ],
             env=worker_env(),

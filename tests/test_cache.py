@@ -221,10 +221,11 @@ class TestCacheHierarchyModel:
 DRIVER_IMPORT_SCRIPT = """
 import sys
 
-import repro.driver
+import repro.driver.host_nic
+import repro.driver.netdimm_node
 
 loaded = [m for m in ("repro.cache.ddio", "repro.cache.hierarchy") if m in sys.modules]
-assert not loaded, f"import repro.driver loaded {loaded}"
+assert not loaded, f"importing the drivers loaded {loaded}"
 """
 
 

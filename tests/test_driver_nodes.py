@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.driver import DiscreteNICNode, IntegratedNICNode, NetDIMMNode
-from repro.net import Packet
-from repro.net.packet import FIG11_SEGMENTS
+from repro.driver.host_nic import DiscreteNICNode, IntegratedNICNode
+from repro.driver.netdimm_node import NetDIMMNode
+from repro.net.packet import FIG11_SEGMENTS, Packet
 from repro.sim import Simulator
 
 

@@ -3,9 +3,9 @@ propagation through the simulation kernel."""
 
 import pytest
 
-from repro.driver import NetDIMMNode
+from repro.driver.netdimm_node import NetDIMMNode
 from repro.mem.allocator import OutOfMemoryError
-from repro.net import Packet
+from repro.net.packet import Packet
 from repro.nic.descriptor import RingFullError
 from repro.sim import SimulationError, Simulator
 

@@ -24,14 +24,8 @@ from repro.faults import (
 )
 from repro.faults.engine import CORRUPT, DROP, OK, stall_delay
 from repro.net.packet import Packet
-from repro.scenario import (
-    FabricSpec,
-    NodeSpec,
-    ScenarioSpec,
-    TrafficSpec,
-    build_scenario,
-)
-from repro.scenario.builder import dump_artifact
+from repro.scenario.builder import build_scenario, dump_artifact
+from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 from repro.runtime import SweepConfig
 from repro.scenario.runner import build_fault_overlay, parse_kill, submit_scenarios
 from repro.sim import Simulator

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro import api
 from repro.__main__ import main
 from repro.analysis.targets import check_artifact, format_artifact_checks
-from repro.experiments import fig11, fig12a, harness, loaded_latency
+from repro.experiments import fig12a, harness
+from repro.experiments.oneway import measure_one_way
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
-from repro.runtime import SweepConfig
+from repro.runtime import RunState, ShardResult, SweepConfig, Task
 from repro.runtime.tasks import execute
 from repro.scenario.builder import dump_artifact
 
@@ -104,14 +106,14 @@ class TestHarnessRun:
 
 
 class TestShardedMergeEquality:
-    SHARDS = {"fig5": 8, "fig11": 33, "loaded_latency": 9}
+    SHARDS = {"fig5": 8}
 
     def test_shard_plan_is_pinned(self):
         """Task ids and args are run-directory keys: a plan that moves
         breaks resuming an older run directory."""
         tasks = harness.plan_tasks(list(EXPERIMENTS))
-        assert len(tasks) == 62
-        assert [task.index for task in tasks] == list(range(62))
+        assert len(tasks) == 22
+        assert [task.index for task in tasks] == list(range(22))
         for name in EXPERIMENTS:
             mine = [task for task in tasks if task.args["name"] == name]
             if name in self.SHARDS:
@@ -124,21 +126,10 @@ class TestShardedMergeEquality:
                 assert [t.task_id for t in mine] == [name]
                 assert [t.args for t in mine] == [{"name": name, "shard": None}]
 
-    @staticmethod
-    def cell_by_cell(module):
-        cells = module.cells()
-        return module.merge(cells, [module.run_cell(cell, DEFAULT) for cell in cells])
-
-    def test_fig11_sharded_equals_serial(self):
-        assert self.cell_by_cell(fig11) == fig11.run()
-
-    def test_loaded_latency_sharded_equals_serial(self):
-        assert self.cell_by_cell(loaded_latency) == loaded_latency.run()
-
     def test_shard_work_is_a_function_of_the_shard(self):
         """A task's ``events_fired`` must not depend on what its process
         ran before: nothing is cached across tasks."""
-        for task in harness.plan_tasks(["fig11", "fig12a"]):
+        for task in harness.plan_tasks(["fig11", "fig12a", "loaded_latency"]):
             first, second = execute(task), execute(task)
             assert first.events_fired == second.events_fired, task.task_id
 
@@ -157,6 +148,82 @@ class TestShardedMergeEquality:
             # 3 configs x 24 size buckets, each measured once per run.
             assert len(calls) == 72
             assert len(set(calls)) == 72
+
+
+class TestForeignPlan:
+    """A run directory planned by a build that sharded an experiment
+    differently is refused with a clean error, never assembled."""
+
+    OLD_TASK = Task(
+        kind="experiment",
+        task_id="fig11[3]",
+        args={"name": "fig11", "shard": 3},
+        index=0,
+    )
+
+    def old_plan_dir(self, tmp_path, done=False):
+        run_dir = str(tmp_path / "run")
+        state = RunState.create(
+            run_dir,
+            {"kind": "experiment", "names": ["fig11"], "base_seed": 0},
+            [self.OLD_TASK],
+        )
+        if done:
+            state.claim_next()
+            state.record(self.old_result())
+        return run_dir
+
+    def old_result(self):
+        return ShardResult(
+            task_id=self.OLD_TASK.task_id,
+            index=0,
+            seed=self.OLD_TASK.seed,
+            payload=measure_one_way("dnic", 60, DEFAULT),
+            wall_seconds=0.0,
+            events_fired=0,
+            worker="old-build",
+        )
+
+    @pytest.mark.parametrize("done", [False, True], ids=["queued", "done"])
+    def test_resume_refuses_an_old_plan_before_running(self, tmp_path, done):
+        run_dir = self.old_plan_dir(tmp_path, done)
+        before = RunState.load(run_dir).counts()
+        with pytest.raises(ValueError, match=r"experiment 'fig11'.*fig11\[3\]"):
+            api.resume(run_dir, retry_failed=True)
+        assert RunState.load(run_dir).counts() == before
+
+    def test_cli_resume_prints_one_error_line_and_no_artifact(
+        self, tmp_path, capsys
+    ):
+        run_dir = self.old_plan_dir(tmp_path, done=True)
+        artifact = tmp_path / "new.json"
+        assert main(["resume", run_dir, "--json", str(artifact)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: experiment 'fig11'")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert not artifact.exists()
+
+    def test_results_that_do_not_fit_the_plan_are_never_assembled(self):
+        with pytest.raises(ValueError, match="experiment 'fig11'"):
+            harness._experiment_assembler(
+                {"names": ["fig11"]}, [self.old_result()]
+            )
+        fig5 = harness.plan_tasks(["fig5"])
+        partial = [
+            ShardResult(
+                task_id=task.task_id,
+                index=task.index,
+                seed=task.seed,
+                payload=1.0,
+                wall_seconds=0.0,
+                events_fired=0,
+                worker="w",
+            )
+            for task in fig5[:-1]
+        ]
+        with pytest.raises(ValueError, match="experiment 'fig5'.*7 task"):
+            harness._experiment_assembler({"names": ["fig5"]}, partial)
 
 
 class TestDiff:

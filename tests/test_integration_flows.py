@@ -5,7 +5,8 @@ import pytest
 
 from repro.driver.registry import make_node
 from repro.experiments.oneway import measure_one_way
-from repro.net import EthernetWire, Packet
+from repro.net.link import EthernetWire
+from repro.net.packet import Packet
 from repro.sim import Simulator
 
 

@@ -12,8 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flow.model import FlowLoadMap, FlowModel
-from repro.net import ClosFabric, ClosTopology, EthernetWire, Locality, Packet, Switch
-from repro.net.topology import INTER_DC_WAN_PROPAGATION, ClosConfig, SWITCH_HOPS
+from repro.net.fabric import ClosFabric
+from repro.net.link import EthernetWire
+from repro.net.packet import Packet
+from repro.net.switch import Switch
+from repro.net.topology import (
+    INTER_DC_WAN_PROPAGATION,
+    SWITCH_HOPS,
+    ClosConfig,
+    ClosTopology,
+    Locality,
+)
 from repro.params import NetworkParams
 from repro.sim import Simulator
 from repro.units import ns, to_ns, transfer_time
@@ -456,7 +465,7 @@ NO_NETWORKX_SCRIPT = textwrap.dedent(
     sys.modules["networkx"] = None  # any later `import networkx` fails
 
     from repro import api
-    from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+    from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 
     spec = ScenarioSpec(
         name="two-dc",

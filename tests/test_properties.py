@@ -3,8 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.controller import MemoryController
-from repro.driver import NetDIMMNode
-from repro.net import Packet
+from repro.driver.netdimm_node import NetDIMMNode
+from repro.net.packet import Packet
 from repro.params import ddr4_2400
 from repro.sim import Simulator
 from repro.units import CACHELINE

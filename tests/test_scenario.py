@@ -21,16 +21,9 @@ from repro.experiments import fig12a
 from repro.faults import FaultSpec, LinkFaultSpec
 from repro.nic.descriptor import RingFullError
 from repro.params import DEFAULT, apply_overrides
-from repro.scenario import (
-    FabricSpec,
-    NodeSpec,
-    SCENARIO_SCHEMA,
-    ScenarioSpec,
-    TrafficSpec,
-    build_scenario,
-    plan_traffic,
-)
-from repro.scenario.builder import dump_artifact
+from repro.scenario.builder import SCENARIO_SCHEMA, build_scenario, dump_artifact
+from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+from repro.scenario.traffic import plan_traffic
 from repro.runtime import SweepConfig
 from repro.scenario.runner import submit_scenarios
 from repro.sim import Simulator

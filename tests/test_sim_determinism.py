@@ -18,8 +18,8 @@ never change which event fires when.  These tests pin that promise:
   paths, with and without zero-copy: the four-node incast on each kind,
   and a same-tick RX/TX burst on one node.  Digests and summaries live in
   ``tests/data/golden_host_nic_streams.json``.
-* ``test_sweep_result_matches_golden`` runs the other sharded sweeps
-  (``fig11``, ``fig12a``, ``loaded_latency``) through the harness and
+* ``test_sweep_result_matches_golden`` runs the ``fig11``, ``fig12a``
+  and ``loaded_latency`` sweeps (one task each) through the harness and
   compares the sha256 of each ``experiments[name]`` artifact entry
   against ``tests/data/golden_sweep_results.json``.
 * ``test_dram_stream_matches_golden`` traces the memory controller
@@ -168,13 +168,8 @@ def scenario_stream(
     controllers, the NVDIMM-P port and the NetDIMM device; the host-NIC
     kinds trade the last two for the PCIe link or the on-die fabric.
     """
-    from repro.scenario import (
-        FabricSpec,
-        NodeSpec,
-        ScenarioSpec,
-        TrafficSpec,
-        build_scenario,
-    )
+    from repro.scenario.builder import build_scenario
+    from repro.scenario.spec import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
 
     spec = ScenarioSpec(
         name=f"cluster-stream-{seed}",
@@ -233,8 +228,8 @@ def host_nic_burst_stream(nic_kind: str):
     memory controller too).  The simulator traces from birth.  Returns
     the stream as bytes plus a summary dict.
     """
-    from repro.driver import make_node
-    from repro.net import Packet
+    from repro.driver.registry import make_node
+    from repro.net.packet import Packet
 
     sim, events = _traced_sim()
     node = make_node(sim, "n", nic_kind)
@@ -387,7 +382,8 @@ def sweep_digests(names=SWEEP_NAMES):
 
 
 class TestSweepResultDigests:
-    """The sharded sweeps' artifact entries, pinned by digest."""
+    """The fig11, fig12a and loaded_latency artifact entries, pinned by
+    digest."""
 
     @pytest.fixture(scope="class")
     def digests(self):
