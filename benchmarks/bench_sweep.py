@@ -1,9 +1,9 @@
 """Sweep-runtime benchmark: the pool backend vs serial, same job.
 
 Six seed variants of the 16-node incast (the :mod:`bench_fabric`
-workload) submitted as one scenario sweep, twice: once on the
-``local`` backend (every shard inline, the determinism reference) and
-once on the ``pool`` backend (``jobs=4`` forked workers).  Both runs
+workload) submitted as one scenario sweep, twice, on the ``pool``
+backend: once at ``jobs=1`` (every shard inline, the determinism
+reference) and once at ``jobs=4`` (forked workers).  Both runs
 must assemble the *identical* artifact — the runtime's core contract —
 and the pool run must actually buy wall-clock: CI pins
 ``test_bench_sweep_pool`` at >= 1.5x ``test_bench_sweep_serial``
@@ -83,7 +83,7 @@ _SERIAL = {}
 def _serial_run():
     """Run (once) and meter the serial sweep; cached across tests."""
     if not _SERIAL:
-        document, events, wall = _run_sweep("local")
+        document, events, wall = _run_sweep("pool")
         _SERIAL.update(document=document, events=events, wall=wall)
     return _SERIAL
 
@@ -100,7 +100,7 @@ def test_bench_sweep_serial():
         )
     report_rate(metered["events"], metered["wall"])
     report(
-        "sweep benchmark reference: 6-point incast sweep, local backend",
+        "sweep benchmark reference: 6-point incast sweep, inline pool",
         f"{len(scenarios)} shards, {metered['events']} events in "
         f"{metered['wall']:.3f} s "
         f"({metered['events'] / metered['wall']:,.0f} ev/s)",

@@ -35,16 +35,17 @@ Commands
     given, unset ones at their FaultSpec defaults, or the spec file's
     own ``faults`` section when no fault flag is given), with
     driver-level retransmission recovering losses.
-``sweep TARGET [...] [--backend B] [--jobs N] [--workers N]
-[--run-dir DIR] [--json PATH] [--base-seed N] [--allow-partial]``
+``sweep TARGET [...] [--backend B] [--jobs N] [--run-dir DIR]
+[--json PATH] [--base-seed N] [--allow-partial]``
     The job-oriented front door (:func:`repro.api.submit`): run
     experiment names and/or scenario spec files as a sharded sweep on
-    a named backend — ``local`` (inline), ``pool`` (process pool), or
-    ``workers`` (detached worker processes over a shared, resumable
-    run directory; point extra machines at the same directory on a
-    shared filesystem to distribute).  ``--run-dir`` checkpoints every
-    shard and writes a provenance manifest; ``--json`` writes the
-    deterministic sweep artifact (byte-identical across backends).
+    a named backend — ``pool`` (inline at ``--jobs 1``, else a process
+    pool) or ``workers`` (``--jobs`` detached worker processes over a
+    shared, resumable run directory; point extra machines at the same
+    directory on a shared filesystem to distribute).  ``--run-dir``
+    checkpoints every shard and writes a provenance manifest;
+    ``--json`` writes the deterministic sweep artifact (byte-identical
+    across backends).
 ``resume RUNDIR [--backend B ...] [--json PATH] [--retry-failed]``
     Pick a killed or interrupted sweep back up: stale claims re-enter
     the queue, pending shards re-execute, and the artifact comes out
@@ -57,8 +58,7 @@ Commands
     ``workers`` backend spawns; also the thing you start by hand on
     another machine to join a sweep.
 ``calibrate SPEC.json [--targets SEL ...] [--budget N] [--out DIR]
-[--backend B] [--jobs N] [--workers N] [--run-dir DIR] [--base-seed N]
-[--trace PATH]``
+[--backend B] [--jobs N] [--run-dir DIR] [--base-seed N] [--trace PATH]``
     Closed-loop calibration (see ``docs/calibration.md``): fit the
     ``*Calibrated*`` constants named by the search-space file to the
     paper-target bands, trial by trial over the sweep runtime.
@@ -80,9 +80,10 @@ Every verb that runs a sweep — ``experiments``, ``run-scenario``,
 same tail: the report or shard summary, ``Job.artifact()`` for
 ``--json``, and exit 1 on a failed shard.
 
-This module deliberately imports only :mod:`repro.api` (plus the kernel
-profiler, on demand, for ``experiments --profile``) — the CLI is the
-facade's first consumer.
+This module deliberately imports only :mod:`repro.api` (plus, on
+demand, the kernel profiler for ``experiments --profile`` and the
+worker loop for ``sweep-worker``) — the CLI is the facade's first
+consumer.
 """
 
 from __future__ import annotations
@@ -259,16 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         choices=sorted(api.BACKENDS),
-        default="local",
+        default="pool",
         help="execution backend (workers = resumable/distributed)",
     )
     sweep.add_argument(
         "--jobs", type=positive_int, default=1, metavar="N",
-        help="process-pool width (pool backend)",
-    )
-    sweep.add_argument(
-        "--workers", type=positive_int, default=2, metavar="N",
-        help="worker-process count (workers backend)",
+        help="pool processes (1 = run inline) or worker processes",
     )
     sweep.add_argument(
         "--run-dir", metavar="DIR",
@@ -292,12 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument("run_dir", metavar="RUNDIR")
     resume.add_argument(
-        "--backend", choices=sorted(api.BACKENDS), default="local"
+        "--backend", choices=sorted(api.BACKENDS), default="pool"
     )
     resume.add_argument("--jobs", type=positive_int, default=1, metavar="N")
-    resume.add_argument(
-        "--workers", type=positive_int, default=2, metavar="N"
-    )
     resume.add_argument(
         "--retry-failed", action="store_true",
         help="re-enqueue failed shards as well",
@@ -341,16 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "trial log here (refuses to overwrite)",
     )
     calibrate.add_argument(
-        "--backend", choices=sorted(api.BACKENDS), default="local",
+        "--backend", choices=sorted(api.BACKENDS), default="pool",
         help="sweep backend for the trial shards",
     )
     calibrate.add_argument(
         "--jobs", type=positive_int, default=1, metavar="N",
-        help="process-pool width (pool backend)",
-    )
-    calibrate.add_argument(
-        "--workers", type=positive_int, default=2, metavar="N",
-        help="worker-process count (workers backend)",
+        help="pool processes (1 = run inline) or worker processes",
     )
     calibrate.add_argument(
         "--run-dir", metavar="DIR",
@@ -436,11 +426,6 @@ def _describe_job(job) -> List[str]:
     return lines
 
 
-def _pool_config(jobs: int):
-    """``--jobs N`` of the reporting verbs: inline for 1, else a pool."""
-    return api.SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs)
-
-
 def _finish_job(
     job, json_path: str, allow_partial: bool = False, report: str = ""
 ) -> tuple:
@@ -465,8 +450,9 @@ def _finish_job(
 
 def _cmd_experiments(args: argparse.Namespace) -> tuple:
     """``experiments``: the named experiments as one job, reported."""
+    jobs = 1 if args.profile else args.jobs
     job = api.submit_experiments(
-        args.names or None, config=_pool_config(1 if args.profile else args.jobs)
+        args.names or None, config=api.SweepConfig(jobs=jobs)
     )
     profile = _profile_run(job) if args.profile else ""
     output, exit_code = _finish_job(
@@ -513,7 +499,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> tuple:
     chaos = args.command == "run-chaos"
     job = api.submit_scenarios(
         args.specs,
-        config=_pool_config(args.jobs),
+        config=api.SweepConfig(jobs=args.jobs),
         chaos=chaos,
         faults=_chaos_overlay(args) if chaos else None,
         trace=bool(args.trace_path),
@@ -567,7 +553,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
         budget=args.budget,
         backend=args.backend,
         jobs=args.jobs,
-        workers=args.workers,
         run_dir=args.run_dir,
         base_seed=args.base_seed,
         out_dir=args.out_dir,
@@ -627,7 +612,6 @@ def _cmd_job(args: argparse.Namespace) -> tuple:
             args.targets,
             backend=args.backend,
             jobs=args.jobs,
-            workers=args.workers,
             run_dir=args.run_dir,
             base_seed=args.base_seed,
         ).run()
@@ -635,10 +619,7 @@ def _cmd_job(args: argparse.Namespace) -> tuple:
         job = api.resume(
             args.run_dir,
             config=api.SweepConfig(
-                backend=args.backend,
-                jobs=args.jobs,
-                workers=args.workers,
-                run_dir=args.run_dir,
+                backend=args.backend, jobs=args.jobs, run_dir=args.run_dir
             ),
             retry_failed=args.retry_failed,
         )
@@ -702,10 +683,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     elif args.command == "sweep-worker":
-        argv_tail = [args.run_dir]
-        if args.max_tasks is not None:
-            argv_tail += ["--max-tasks", str(args.max_tasks)]
-        return api.sweep_worker_main(argv_tail)
+        from repro.runtime import worker_identity
+        from repro.runtime.worker import work
+
+        try:
+            executed = work(args.run_dir, max_tasks=args.max_tasks)
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        output = f"{worker_identity()}: executed {executed} shard(s)"
     elif args.command == "calibrate":
         try:
             output = _cmd_calibrate(args)

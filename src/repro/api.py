@@ -18,10 +18,11 @@ Everything a user (or the CLI) does goes through a handful of verbs::
 * :func:`simulate` — one spec → one :class:`ScenarioResult`, optionally
   under a :class:`FaultSpec` (chaos mode).
 * :func:`submit` — experiments *or* scenario specs as a
-  :class:`~repro.runtime.Job` on a named backend (``"local"``,
-  ``"pool"``, ``"workers"``); ``Job.status()`` / ``Job.result()`` /
-  ``Job.artifact()`` drive it, :func:`collect` gathers many, and
-  :func:`resume` picks a killed sweep back up from its run directory.
+  :class:`~repro.runtime.Job` on a named backend (``"pool"``, inline
+  at ``jobs=1``, or ``"workers"``); ``Job.status()`` /
+  ``Job.result()`` / ``Job.artifact()`` drive it, :func:`collect`
+  gathers many, and :func:`resume` picks a killed sweep back up from
+  its run directory.
   Every sweep runs through a job, and ``Job.artifact()`` is the one
   writer of experiment and scenario artifacts.
 * :func:`diff_artifacts` — compare two experiment artifacts
@@ -73,18 +74,18 @@ from typing import (
 from repro.params import DEFAULT, SystemParams, apply_overrides
 from repro.runtime import (
     BACKENDS,
+    KIND_OWNERS,
     Job,
     JobError,
-    LocalBackend,
     ProcessPoolBackend,
     RunState,
     SweepConfig,
     WorkerPoolBackend,
+    kind_owner,
 )
 from repro.runtime import collect as _collect
 from repro.runtime import derive as derive_seed
 from repro.runtime import resume as _resume
-from repro.runtime.worker import main as sweep_worker_main
 
 if TYPE_CHECKING:
     from repro.calib import CalibrationReport, SearchSpace
@@ -174,7 +175,6 @@ __all__ = [
     "BACKENDS",
     "Job",
     "JobError",
-    "LocalBackend",
     "ProcessPoolBackend",
     "WorkerPoolBackend",
     "RunState",
@@ -183,7 +183,6 @@ __all__ = [
     "reject_partial_artifact",
     "submit_experiments",
     "submit_scenarios",
-    "sweep_worker_main",
     # telemetry
     "SpanTracer",
     "calibration_trace",
@@ -298,10 +297,9 @@ def trace_scenario(
 
 def submit(
     spec_or_experiment: Any,
-    backend: str = "local",
+    backend: str = "pool",
     *,
     jobs: int = 1,
-    workers: int = 2,
     run_dir: Optional[str] = None,
     base_seed: int = 0,
     chaos: bool = False,
@@ -313,9 +311,10 @@ def submit(
     ``spec_or_experiment`` is an experiment name (or list of names, or
     ``None``/``"all"`` for every experiment), a scenario spec file path
     (or list of paths), or a :class:`ScenarioSpec` (or list of specs).
-    ``backend`` selects by name: ``"local"`` (inline), ``"pool"``
-    (``jobs`` processes), ``"workers"`` (``workers`` detached worker
-    processes over ``run_dir`` — the resumable, distributable path).
+    ``backend`` selects by name: ``"pool"`` (inline at ``jobs=1``,
+    else ``jobs`` forked processes) or ``"workers"`` (``jobs`` detached
+    worker processes over ``run_dir`` — the resumable, distributable
+    path).
     ``chaos``, ``faults`` and ``trace`` apply to scenarios only:
     ``trace`` span-traces every scenario for :func:`job_trace`.
 
@@ -327,9 +326,7 @@ def submit(
     """
     from repro.scenario.spec import ScenarioSpec
 
-    config = SweepConfig(
-        backend=backend, jobs=jobs, workers=workers, run_dir=run_dir
-    )
+    config = SweepConfig(backend=backend, jobs=jobs, run_dir=run_dir)
     items = (
         list(spec_or_experiment)
         if isinstance(spec_or_experiment, (list, tuple))
@@ -408,9 +405,8 @@ def calibrate(
     *,
     targets: Optional[Sequence[str]] = None,
     budget: int = 16,
-    backend: str = "local",
+    backend: str = "pool",
     jobs: int = 1,
-    workers: int = 2,
     run_dir: Optional[str] = None,
     base_seed: int = 0,
     out_dir: Optional[str] = None,
@@ -422,7 +418,7 @@ def calibrate(
     of a search-space JSON file; ``targets`` selects ``PAPER_TARGETS``
     entries by name or figure prefix (default ``fig4`` + ``fig11``);
     ``budget`` caps the number of evaluated trials.  ``backend`` /
-    ``jobs`` / ``workers`` / ``run_dir`` mean exactly what they mean
+    ``jobs`` / ``run_dir`` mean exactly what they mean
     for :func:`submit` — trials are ordinary sweep shards, and with a
     ``run_dir`` a killed calibration re-run with the same arguments
     resumes from its per-round checkpoints.  With ``out_dir`` the
@@ -445,9 +441,7 @@ def calibrate(
     if isinstance(space, str):
         with open(space, "r", encoding="utf-8") as handle:
             space = json.load(handle)
-    config = SweepConfig(
-        backend=backend, jobs=jobs, workers=workers, run_dir=run_dir
-    )
+    config = SweepConfig(backend=backend, jobs=jobs, run_dir=run_dir)
     report = _calibrate(
         space,
         targets=targets,
@@ -475,16 +469,10 @@ def diff_artifacts(
     return _diff_artifacts(current, baseline, tolerance, allow_partial)
 
 
-_JOB_REPORTS = {
-    "experiment": "repro.experiments.harness",
-    "scenario": "repro.scenario.runner",
-}
-"""Job kind -> the module whose ``format_job_report`` renders it."""
-
-
 def format_report(result: Union[ScenarioResult, Job]) -> str:
     """The human-readable report of a :class:`ScenarioResult` or of a
-    completed experiment or scenario :class:`Job`.
+    completed job whose kind owner defines ``format_job_report`` (an
+    experiment or scenario job).
 
     A job with failed or pending shards raises :class:`JobError` naming
     them; any other job kind raises :class:`TypeError`.
@@ -494,19 +482,21 @@ def format_report(result: Union[ScenarioResult, Job]) -> str:
 
     if isinstance(result, ScenarioResult):
         return _format_scenario_report(result)
-    if isinstance(result, Job) and result.kind in _JOB_REPORTS:
-        failures = result.failures()
-        if failures:
-            lines = "\n  ".join(failure.summary() for failure in failures)
-            raise JobError(
-                f"{len(failures)} {result.kind} shard(s) failed:\n  {lines}"
-            )
-        pending = len(result.tasks) - len(result.outcomes())
-        if pending:
-            raise JobError(f"{pending} shard(s) still pending; run the job first")
-        module = importlib.import_module(_JOB_REPORTS[result.kind])
-        return module.format_job_report(result)
-    raise TypeError(
-        f"cannot format a {type(result).__name__}; expected ScenarioResult "
-        "or a completed experiment or scenario Job"
-    )
+    render = None
+    if isinstance(result, Job) and result.kind in KIND_OWNERS:
+        render = getattr(kind_owner(result.kind), "format_job_report", None)
+    if render is None:
+        raise TypeError(
+            f"cannot format a {type(result).__name__}; expected "
+            "ScenarioResult or a completed experiment or scenario Job"
+        )
+    failures = result.failures()
+    if failures:
+        lines = "\n  ".join(failure.summary() for failure in failures)
+        raise JobError(
+            f"{len(failures)} {result.kind} shard(s) failed:\n  {lines}"
+        )
+    pending = len(result.tasks) - len(result.outcomes())
+    if pending:
+        raise JobError(f"{pending} shard(s) still pending; run the job first")
+    return render(result)

@@ -10,7 +10,7 @@ bands.  This package closes that loop mechanically:
   (:data:`CALIBRATABLE`) and the :class:`SearchSpace`/:class:`Axis`
   declaration of what a run may move;
 - :mod:`repro.calib.evaluate` — one candidate → the registry's
-  experiments → per-target normalized losses, registered as the
+  experiments → per-target normalized losses; the owner of the
   ``"calib"`` sweep task kind;
 - :mod:`repro.calib.search` — the budgeted search
   (:class:`CoordinateDescent`, a pattern search) run through the
@@ -40,8 +40,6 @@ from repro.calib.artifact import (
 )
 from repro.calib.evaluate import (
     DEFAULT_TARGET_SELECTORS,
-    _calib_assembler,
-    _calib_executor,
     evaluate_candidate,
     experiments_for,
     select_targets,
@@ -60,8 +58,6 @@ from repro.calib.space import (
     nested_overrides,
     param_id,
 )
-from repro.runtime.job import register_assembler
-from repro.runtime.tasks import register_kind
 
 __all__ = [
     "CALIBRATABLE",
@@ -85,8 +81,3 @@ __all__ = [
     "write_calibration",
 ]
 
-# Importing the package is what plugs calibration into the sweep
-# runtime; runtime.tasks/_ensure_registered lazy-imports repro.calib
-# for exactly this side effect.
-register_kind("calib", _calib_executor)
-register_assembler("calib", _calib_assembler)

@@ -15,11 +15,11 @@ fit.  Target selection is by full registry name or by figure prefix
 set — ``fig4`` + ``fig11`` — is the same pair of figures the shipped
 constants were hand-calibrated against (``docs/calibration.md``).
 
-The module registers the ``"calib"`` task kind with the sweep
-runtime, so a trial is an ordinary shard: executed by any backend,
-checkpointed in run directories, SIGKILL-survivable, and — on
-failure — recorded as a structured :class:`ShardFailure`, never a
-fabricated ``inf`` loss.
+The module owns the ``"calib"`` task kind of the sweep runtime
+(:data:`repro.runtime.tasks.KIND_OWNERS`), so a trial is an ordinary
+shard: executed by any backend, checkpointed in run directories,
+SIGKILL-survivable, and — on failure — recorded as a structured
+:class:`ShardFailure`, never a fabricated ``inf`` loss.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.analysis.targets import PAPER_TARGETS, aggregate_loss
 from repro.calib.space import nested_overrides
 from repro.experiments.runner import EXPERIMENTS
 from repro.params import DEFAULT, apply_overrides
+from repro.runtime.tasks import Outcome, ShardResult
 
 __all__ = [
     "DEFAULT_TARGET_SELECTORS",
@@ -115,8 +116,8 @@ def evaluate_candidate(
     }
 
 
-def _calib_executor(args: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``"calib"`` task-kind executor: args in, trial payload out."""
+def run_task(args: Dict[str, Any]) -> Dict[str, Any]:
+    """One ``"calib"`` task: args in, trial payload out."""
     payload = evaluate_candidate(
         args.get("overrides") or {}, args["targets"]
     )
@@ -124,11 +125,11 @@ def _calib_executor(args: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
-def _calib_assembler(
-    meta: Dict[str, Any], results: Sequence[Any]
+def assemble(
+    meta: Dict[str, Any], outcomes: Sequence[Outcome]
 ) -> Dict[str, Any]:
-    """Assemble one round's shard payloads into a trials document."""
-    ordered = sorted(results, key=lambda result: result.index)
+    """Assemble one round's successful shard payloads into a trials
+    document."""
     return {
         "schema": "netdimm-repro/calib-trials",
         "schema_version": 1,
@@ -136,5 +137,9 @@ def _calib_assembler(
             "base_seed": meta.get("base_seed", 0),
             "targets": meta.get("targets", []),
         },
-        "trials": [result.payload for result in ordered],
+        "trials": [
+            outcome.payload
+            for outcome in outcomes
+            if isinstance(outcome, ShardResult)
+        ],
     }

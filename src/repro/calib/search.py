@@ -4,7 +4,7 @@ One calibration run is a sequence of *rounds*; each round is an
 ordinary sweep :class:`~repro.runtime.job.Job` of ``"calib"`` task
 shards (one per candidate), so every property the runtime guarantees
 for sweeps holds for calibration unchanged: any backend
-(``SweepConfig(backend="local" | "pool" | "workers")``), byte-identical
+(``SweepConfig(backend="pool" | "workers", jobs=N)``), byte-identical
 trial results across backends, run-directory checkpoints, and
 SIGKILL-then-rerun resume.  With a ``run_dir``, round *k* checkpoints
 under ``<run_dir>/round-000k``; re-running the same calibration
@@ -298,8 +298,8 @@ def _run_round(
                     f"its tasks are {recorded}, this search planned "
                     f"{expected}; point --run-dir at a fresh directory"
                 )
-            state.recover_stale_claims()
             job = Job.from_state(state, round_config)
+            state.recover_stale_claims()
         else:
             job = Job(
                 kind="calib", meta=meta, tasks=tasks, config=round_config

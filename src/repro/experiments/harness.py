@@ -5,10 +5,12 @@ diffable* object:
 
 * experiments execute as :mod:`repro.runtime` task shards:
   :func:`submit_experiments` plans them into a :class:`~repro.runtime.Job`
-  that runs on any backend — inline (``SweepConfig()``), a process
-  pool (``SweepConfig(backend="pool", jobs=N)``), or a detached worker
-  pool over a shared run directory (``backend="workers"``, which is
-  also the resumable/distributed path);
+  that runs on either backend — inline (``SweepConfig()``), a process
+  pool (``SweepConfig(jobs=N)``), or ``jobs`` detached workers over a
+  shared run directory (``backend="workers"``, which is also the
+  resumable/distributed path).  This module owns the ``"experiment"``
+  task kind: ``run_task``, ``assemble``, ``check_plan`` and
+  ``format_job_report`` are what the runtime calls;
 * an experiment module that exports ``cells`` (today only ``fig5``,
   whose eight points would otherwise set a pool's makespan on their
   own) additionally shards *inside* the experiment, one task per sweep
@@ -46,8 +48,8 @@ from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
 from repro.runtime.backends import SweepConfig
-from repro.runtime.job import Job, register_assembler
-from repro.runtime.tasks import Outcome, ShardResult, Task, register_kind
+from repro.runtime.job import Job
+from repro.runtime.tasks import Outcome, ShardResult, Task
 from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
 
 SCHEMA = "netdimm-repro/experiment-artifact"
@@ -55,15 +57,14 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Task execution: the "experiment" runtime kind.
+# The "experiment" runtime kind: this module is its owner.
 # ---------------------------------------------------------------------------
 
 
-def _experiment_executor(args: Dict[str, Any]) -> Any:
+def run_task(args: Dict[str, Any]) -> Any:
     """Run one experiment task (whole experiment or one sweep shard).
 
-    The executor for the ``"experiment"`` runtime kind: metering,
-    failure capture, and checkpointing are the runtime's job
+    Metering, failure capture, and checkpointing are the runtime's job
     (:func:`repro.runtime.tasks.execute`); this only maps JSON args
     onto experiment code.
     """
@@ -151,7 +152,7 @@ def _describe_tasks(task_ids: Sequence[str]) -> str:
     return f"{len(task_ids)} task(s) ({task_ids[0]}{more})"
 
 
-def _check_plan(meta: Dict[str, Any], tasks: Sequence[Task]) -> None:
+def check_plan(meta: Dict[str, Any], tasks: Sequence[Task]) -> None:
     """Refuse a stored experiment job that this build would plan
     differently.
 
@@ -181,18 +182,24 @@ def _merged_results(
     """Merge shard payloads (task-index order) into each experiment's
     ``(result, report)``.
 
-    An experiment is assembled only from exactly the tasks the current
-    plan gives it; any other set of results raises :class:`ValueError`.
+    An experiment with a failed task is left out: it is never partly
+    merged.  Every other experiment is assembled only from exactly the
+    tasks the current plan gives it; any other set of results raises
+    :class:`ValueError`.
     """
     planned = _ids_by_name(task.task_id for task in plan_tasks(names))
     grouped: Dict[str, List[ShardResult]] = {}
+    failed = set()
     for outcome in outcomes:
+        name = _task_experiment_name(outcome.task_id)
         if isinstance(outcome, ShardResult):
-            grouped.setdefault(
-                _task_experiment_name(outcome.task_id), []
-            ).append(outcome)
+            grouped.setdefault(name, []).append(outcome)
+        else:
+            failed.add(name)
     merged: Dict[str, Tuple[Any, str]] = {}
     for name in names:
+        if name in failed:
+            continue
         shards = grouped.get(name, [])
         recorded = [shard.task_id for shard in shards]
         if recorded != planned[name]:
@@ -219,17 +226,19 @@ def format_job_report(job: Job) -> str:
     )
 
 
-def _experiment_assembler(
-    meta: Dict[str, Any], results: List[ShardResult]
+def assemble(
+    meta: Dict[str, Any], outcomes: Sequence[Outcome]
 ) -> Dict[str, Any]:
-    """Assemble the deterministic sweep artifact from shard results.
+    """Assemble the deterministic sweep artifact from shard outcomes.
 
     Wall-clock and event-rate metadata are provenance and live in the
     run's manifest sidecar, never here — which is what makes serial,
-    pooled, and distributed sweep artifacts byte-identical.
+    pooled, and distributed sweep artifacts byte-identical.  An
+    experiment with a failed shard (``allow_partial``) is absent from
+    ``experiments``; the job's ``failures`` section names the shard.
     """
     names = meta["names"]
-    merged = _merged_results(names, results)
+    merged = _merged_results(names, outcomes)
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -249,9 +258,6 @@ def _experiment_assembler(
         },
     }
 
-
-register_kind("experiment", _experiment_executor)
-register_assembler("experiment", _experiment_assembler, _check_plan)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything a sweep needs to run somewhere other than "inline, here,
 now": stable seed derivation (:mod:`~repro.runtime.seeds`), data-only
-task shards with metered execution and structured failure capture
-(:mod:`~repro.runtime.tasks`), a resumable on-disk run-directory state
-machine doubling as a cross-process/cross-machine job broker
+task shards with metered execution, structured failure capture and
+the one table of task kinds (:mod:`~repro.runtime.tasks`), a
+resumable on-disk run-directory state machine doubling as a
+cross-process/cross-machine job broker
 (:mod:`~repro.runtime.state`), execution backends
 (:mod:`~repro.runtime.backends`), the worker loop
 (:mod:`~repro.runtime.worker`), provenance manifests
@@ -20,13 +21,12 @@ artifact.  See ``docs/runtime.md``.
 from repro.runtime.backends import (
     BACKENDS,
     Backend,
-    LocalBackend,
     ProcessPoolBackend,
     SweepConfig,
     WorkerPoolBackend,
     make_backend,
 )
-from repro.runtime.job import Job, JobError, collect, register_assembler, resume
+from repro.runtime.job import Job, JobError, collect, resume
 from repro.runtime.provenance import (
     MANIFEST_SCHEMA,
     MANIFEST_SCHEMA_VERSION,
@@ -35,18 +35,18 @@ from repro.runtime.provenance import (
 from repro.runtime.seeds import derive
 from repro.runtime.state import JOB_SCHEMA, JOB_SCHEMA_VERSION, RunState
 from repro.runtime.tasks import (
+    KIND_OWNERS,
     ShardFailure,
     ShardResult,
     Task,
     execute,
-    register_kind,
+    kind_owner,
     worker_identity,
 )
 
 __all__ = [
     "BACKENDS",
     "Backend",
-    "LocalBackend",
     "ProcessPoolBackend",
     "WorkerPoolBackend",
     "SweepConfig",
@@ -55,8 +55,8 @@ __all__ = [
     "JobError",
     "collect",
     "resume",
-    "register_assembler",
-    "register_kind",
+    "KIND_OWNERS",
+    "kind_owner",
     "derive",
     "Task",
     "ShardResult",

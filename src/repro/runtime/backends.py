@@ -1,33 +1,27 @@
 """Execution backends: where a job's shards actually run.
 
-Three backends, one contract — given the job's task list they produce
+Two backends, one contract — given the job's task list they produce
 the *same* outcomes in the *same* (task-index) order, so the artifact
 assembled from them is byte-identical regardless of which one ran:
 
-``local``
-    Executes shards inline, one at a time, in this process.  The
-    reference backend: zero parallelism, zero moving parts.
-
 ``pool``
-    Fans shards across a ``ProcessPoolExecutor`` (``jobs`` workers on
-    this machine).  ``executor.map`` preserves submission order, so
-    merge order never depends on completion order.
+    At ``jobs=1`` executes shards inline, one at a time, in this
+    process — the determinism reference.  Above that it fans shards
+    across a ``ProcessPoolExecutor`` of ``jobs`` forked processes;
+    ``executor.map`` preserves submission order, so merge order never
+    depends on completion order.
 
 ``workers``
-    Spawns ``workers`` independent ``python -m repro sweep-worker``
+    Spawns ``jobs`` independent ``python -m repro sweep-worker``
     processes over a shared run directory.  Nothing but the filesystem
     coordinates them — which is exactly why the same command pointed at
     a network filesystem shards a sweep across *machines*.  Requires a
     ``run_dir``.
 
-Any backend checkpoints through :class:`~repro.runtime.state.RunState`
+Either backend checkpoints through :class:`~repro.runtime.state.RunState`
 when the sweep names a run directory (``workers`` always does); the
 backends only ever execute the tasks they are handed, so a resume can
 pass just the pending shards.
-
-Configuration travels as a :class:`SweepConfig` — the keyword-only
-dataclass that replaced the old positional ``jobs=N`` plumbing (the
-same shim pattern PR 4 used for ``TraceConfig``).
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SweepConfig",
     "Backend",
-    "LocalBackend",
     "ProcessPoolBackend",
     "WorkerPoolBackend",
     "BACKENDS",
@@ -63,12 +56,9 @@ class SweepConfig:
     reshuffle positional arguments.
     """
 
-    backend: str = "local"
+    backend: str = "pool"
     jobs: int = 1
-    """Process-pool width (``pool`` backend only)."""
-
-    workers: int = 2
-    """Worker-process count (``workers`` backend only)."""
+    """Width: pool processes (1 = inline) or detached worker processes."""
 
     run_dir: Optional[str] = None
     """Checkpoint/resume directory; required by the ``workers`` backend."""
@@ -81,14 +71,10 @@ class SweepConfig:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 class Backend:
     """Base: run tasks, checkpoint each outcome if a RunState is given."""
-
-    name = "abstract"
 
     def __init__(self, config: SweepConfig):
         self.config = config
@@ -108,31 +94,17 @@ class Backend:
         return outcome
 
 
-class LocalBackend(Backend):
-    """Inline, serial execution — the determinism reference."""
-
-    name = "local"
-
-    def run(
-        self, tasks: Sequence[Task], state: Optional[RunState] = None
-    ) -> List[Outcome]:
-        return [self._checkpoint(execute(task), state) for task in tasks]
-
-
 class ProcessPoolBackend(Backend):
-    """``jobs`` forked workers on this machine via ProcessPoolExecutor."""
-
-    name = "pool"
+    """Inline at ``jobs=1``; else ``jobs`` forked processes on this
+    machine via ProcessPoolExecutor."""
 
     def run(
         self, tasks: Sequence[Task], state: Optional[RunState] = None
     ) -> List[Outcome]:
         tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.config.jobs == 1 or len(tasks) == 1:
-            # A one-wide pool is pure fork overhead; fall back inline.
-            return LocalBackend(self.config).run(tasks, state)
+        if self.config.jobs == 1 or len(tasks) <= 1:
+            # A one-wide pool is pure fork overhead; run inline.
+            return [self._checkpoint(execute(task), state) for task in tasks]
         from concurrent.futures import ProcessPoolExecutor
 
         width = min(self.config.jobs, len(tasks))
@@ -146,7 +118,7 @@ class ProcessPoolBackend(Backend):
 
 
 class WorkerPoolBackend(Backend):
-    """``workers`` independent sweep-worker processes over a run dir.
+    """``jobs`` independent sweep-worker processes over a run dir.
 
     The parent does no execution: it launches the workers, waits, and
     reads the checkpoints back.  Workers coordinate purely through the
@@ -154,8 +126,6 @@ class WorkerPoolBackend(Backend):
     or any machine sharing the filesystem — can join the same run
     directory at any time.
     """
-
-    name = "workers"
 
     def run(
         self, tasks: Sequence[Task], state: Optional[RunState] = None
@@ -166,7 +136,7 @@ class WorkerPoolBackend(Backend):
         if not tasks:
             return []
         wanted = {task.index for task in tasks}
-        procs = [self._spawn(state.run_dir) for _ in range(self.config.workers)]
+        procs = [self._spawn(state.run_dir) for _ in range(self.config.jobs)]
         failures = []
         for proc in procs:
             stdout, stderr = proc.communicate()
@@ -215,7 +185,6 @@ class WorkerPoolBackend(Backend):
 
 
 BACKENDS: Dict[str, Type[Backend]] = {
-    "local": LocalBackend,
     "pool": ProcessPoolBackend,
     "workers": WorkerPoolBackend,
 }

@@ -20,9 +20,9 @@ its outcomes.  The public surface is deliberately small:
     run directory when checkpointing).
 
 Artifact assembly is kind-specific — experiment shards merge through
-the harness, scenario shards through the scenario runner — so each
-layer registers an *assembler* for its kind, exactly mirroring the
-executor registry in :mod:`repro.runtime.tasks`.  Because the job file
+the harness, scenario shards through the scenario runner — so a job
+calls its kind owner's ``assemble(meta, outcomes)``
+(:data:`~repro.runtime.tasks.KIND_OWNERS`).  Because the job file
 stores only JSON (kind, names, seeds, tasks), :func:`resume` can
 rebuild a Job in a fresh interpreter from the run directory alone.
 """
@@ -31,74 +31,18 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runtime.backends import SweepConfig, make_backend
 from repro.runtime.provenance import build_manifest
 from repro.runtime.state import RunState
-from repro.runtime.tasks import (
-    Outcome,
-    ShardFailure,
-    ShardResult,
-    Task,
-)
+from repro.runtime.tasks import Outcome, ShardFailure, Task, kind_owner
 
-__all__ = [
-    "Job",
-    "JobError",
-    "collect",
-    "resume",
-    "register_assembler",
-]
+__all__ = ["Job", "JobError", "collect", "resume"]
 
 
 class JobError(RuntimeError):
     """A job cannot deliver what was asked of it (failed/pending shards)."""
-
-
-Assembler = Callable[[Dict[str, Any], List[ShardResult]], Dict[str, Any]]
-PlanCheck = Callable[[Dict[str, Any], List[Task]], None]
-
-JOB_ASSEMBLERS: Dict[str, Assembler] = {}
-JOB_PLAN_CHECKS: Dict[str, PlanCheck] = {}
-
-
-def register_assembler(
-    kind: str, assembler: Assembler, check_plan: Optional[PlanCheck] = None
-) -> None:
-    """Register the artifact assembler for a task kind.
-
-    ``check_plan(meta, tasks)``, when given, vets every job rebuilt
-    from a run directory (:meth:`Job.from_state`): it raises
-    :class:`ValueError` when the stored tasks are not the ones this
-    build would plan from ``meta``.  A kind whose task args point into
-    code (an experiment shard index) needs one; a kind whose args carry
-    the whole input does not.
-    """
-    JOB_ASSEMBLERS[kind] = assembler
-    if check_plan is not None:
-        JOB_PLAN_CHECKS[kind] = check_plan
-
-
-def _ensure_assembler(kind: str) -> Assembler:
-    assembler = JOB_ASSEMBLERS.get(kind)
-    if assembler is None:
-        _import_kind_owners()
-        assembler = JOB_ASSEMBLERS.get(kind)
-    if assembler is None:
-        raise ValueError(
-            f"no artifact assembler for kind {kind!r}; "
-            f"registered: {sorted(JOB_ASSEMBLERS)}"
-        )
-    return assembler
-
-
-def _import_kind_owners() -> None:
-    # Same lazy-import trick as the executor registry: the layers that
-    # own each kind register theirs at import time.
-    import repro.calib  # noqa: F401
-    import repro.experiments.harness  # noqa: F401
-    import repro.scenario.runner  # noqa: F401
 
 
 class Job:
@@ -132,9 +76,7 @@ class Job:
             if key not in ("schema", "schema_version", "tasks", "kind")
         }
         tasks = state.tasks()
-        if kind not in JOB_ASSEMBLERS:
-            _import_kind_owners()
-        check_plan = JOB_PLAN_CHECKS.get(kind)
+        check_plan = getattr(kind_owner(kind), "check_plan", None)
         if check_plan is not None:
             check_plan(meta, tasks)
         job = cls(
@@ -244,9 +186,7 @@ class Job:
                 "(pass allow_partial/--allow-partial to assemble the "
                 "surviving shards anyway)"
             )
-        assembler = _ensure_assembler(self.kind)
-        results = [o for o in outcomes if isinstance(o, ShardResult)]
-        document = assembler(self.meta, results)
+        document = kind_owner(self.kind).assemble(self.meta, outcomes)
         if failures:
             document["failures"] = [f.to_dict() for f in failures]
         return document

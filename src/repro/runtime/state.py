@@ -180,13 +180,19 @@ class RunState:
         return None
 
     def record(self, outcome: Outcome) -> None:
-        """Checkpoint one outcome and clear its claim."""
+        """Checkpoint one outcome and clear its claim or queue entry.
+
+        A worker's shard sits in ``claims/``; a shard executed in
+        process (the ``pool`` backend) never left ``queue/``.  Either
+        entry goes, so no worker can claim a finished shard again.
+        """
         sub = _DONE if outcome.ok else _FAILED
         _write_atomic(self._path(sub, outcome.index), outcome.to_dict())
-        try:
-            os.remove(self._path(_CLAIMS, outcome.index))
-        except FileNotFoundError:
-            pass  # inline backends execute without claiming
+        for entry in (_CLAIMS, _QUEUE):
+            try:
+                os.remove(self._path(entry, outcome.index))
+            except FileNotFoundError:
+                pass
 
     # -- resume / status ------------------------------------------------------
 
@@ -196,10 +202,13 @@ class RunState:
         Called on resume, when no worker is live: every claim without
         a matching ``done``/``failed`` checkpoint is a shard some
         killed worker took to its grave.  The ``claims → queue``
-        rename puts it back up for grabs.
+        rename puts it back up for grabs.  A queue entry of a finished
+        shard (a crash inside :meth:`record`) is dropped.
         """
         recovered = []
         finished = set(self._indices(_DONE)) | set(self._indices(_FAILED))
+        for index in finished.intersection(self._indices(_QUEUE)):
+            os.remove(self._path(_QUEUE, index))
         for index in self._indices(_CLAIMS):
             if index in finished:
                 os.remove(self._path(_CLAIMS, index))
@@ -210,17 +219,11 @@ class RunState:
 
     def retry_failed(self) -> List[int]:
         """Re-enqueue failed shards (``resume --retry-failed``)."""
-        retried = []
-        for index in self._indices(_FAILED):
-            with open(self._path(_FAILED, index), "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            task = next(
-                task for task in self.tasks() if task.index == index
-            )
+        tasks = {task.index: task for task in self.tasks()}
+        retried = self._indices(_FAILED)
+        for index in retried:
             os.remove(self._path(_FAILED, index))
-            _write_atomic(self._path(_QUEUE, index), task.to_dict())
-            retried.append(index)
-            del document
+            _write_atomic(self._path(_QUEUE, index), tasks[index].to_dict())
         return retried
 
     def pending(self) -> List[Task]:

@@ -1,22 +1,20 @@
 """The unit of sweep work: a named, seeded, JSON-describable task.
 
 A job decomposes into :class:`Task` shards.  Each task is *data* — a
-registered executor kind plus JSON-safe arguments — never a closure,
-so the same task file can be executed by an in-process backend, a
-forked pool worker, or a worker process on another machine reading a
-shared run directory.
+kind name plus JSON-safe arguments — never a closure, so the same task
+file can be executed in this process, by a forked pool worker, or by a
+worker process on another machine reading a shared run directory.
 
-Executors register under a kind name with :func:`register_kind`; the
-experiment and scenario layers register theirs at import
-(``repro.experiments.harness`` → ``"experiment"``,
-``repro.scenario.runner`` → ``"scenario"``).  :func:`execute` meters
-the call — wall seconds, simulator events fired, worker identity — and
-returns a :class:`ShardResult`, or a structured :class:`ShardFailure`
-when the executor raises.  Failures are *recorded, never fabricated
-into placeholder results*: a failed shard carries its exception type,
-message, traceback, shard index, seed, and duration, and the artifact
-layer refuses to treat a partial run as complete unless explicitly
-allowed.
+:data:`KIND_OWNERS` is the one table of kinds: it names the module
+that owns each kind, and :func:`kind_owner` imports that module the
+first time a process meets the kind.  :func:`execute` meters the
+owner's ``run_task(args)`` call — wall seconds, simulator events
+fired, worker identity — and returns a :class:`ShardResult`, or a
+structured :class:`ShardFailure` when ``run_task`` raises.  Failures
+are *recorded, never fabricated into placeholder results*: a failed
+shard carries its exception type, message, traceback, shard index,
+seed, and duration, and the artifact layer refuses to treat a partial
+run as complete unless explicitly allowed.
 
 Payloads cross process and checkpoint boundaries through
 :func:`encode_payload` / :func:`decode_payload`: JSON-native values
@@ -29,10 +27,12 @@ runs byte-identical.
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from types import ModuleType
+from typing import Any, Dict, Union
 
 from repro.runtime.seeds import derive
 
@@ -40,8 +40,8 @@ __all__ = [
     "Task",
     "ShardResult",
     "ShardFailure",
-    "register_kind",
-    "registered_kinds",
+    "KIND_OWNERS",
+    "kind_owner",
     "execute",
     "encode_payload",
     "decode_payload",
@@ -50,39 +50,35 @@ __all__ = [
 
 _PICKLE_TAG = "__pickle_b64__"
 
-TASK_KINDS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
+KIND_OWNERS: Dict[str, str] = {
+    "calib": "repro.calib.evaluate",
+    "experiment": "repro.experiments.harness",
+    "scenario": "repro.scenario.runner",
+}
+"""Task kind -> the module that owns it.
+
+An owner defines ``run_task(args)`` (one shard's payload) and
+``assemble(meta, outcomes)`` (the job's artifact document from every
+outcome, in task order).  It may also define ``check_plan(meta,
+tasks)``, which :meth:`~repro.runtime.job.Job.from_state` calls to
+refuse a stored task list this build would not plan, and
+``format_job_report(job)``, which :func:`repro.api.format_report`
+calls."""
 
 
-def register_kind(name: str, executor: Callable[[Dict[str, Any]], Any]) -> None:
-    """Register (or re-register) the executor for a task kind."""
-    TASK_KINDS[name] = executor
-
-
-def registered_kinds() -> List[str]:
-    return sorted(TASK_KINDS)
-
-
-def _ensure_registered(kind: str) -> Callable[[Dict[str, Any]], Any]:
-    executor = TASK_KINDS.get(kind)
-    if executor is None:
-        # Executors live with the layers that own the work; importing
-        # them here (lazily, to avoid cycles) registers the built-ins
-        # in worker processes that never touched the harness.
-        import repro.calib  # noqa: F401
-        import repro.experiments.harness  # noqa: F401
-        import repro.scenario.runner  # noqa: F401
-
-        executor = TASK_KINDS.get(kind)
-    if executor is None:
+def kind_owner(kind: str) -> ModuleType:
+    """The owner module of a task kind, imported on first use."""
+    module = KIND_OWNERS.get(kind)
+    if module is None:
         raise ValueError(
-            f"unknown task kind {kind!r}; registered: {registered_kinds()}"
+            f"unknown task kind {kind!r}; known: {sorted(KIND_OWNERS)}"
         )
-    return executor
+    return importlib.import_module(module)
 
 
 @dataclass(frozen=True)
 class Task:
-    """One shard of a job: executor kind, stable id, JSON-safe args."""
+    """One shard of a job: kind, stable id, JSON-safe args."""
 
     kind: str
     task_id: str
@@ -243,19 +239,19 @@ def worker_identity() -> str:
 def execute(task: Task) -> Outcome:
     """Run one task in this process; meter it; catch its failure.
 
-    The executor call is fenced: an exception becomes a
+    The ``run_task`` call is fenced: an exception becomes a
     :class:`ShardFailure` carrying the exception type, shard index,
     derived seed, duration, and traceback — one bad sweep point never
     aborts (or silently poisons) the whole job.
     """
     from repro.sim import engine
 
-    executor = _ensure_registered(task.kind)
+    run_task = kind_owner(task.kind).run_task
     events_before = engine.process_events_total()
     started_at = time.time()
     start = time.perf_counter()
     try:
-        payload = executor(task.args)
+        payload = run_task(task.args)
     except Exception as error:  # noqa: BLE001 — the fence is the point
         import traceback
 

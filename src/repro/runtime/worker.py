@@ -20,13 +20,12 @@ simply exits 0.
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 from repro.runtime.state import RunState
-from repro.runtime.tasks import execute, worker_identity
+from repro.runtime.tasks import execute
 
-__all__ = ["work", "main"]
+__all__ = ["work"]
 
 
 def work(run_dir: str, max_tasks: Optional[int] = None) -> int:
@@ -44,33 +43,3 @@ def work(run_dir: str, max_tasks: Optional[int] = None) -> int:
         state.record(execute(task))
         executed += 1
     return executed
-
-
-def main(argv=None) -> int:
-    """CLI body for ``python -m repro sweep-worker``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro sweep-worker",
-        description="drain one sweep run directory's task queue",
-    )
-    parser.add_argument("run_dir", metavar="RUNDIR")
-    parser.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N shards (default: drain the queue)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        executed = work(args.run_dir, max_tasks=args.max_tasks)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"{worker_identity()}: executed {executed} shard(s)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

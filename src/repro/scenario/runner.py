@@ -27,14 +27,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults import FaultSpec, LinkFaultSpec, LinkKillSpec, RecoverySpec
 from repro.runtime.backends import SweepConfig
-from repro.runtime.job import Job, register_assembler
+from repro.runtime.job import Job
 from repro.runtime.tasks import (
     Outcome,
     ShardResult,
     Task,
     encode_payload,
     decode_payload,
-    register_kind,
 )
 from repro.scenario.builder import (
     SCENARIO_SCHEMA,
@@ -73,11 +72,12 @@ def _run_one(
 
 
 # ---------------------------------------------------------------------------
-# The "scenario" runtime kind: one task per spec, any backend.
+# The "scenario" runtime kind (this module is its owner): one task per
+# spec, any backend.
 # ---------------------------------------------------------------------------
 
 
-def _scenario_executor(args: Dict[str, Any]) -> Any:
+def run_task(args: Dict[str, Any]) -> Any:
     """Run one scenario task from its JSON args.
 
     A task names its spec by file (``"path"``) or carries it inline
@@ -160,8 +160,8 @@ def submit_scenarios(
     )
 
 
-def _scenario_assembler(
-    meta: Dict[str, Any], results: List[ShardResult]
+def assemble(
+    meta: Dict[str, Any], outcomes: Sequence[Outcome]
 ) -> Dict[str, Any]:
     """Assemble the scenario artifact from shard payloads (input order)."""
     return {
@@ -169,13 +169,9 @@ def _scenario_assembler(
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "scenarios": {
             spec["name"]: {"spec": spec, "result": result}
-            for spec, result, _report, _trace in _payloads(results)
+            for spec, result, _report, _trace in _payloads(outcomes)
         },
     }
-
-
-register_kind("scenario", _scenario_executor)
-register_assembler("scenario", _scenario_assembler)
 
 
 def _payloads(outcomes: Sequence[Outcome]) -> List[Any]:

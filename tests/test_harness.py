@@ -11,7 +11,13 @@ from repro.experiments import fig12a, harness
 from repro.experiments.oneway import measure_one_way
 from repro.experiments.runner import EXPERIMENTS, normalize_names
 from repro.params import DEFAULT
-from repro.runtime import RunState, ShardResult, SweepConfig, Task
+from repro.runtime import (
+    RunState,
+    ShardFailure,
+    ShardResult,
+    SweepConfig,
+    Task,
+)
 from repro.runtime.tasks import execute
 from repro.scenario.builder import dump_artifact
 
@@ -206,7 +212,7 @@ class TestForeignPlan:
 
     def test_results_that_do_not_fit_the_plan_are_never_assembled(self):
         with pytest.raises(ValueError, match="experiment 'fig11'"):
-            harness._experiment_assembler(
+            harness.assemble(
                 {"names": ["fig11"]}, [self.old_result()]
             )
         fig5 = harness.plan_tasks(["fig5"])
@@ -223,7 +229,70 @@ class TestForeignPlan:
             for task in fig5[:-1]
         ]
         with pytest.raises(ValueError, match="experiment 'fig5'.*7 task"):
-            harness._experiment_assembler({"names": ["fig5"]}, partial)
+            harness.assemble({"names": ["fig5"]}, partial)
+
+
+class TestPartialExperiments:
+    """``allow_partial``: an experiment with a failed shard is left out
+    of the artifact, never partly merged, and its failure is named."""
+
+    @pytest.fixture
+    def broken_fig7(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("fig7 stubbed to fail")
+
+        monkeypatch.setattr(EXPERIMENTS["fig7"], "run", boom)
+
+    def test_api_partial_result_omits_the_failed_experiment(self, broken_fig7):
+        job = harness.submit_experiments(["table1", "fig7"]).run()
+        with pytest.raises(api.JobError, match="fig7"):
+            job.result()
+        partial = job.result(allow_partial=True)
+        assert list(partial["experiments"]) == ["table1"]
+        assert [f["task_id"] for f in partial["failures"]] == ["fig7"]
+        whole = harness.submit_experiments(["table1"]).result()
+        assert partial["experiments"] == whole["experiments"]
+
+    def test_cli_allow_partial_writes_the_artifact(
+        self, broken_fig7, tmp_path, capsys
+    ):
+        path = tmp_path / "partial.json"
+        argv = ["sweep", "table1", "fig7", "--allow-partial"]
+        assert main(argv + ["--json", str(path)]) == 1
+        document = json.loads(path.read_text())
+        assert list(document["experiments"]) == ["table1"]
+        assert document["failures"][0]["task_id"] == "fig7"
+        assert "1 failed" in capsys.readouterr().out
+
+    def test_a_sharded_experiment_is_never_partly_merged(self):
+        fig5 = harness.plan_tasks(["fig5"])
+        outcomes = [
+            ShardResult(
+                task_id=task.task_id,
+                index=task.index,
+                seed=task.seed,
+                payload=1.0,
+                wall_seconds=0.0,
+                events_fired=0,
+                worker="w",
+            )
+            for task in fig5[:-1]
+        ]
+        outcomes.append(
+            ShardFailure(
+                task_id=fig5[-1].task_id,
+                index=fig5[-1].index,
+                seed=fig5[-1].seed,
+                exception_type="RuntimeError",
+                message="boom",
+                traceback="",
+                wall_seconds=0.0,
+                worker="w",
+            )
+        )
+        assert harness.assemble({"names": ["fig5"]}, outcomes)[
+            "experiments"
+        ] == {}
 
 
 class TestDiff:

@@ -20,6 +20,7 @@ from repro import api
 from repro.analysis.targets import check_artifact
 from repro.experiments import harness
 from repro.runtime import (
+    KIND_OWNERS,
     Job,
     JobError,
     RunState,
@@ -29,8 +30,6 @@ from repro.runtime import (
     Task,
     derive,
     execute,
-    register_assembler,
-    register_kind,
 )
 from repro.runtime.provenance import MANIFEST_SCHEMA, build_manifest
 from repro.runtime.state import JOB_SCHEMA
@@ -42,19 +41,19 @@ from tests.conftest import worker_env
 FAST_NAMES = ["table1", "fig7", "fig4", "transactions", "feasibility"]
 
 
-# A tiny task kind the tests own: echoes its shard number, or explodes.
-def _flaky_executor(args):
+# A tiny task kind this module owns: echoes its shard number, or
+# explodes.  In-process execution only; a worker process never sees it.
+def run_task(args):
     if args.get("explode"):
         raise RuntimeError(f"shard {args['i']} exploded")
     return {"i": args["i"]}
 
 
-def _flaky_assembler(meta, results):
-    return {"values": [result.payload["i"] for result in results]}
+def assemble(meta, outcomes):
+    return {"values": [o.payload["i"] for o in outcomes if o.ok]}
 
 
-register_kind("test-flaky", _flaky_executor)
-register_assembler("test-flaky", _flaky_assembler)
+KIND_OWNERS["test-flaky"] = __name__
 
 
 def _flaky_tasks(count, explode=()):
@@ -160,8 +159,15 @@ class TestSweepConfig:
     def test_nonpositive_widths_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             SweepConfig(jobs=0)
-        with pytest.raises(ValueError, match="workers"):
-            SweepConfig(workers=0)
+
+    def test_one_width_and_two_backends(self):
+        """``local`` folded into ``pool``; ``workers`` into ``jobs``."""
+        assert sorted(api.BACKENDS) == ["pool", "workers"]
+        assert SweepConfig() == SweepConfig(backend="pool", jobs=1)
+        with pytest.raises(ValueError, match="backend"):
+            SweepConfig(backend="local")
+        with pytest.raises(TypeError):
+            SweepConfig(workers=2)
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
@@ -284,7 +290,7 @@ class TestProvenanceManifest:
         assert manifest["schema"] == MANIFEST_SCHEMA
         assert len(manifest["job"]["spec_sha256"]) == 64
         assert manifest["code"]["repro_version"] == repro.__version__
-        assert manifest["run"]["backend"] == "local"
+        assert manifest["run"]["backend"] == "pool"
         assert manifest["run"]["status"] == "partial"
         assert manifest["run"]["shards_done"] == 1
         assert manifest["run"]["shards_failed"] == 1
@@ -367,19 +373,20 @@ class TestBackendParity:
     @pytest.mark.slow
     def test_artifacts_byte_identical_across_all_backends(self, tmp_path):
         rendered = {}
-        for backend, kwargs in [
-            ("local", {}),
-            ("pool", {"jobs": 2}),
+        for label, backend, kwargs in [
+            ("inline", "pool", {}),
+            ("pool", "pool", {"jobs": 2}),
             (
                 "workers",
-                {"workers": 2, "run_dir": str(tmp_path / "broker")},
+                "workers",
+                {"jobs": 2, "run_dir": str(tmp_path / "broker")},
             ),
         ]:
             job = api.submit(self.NAMES, backend=backend, **kwargs)
-            path = tmp_path / f"{backend}.json"
+            path = tmp_path / f"{label}.json"
             job.artifact(str(path))
-            rendered[backend] = path.read_bytes()
-        assert rendered["local"] == rendered["pool"] == rendered["workers"]
+            rendered[label] = path.read_bytes()
+        assert rendered["inline"] == rendered["pool"] == rendered["workers"]
         # The broker run also left a provenance manifest behind.
         manifest = json.loads(
             (tmp_path / "broker" / "manifest.json").read_text()
@@ -468,6 +475,94 @@ class TestKillAndResume:
         assert [f.task_id for f in job.failures()] == ["flaky[1]"]
 
 
+class TestRunDirectoryLifecycle:
+    """A shard lives in exactly one of queue/, claims/, done/, failed/."""
+
+    def test_in_process_run_empties_the_queue(self, tmp_path):
+        run_dir = tmp_path / "run"
+        Job(
+            kind="test-flaky",
+            meta={},
+            tasks=_flaky_tasks(3, explode={1}),
+            config=SweepConfig(run_dir=str(run_dir)),
+        ).run()
+        assert list((run_dir / "queue").iterdir()) == []
+        assert RunState.load(str(run_dir)).counts() == {
+            "total": 3, "done": 2, "failed": 1,
+            "claimed": 0, "queued": 0, "pending": 0,
+        }
+
+    def test_cli_status_after_in_process_sweep(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        run_dir = str(tmp_path / "run")
+        assert main(["sweep", "table1", "fig4", "--run-dir", run_dir]) == 0
+        capsys.readouterr()
+        assert main(["status", run_dir]) == 0
+        assert capsys.readouterr().out == (
+            f"{run_dir}: 2/2 done, 0 failed, 0 claimed, 0 queued"
+            "  [manifest: complete]\n"
+        )
+
+    def test_worker_never_reruns_a_shard_done_in_process(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        state = RunState.create(
+            run_dir, {"kind": "test-flaky"}, _flaky_tasks(2)
+        )
+        state.record(execute(state.tasks()[0]))
+        assert work(run_dir) == 1
+        assert [o.payload["i"] for o in state.outcomes()] == [0, 1]
+
+    def test_resume_drops_queued_copies_of_finished_shards(self, tmp_path):
+        run_dir = tmp_path / "run"
+        state = RunState.create(
+            str(run_dir), {"kind": "test-flaky"}, _flaky_tasks(2)
+        )
+        queued = (run_dir / "queue" / "00000.json").read_text()
+        state.record(execute(state.tasks()[0]))
+        # A crash between the checkpoint and the queue cleanup.
+        (run_dir / "queue" / "00000.json").write_text(queued)
+        assert state.recover_stale_claims() == []
+        assert work(str(run_dir)) == 1
+
+    @pytest.mark.slow
+    def test_workers_resume_executes_only_unfinished_shards(self, tmp_path):
+        names = ["table1", "fig7"]
+        run_dir = str(tmp_path / "run")
+        state = RunState.create(
+            run_dir,
+            {"kind": "experiment", "names": names, "base_seed": 0},
+            harness.plan_tasks(names),
+        )
+        state.record(execute(state.tasks()[0]))
+        api.resume(run_dir, SweepConfig(backend="workers"))
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        ran = {s["task_id"]: s["worker"] for s in manifest["shards"]}
+        here = execute(_flaky_tasks(1)[0]).worker
+        assert ran["table1"] == here
+        assert ran["fig7"] != here
+
+    def test_resume_refuses_an_unknown_kind_before_moving_claims(
+        self, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        state = RunState.create(
+            run_dir,
+            {"kind": "no-such-kind"},
+            [Task(kind="no-such-kind", task_id=f"ghost[{i}]", index=i)
+             for i in range(2)],
+        )
+        state.claim_next()  # a worker that died holding shard 0
+        before = state.counts()
+        with pytest.raises(
+            ValueError,
+            match=r"unknown task kind 'no-such-kind'; known: .*'experiment'",
+        ):
+            api.resume(run_dir)
+        assert state.counts() == before
+        assert (tmp_path / "run" / "claims" / "00000.json").exists()
+
+
 class TestWorkerCrashDiagnostics:
     @pytest.mark.slow
     def test_dead_workers_surface_structured_failure_not_garbage(
@@ -477,15 +572,15 @@ class TestWorkerCrashDiagnostics:
         resume — it never fabricates placeholder shard results."""
         run_dir = str(tmp_path / "run")
         # A kind no worker process knows: every worker exits nonzero
-        # with the queue undrained.
-        RunState.create(
-            run_dir,
-            {"kind": "no-such-kind"},
-            [Task(kind="no-such-kind", task_id="ghost[0]")],
-        )
-        job = Job.from_state(
-            RunState.load(run_dir),
-            SweepConfig(backend="workers", workers=1, run_dir=run_dir),
+        # with the queue undrained.  (Job.from_state would refuse the
+        # kind up front, so the job is built directly.)
+        tasks = [Task(kind="no-such-kind", task_id="ghost[0]")]
+        RunState.create(run_dir, {"kind": "no-such-kind"}, tasks)
+        job = Job(
+            kind="no-such-kind",
+            meta={},
+            tasks=tasks,
+            config=SweepConfig(backend="workers", run_dir=run_dir),
         )
         with pytest.raises(RuntimeError, match="resume"):
             job.run()
@@ -545,3 +640,31 @@ class TestSweepCLI:
         RunState.create(run_dir, {"kind": "test-flaky"}, [])
         assert main(["sweep-worker", run_dir]) == 0
         assert "executed 0 shard(s)" in capsys.readouterr().out
+
+    def test_sweep_worker_errors_are_one_line(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main(["sweep-worker", str(tmp_path / "missing")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        with pytest.raises(SystemExit):
+            main(["sweep-worker", str(tmp_path), "--max-tasks", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "table1", "--backend", "local"],
+            ["sweep", "table1", "--workers", "2"],
+            ["resume", "RUNDIR", "--workers", "2"],
+            ["calibrate", "SPEC", "--workers", "2"],
+        ],
+        ids=["backend-local", "sweep-workers", "resume-workers",
+             "calibrate-workers"],
+    )
+    def test_folded_options_are_refused(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
